@@ -1,14 +1,14 @@
 """Config-driven experiment runner.
 
-Subcommands: kernel, covariance-det, wick-verify, modular-verify,
-bound-check, bk-matrix, sharpness, universal, decay.  Each writes a CSV
-(schema header `# fermicov-schema v1`, floats at 17 significant digits, so
-identical seeds give byte-identical files) and a JSON summary, both through
-atomic temp-file renames.  Exit codes: 0 all checks pass, 1 some
-verification failed, 2 usage or config error.
+Subcommands: kernel, wick-verify, modular-verify, bound-check, bk-matrix,
+sharpness, universal, decay.  Each writes a CSV (schema header
+`# fermicov-schema v1`, floats at 17 significant digits, so identical seeds
+give byte-identical files) and a JSON summary, both through atomic temp-file
+renames.  Exit codes: 0 all checks pass, 1 some verification failed, 2 usage
+or config error.
 
-Defaults can come from an INI config file (one section per subcommand);
-command-line flags win over the file.
+Defaults can come from an INI config file (one section per subcommand, keys
+named as the flags with case kept); command-line flags win over the file.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
 
 from fermicov.car_fock import (
+    FockSpace,
     MonomialSpec,
     annihilator,
     creator,
@@ -37,7 +37,7 @@ from fermicov.car_fock import (
 from fermicov.covariance import decay_parameter, kernel_g
 from fermicov.modular import ModularData, correlation_vector, modular_power, schatten_norm
 from fermicov.mspace import TreeGraph, bk_matrix, random_tree
-from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
+from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
 from fermicov.torus import DiscreteTorus
 from fermicov.verify import (
     GeneratorConfig,
@@ -51,19 +51,6 @@ SCHEMA_LINE = "# fermicov-schema v1"
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    """Merged file + flag parameters for one subcommand run."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, value in self.params.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"parameter {key} is not finite: {value}")
 
 
 def fmt(x) -> str:
@@ -138,7 +125,7 @@ def cmd_kernel(args) -> int:
     write_csv(args.out, ["index", "alpha", "g"], rows)
     residual = ker.residual()
     tol = 1e-9 * torus.rate
-    finite_eta_singular = args.eta is not None and abs(lam - torus.rate) <= 1e-12 * torus.rate
+    finite_eta_singular = args.eta is not None and bool(rate_terms(lam, torus)[0])
     ok = residual <= tol or finite_eta_singular
     write_summary(
         args.summary,
@@ -171,7 +158,7 @@ def _bound_rows(reports):
     return header, rows
 
 
-def cmd_bound_check(args, suite_name="bound-check") -> int:
+def cmd_bound_check(args) -> int:
     t0 = time.time()
     config = GeneratorConfig(
         d_max=args.d_max, m_max=args.m_max, N_max=args.N_max,
@@ -179,24 +166,21 @@ def cmd_bound_check(args, suite_name="bound-check") -> int:
         beta_choices=tuple(float(v) for v in args.beta_choices.split(",")),
         scale_max=args.scale_max,
     )
-    reports = bound_check_suite(args.count, config, seed=args.seed, jobs=args.jobs)
+    reports = bound_check_suite(args.count, config, seed=args.seed)
     header, rows = _bound_rows(reports)
     write_csv(args.out, header, rows)
     failures = [r.seed for r in reports if not r.passed]
     min_slack = min((r.slack for r in reports), default=0.0)
-    write_summary(args.summary, _summary(suite_name, args.count, failures, min_slack, t0))
-    print(f"{suite_name}: {args.count} instances, {len(failures)} failures, "
+    write_summary(args.summary, _summary("bound-check", args.count, failures, min_slack, t0))
+    print(f"bound-check: {args.count} instances, {len(failures)} failures, "
           f"min slack {min_slack:.3e}")
     return 0 if not failures else 1
-
-
-def cmd_covariance_det(args) -> int:
-    return cmd_bound_check(args, suite_name="covariance-det")
 
 
 def cmd_wick_verify(args) -> int:
     t0 = time.time()
     rng = np.random.default_rng(args.seed)
+    fock = FockSpace(args.modes)
     rows, failures = [], []
     for N in range(1, args.N_max + 1):
         for perm_id, perm in enumerate(permutations(range(2 * N))):
@@ -205,7 +189,7 @@ def cmd_wick_verify(args) -> int:
                 A = rng.normal(size=(args.modes, args.modes)) + 1j * rng.normal(
                     size=(args.modes, args.modes)
                 )
-                state = quasifree_density((A + A.conj().T) / 2, beta=1.0)
+                state = quasifree_density((A + A.conj().T) / 2, beta=1.0, fock=fock)
                 vecs = [
                     rng.normal(size=args.modes) + 1j * rng.normal(size=args.modes)
                     for _ in range(2 * N)
@@ -335,7 +319,7 @@ def cmd_sharpness(args) -> int:
 def cmd_universal(args) -> int:
     t0 = time.time()
     config = GeneratorConfig()
-    reports = bound_check_suite(args.count, config, seed=args.seed, jobs=args.jobs)
+    reports = bound_check_suite(args.count, config, seed=args.seed)
     sharp = []
     for eps in (float(v) for v in args.epsilon_list.split(",")):
         sharp += sharpness_sweep(eps, args.beta)
@@ -388,7 +372,6 @@ def _add_common(sub, out_default: str):
     sub.add_argument("--out", default=out_default, help="CSV output path")
     sub.add_argument("--summary", default=None, help="JSON summary path")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,17 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, "kernel.csv")
     s.set_defaults(func=cmd_kernel)
 
-    for name, func in (("covariance-det", cmd_covariance_det), ("bound-check", cmd_bound_check)):
-        s = subs.add_parser(name, help="run seeded determinant-bound instances")
-        s.add_argument("--count", type=int, default=100 if name == "covariance-det" else 1000)
-        s.add_argument("--d-max", type=int, default=3)
-        s.add_argument("--m-max", type=int, default=3)
-        s.add_argument("--N-max", dest="N_max", type=int, default=3)
-        s.add_argument("--n-choices", default="2,4,8")
-        s.add_argument("--beta-choices", default="0.5,1,2")
-        s.add_argument("--scale-max", type=float, default=1e3)
-        _add_common(s, f"{name}.csv")
-        s.set_defaults(func=func)
+    s = subs.add_parser("bound-check", help="run seeded determinant-bound instances")
+    s.add_argument("--count", type=int, default=1000)
+    s.add_argument("--d-max", type=int, default=3)
+    s.add_argument("--m-max", type=int, default=3)
+    s.add_argument("--N-max", dest="N_max", type=int, default=3)
+    s.add_argument("--n-choices", default="2,4,8")
+    s.add_argument("--beta-choices", default="0.5,1,2")
+    s.add_argument("--scale-max", type=float, default=1e3)
+    _add_common(s, "bound-check.csv")
+    s.set_defaults(func=cmd_bound_check)
 
     s = subs.add_parser("wick-verify", help="exhaustive permuted-monomial checks")
     s.add_argument("--N-max", dest="N_max", type=int, default=2)
@@ -491,6 +473,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     if not os.path.exists(path):
         raise ConfigError(f"config file {path} does not exist")
     ini = configparser.ConfigParser()
+    ini.optionxform = str  # keep key case: N_max must become --N-max
     try:
         ini.read(path)
     except configparser.Error as exc:
@@ -514,10 +497,9 @@ def main(argv: list | None = None) -> int:
         args = parser.parse_args(argv)
         if args.summary is None:
             args.summary = os.path.splitext(args.out)[0] + ".json"
-        ExperimentConfig(
-            subcommand=args.subcommand,
-            params={k: v for k, v in vars(args).items() if k != "func"},
-        )
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"parameter {key} is not finite: {value}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)

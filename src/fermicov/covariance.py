@@ -22,9 +22,8 @@ from fermicov.spectral import (
     CutoffSpec,
     HermitianMatrix,
     SpectralData,
-    bernoulli_euler_rate,
     eig_hermitian,
-    singular_rate_band,
+    rate_terms,
 )
 from fermicov.torus import APFunction, DiscreteTorus, delta_ap, derivative_matrix
 
@@ -46,10 +45,6 @@ __all__ = [
 ]
 
 
-def _is_singular_rate(lam: float, torus: DiscreteTorus) -> bool:
-    return abs(lam - torus.rate) <= singular_rate_band(torus)
-
-
 def kernel_values_at(
     lams: np.ndarray,
     torus: DiscreteTorus,
@@ -63,24 +58,18 @@ def kernel_values_at(
     beta/n - beta); with eta given, the finite-regularization formula is used
     everywhere.  Off the band the result is eta-independent.
     """
-    lams = np.asarray(lams, dtype=float)
-    n, beta, rate = torus.n, torus.beta, torus.rate
+    n, beta = torus.n, torus.beta
     i0 = torus.wrap(alpha_index)
     flip = 1.0
     if i0 >= n:  # alpha in (0, beta]: antiperiodic extension g(a) = -g(a - beta)
         i0 -= n
         flip = -1.0
 
-    singular = np.abs(lams - rate) <= singular_rate_band(torus)
-    log_rates = np.where(
-        singular, 1.0 if eta is None else float(eta),
-        -rate * np.log(np.maximum(np.abs(1.0 - lams / rate), 1e-300)),
-    )
+    singular, log_rates, signs = rate_terms(lams, torus, 1.0 if eta is None else eta)
     t = beta * log_rates / n  # per-step log magnitude
     nt = n * t
     # exponent (n - i) t - max(nt, 0) is <= 0 on both branches
     mag = np.exp((n - i0) * t - np.maximum(nt, 0.0)) / (1.0 + np.exp(-np.abs(nt)))
-    signs = np.where(1.0 - lams / rate >= 0.0, 1.0, -1.0)
     sign_factor = np.where((n - i0) % 2 == 1, signs, 1.0)
     values = flip * sign_factor * mag
 
@@ -112,8 +101,6 @@ class KernelEval:
 
 def kernel_g(lam: float, torus: DiscreteTorus, eta: float | None = None) -> KernelEval:
     """Tabulate the covariance kernel g_lam on the whole grid."""
-    if eta is not None and eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
     half = np.array(
         [kernel_values_at(np.array([lam]), torus, i, eta)[0] for i in range(torus.n)]
     )

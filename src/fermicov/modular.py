@@ -31,7 +31,6 @@ from fermicov.car_fock import (
 from fermicov.covariance import BoundInstance
 from fermicov.mspace import quotient_space
 from fermicov.spectral import (
-    CutoffSpec,
     SpectralData,
     bernoulli_euler_rate,
     eig_hermitian,
@@ -178,9 +177,10 @@ def _representation_state(
     torus,
     coords: np.ndarray,
     eta: float,
+    fock: FockSpace,
 ) -> QuasiFreeState:
     """Quasi-free state of the regularized one-particle energy on fiber x color."""
-    rates = np.array([bernoulli_euler_rate(lam, torus, eta) for lam in S.values])
+    rates = bernoulli_euler_rate(S.values, torus, eta)
     cap = OVERFLOW_LOG / torus.beta
     if np.max(np.abs(rates)) > cap:
         warnings.warn(
@@ -192,7 +192,7 @@ def _representation_state(
         rates = np.clip(rates, -cap, cap)
     h = matrix_function(lambda lam: rates, S)
     h_M = np.kron(h, np.eye(coords.shape[1]))
-    return quasifree_density(h_M, torus.beta)
+    return quasifree_density(h_M, torus.beta, fock)
 
 
 def determinant_representation(
@@ -221,7 +221,7 @@ def determinant_representation(
     d, r = S.dim, qs.rank
     fock = FockSpace(d * r)  # raises if the cap is exceeded
 
-    state = _representation_state(S, torus, qs.coords, eta)
+    state = _representation_state(S, torus, qs.coords, eta, fock)
     mod = ModularData(state)
 
     a_units = [i - torus.zero_index for i, _, _ in inst.points]

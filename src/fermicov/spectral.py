@@ -22,6 +22,7 @@ __all__ = [
     "CutoffSpec",
     "eig_hermitian",
     "bernoulli_euler_rate",
+    "rate_terms",
     "singular_rate_band",
     "apply_scalar_function",
     "matrix_function",
@@ -100,21 +101,35 @@ def singular_rate_band(torus: DiscreteTorus) -> float:
     return 1e-12 * torus.rate
 
 
-def bernoulli_euler_rate(lam: float, torus: DiscreteTorus, eta: float) -> float:
-    """Discrete log-rate whose exponential is the Bernoulli-Euler power.
+def rate_terms(lams, torus: DiscreteTorus, eta: float = 1.0) -> tuple:
+    """The spectral decisions at the singular value n/beta, for an array of lam.
 
-    Returns -(n/beta) * ln|1 - (beta/n) lam| away from lam = n/beta, and the
-    regularization parameter eta on the singular value itself (detected with
-    absolute tolerance 1e-12 * n/beta).  For every other lam the value is
-    eta-independent and satisfies exp(-+beta*rate) = (1 - (beta/n) lam)^(+-n)
-    for even n.
+    Returns (singular, log_rate, sign): the band test
+    |lam - n/beta| <= singular_rate_band, the Bernoulli-Euler log-rate
+    -(n/beta) ln|1 - (beta/n) lam| (eta on the band), and sgn(1 - (beta/n) lam)
+    with sgn(0) = +1.  Off the band the log-rate is eta-independent and
+    satisfies exp(-+beta*rate) = (1 - (beta/n) lam)^(+-n) for even n.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
+    lams = np.asarray(lams, dtype=float)
     rate = torus.rate
-    if abs(lam - rate) <= singular_rate_band(torus):
-        return float(eta)
-    return float(-rate * np.log(abs(1.0 - lam / rate)))
+    ratio = 1.0 - lams / rate
+    singular = np.abs(lams - rate) <= singular_rate_band(torus)
+    log_rate = np.where(
+        singular, float(eta), -rate * np.log(np.maximum(np.abs(ratio), 1e-300))
+    )
+    return singular, log_rate, np.where(ratio >= 0.0, 1.0, -1.0)
+
+
+def bernoulli_euler_rate(lam, torus: DiscreteTorus, eta: float):
+    """Discrete log-rate whose exponential is the Bernoulli-Euler power.
+
+    -(n/beta) ln|1 - (beta/n) lam| off the singular band and eta on it (see
+    rate_terms); a scalar lam gives a float, an array of lam an array.
+    """
+    rates = rate_terms(lam, torus, eta)[1]
+    return rates if rates.ndim else float(rates)
 
 
 def apply_scalar_function(
@@ -135,7 +150,7 @@ def matrix_function(f: Callable[[np.ndarray], np.ndarray], S: SpectralData) -> n
 
 def sign_values(S: SpectralData, torus: DiscreteTorus) -> np.ndarray:
     """Eigenvalues of the unitary involution sgn(1 - (beta/n) H), with sgn(0) = +1."""
-    return np.where(1.0 - S.values / torus.rate >= 0.0, 1.0, -1.0)
+    return rate_terms(S.values, torus)[2]
 
 
 def sign_power(S: SpectralData, torus: DiscreteTorus, k: int, x: np.ndarray) -> np.ndarray:

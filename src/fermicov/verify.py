@@ -2,17 +2,17 @@
 
 Everything here is seeded and replayable: each generated instance carries an
 integer seed that regenerates it bit-exactly, and suites process instances in
-instance-id order regardless of how the work is scheduled.
+instance-id order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from fermicov.car_fock import permutation_sign
 from fermicov.covariance import (
     BoundInstance,
     covariance_det,
@@ -62,16 +62,6 @@ class OrderingData:
     split: int
 
 
-def _inversion_sign(seq) -> int:
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 def ordering_from_grid(a_units: list, N: int, n: int) -> OrderingData:
     """Ordering data from integer grid offsets a_q (alpha_q = a_q * beta / n).
 
@@ -102,11 +92,11 @@ def ordering_from_grid(a_units: list, N: int, n: int) -> OrderingData:
     # canonical CAR tuple order: creators ascending, then annihilators descending
     slot_order = list(range(N)) + list(range(2 * N - 1, N - 1, -1))
     slot_of = {q: u for u, q in enumerate(slot_order)}
-    rep_sign = _inversion_sign([slot_of[q] for q in placement])
+    rep_sign = permutation_sign([slot_of[q] for q in placement])
     return OrderingData(
         placement=placement,
         pi=tuple(pi),
-        sign=_inversion_sign(pi),
+        sign=permutation_sign(pi),
         rep_sign=rep_sign,
         alpha_tilde=a_tilde,
         xi=xi,
@@ -267,8 +257,9 @@ def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
     )
 
 
-def _check_one(args) -> BoundReport:
-    instance_id, seed, config, slack_tol = args
+def _check_one(
+    instance_id: int, seed: int, config: GeneratorConfig, slack_tol: float
+) -> BoundReport:
     start = time.perf_counter()
     inst = random_instance(seed, config)
     spectral = eig_hermitian(inst.H)
@@ -295,19 +286,14 @@ def bound_check_suite(
     count: int,
     config: GeneratorConfig | None = None,
     seed: int = 0,
-    jobs: int | None = None,
     slack_tol: float = 1e-10,
 ) -> list:
     """Run count seeded random determinant-bound checks; failures are reported,
     never raised.  Results come back ordered by instance id."""
     config = config or GeneratorConfig()
-    tasks = [
-        (i, instance_seed(seed, i), config, slack_tol) for i in range(count)
+    return [
+        _check_one(i, instance_seed(seed, i), config, slack_tol) for i in range(count)
     ]
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_check_one, tasks))
-    return [_check_one(t) for t in tasks]
 
 
 def _kernel_at_zero(lam: float, torus: DiscreteTorus) -> float:

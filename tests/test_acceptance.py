@@ -242,7 +242,7 @@ def test_criterion_05_holder_and_modular_bounds():
 
 def test_criterion_06_determinant_bound_at_scale():
     budget = Budget(600.0)
-    reports = bound_check_suite(10_000, GeneratorConfig(), seed=606, jobs=4)
+    reports = bound_check_suite(10_000, GeneratorConfig(), seed=606)
     failures = [r for r in reports if not r.passed]
     assert failures == []
     budget.check()
@@ -327,7 +327,7 @@ def test_criterion_10_determinism(tmp_path):
     for name in ("one.csv", "two.csv"):
         path = tmp_path / name
         code = cli_main(["bound-check", "--count", "60", "--seed", "1010",
-                         "--out", str(path), "--jobs", "3"])
+                         "--out", str(path)])
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]

@@ -46,10 +46,13 @@ def test_jordan_wigner_single_mode():
 
 
 def test_jordan_wigner_car_exact():
-    ops = jordan_wigner(3)
-    eye = np.eye(8)
-    for i in range(3):
-        for j in range(3):
+    # every pair for D <= 6, a fixed sample of pairs (first, neighbor, last) at D = 8
+    cases = [(D, [(i, j) for i in range(D) for j in range(D)]) for D in range(1, 7)]
+    cases.append((8, [(0, 0), (0, 1), (0, 7), (6, 7)]))
+    for D, pairs in cases:
+        ops = jordan_wigner(D)
+        eye = np.eye(2**D)
+        for i, j in pairs:
             ci, cj = ops[i].matrix, ops[j].matrix
             assert np.max(np.abs(ci @ cj + cj @ ci)) == 0.0
             acc = ci @ cj.T + cj.T @ ci

@@ -32,7 +32,7 @@ def test_kernel_singular_table(tmp_path):
 def test_bound_check_deterministic_bytes(tmp_path):
     for name in ("a.csv", "b.csv"):
         code = run(tmp_path, "bound-check", "--count", "40", "--seed", "9",
-                   "--out", name, "--jobs", "2")
+                   "--out", name)
         assert code == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     summary = json.loads((tmp_path / "a.json").read_text())
@@ -52,6 +52,12 @@ def test_config_file_defaults_and_flag_override(tmp_path):
                "--out", "d.csv")
     assert code == 0
     assert len((tmp_path / "d.csv").read_text().splitlines()[2:]) == 5
+    # keys keep their case: N_max is the --N-max flag
+    (tmp_path / "caps.ini").write_text("[bound-check]\ncount = 8\nN_max = 1\n")
+    code = run(tmp_path, "--config", "caps.ini", "bound-check", "--out", "e.csv")
+    assert code == 0
+    rows = [ln.split(",") for ln in (tmp_path / "e.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 8 and all(row[4] == "1" for row in rows)  # column N
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -59,6 +65,17 @@ def test_config_errors_exit_2(tmp_path):
     (tmp_path / "bad.ini").write_text("[bound-check]\nnot_a_flag = 3\n")
     assert run(tmp_path, "--config", "bad.ini", "bound-check") == 2
     assert run(tmp_path, "no-such-subcommand") == 2
+
+
+def test_non_finite_parameters_exit_2(tmp_path):
+    assert run(tmp_path, "kernel", "--beta", "nan", "--out", "k.csv") == 2
+    assert run(tmp_path, "bound-check", "--scale-max", "inf", "--out", "b.csv") == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_removed_options_exit_2(tmp_path):
+    assert run(tmp_path, "bound-check", "--jobs", "2", "--out", "b.csv") == 2
+    assert run(tmp_path, "covariance-det", "--out", "c.csv") == 2
 
 
 def test_bk_matrix_explicit_edge(tmp_path):

@@ -9,6 +9,7 @@ from fermicov.spectral import (
     bernoulli_euler_rate,
     eig_hermitian,
     matrix_function,
+    rate_terms,
     sign_power,
     sign_values,
 )
@@ -71,6 +72,16 @@ def test_rate_convergence_to_identity():
     val = bernoulli_euler_rate(1.0, torus, eta=1.0)
     assert_allclose(val, -64.0 * np.log(1.0 - 1.0 / 64.0), rtol=1e-15)
     assert abs(val - 1.0) <= 2.0 / 64.0  # O(1/n) defect
+
+
+def test_rate_array_matches_scalar():
+    torus = DiscreteTorus(beta=0.7, n=8)
+    lams = np.array([-30.0, 0.0, 0.3, torus.rate, 2.0 * torus.rate, 1e3 * torus.rate])
+    rates = bernoulli_euler_rate(lams, torus, eta=2.5)
+    assert rates.tolist() == [bernoulli_euler_rate(lam, torus, eta=2.5) for lam in lams]
+    singular, _, sign = rate_terms(lams, torus, eta=2.5)
+    assert singular.tolist() == [False, False, False, True, False, False]
+    assert sign.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])

@@ -90,7 +90,7 @@ def test_bound_suite_no_failures(rng):
 
 def test_bound_suite_deterministic():
     a = bound_check_suite(25, GeneratorConfig(), seed=3)
-    b = bound_check_suite(25, GeneratorConfig(), seed=3, jobs=4)
+    b = bound_check_suite(25, GeneratorConfig(), seed=3)
     for ra, rb in zip(a, b):
         assert ra.seed == rb.seed
         assert ra.det == rb.det
