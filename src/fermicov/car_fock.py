@@ -5,6 +5,12 @@ with mode order (fiber index, color index) lexicographic.  a(psi) is
 antilinear in psi, so two-point functions of a quasi-free state read
 rho(a+(psi1) a(psi2)) = <psi2, S psi1> with the symbol S.
 
+The same family also acts without dense matrices: `apply_field` applies a(psi)
+or a+(psi) to the rows of an array through each mode's signed bit flip, and
+`quasifree_log_weights` gives the diagonal state of a one-particle energy in
+the occupation basis of its own eigenmodes.  Together they evaluate modular
+chains in O(D 4^D) where the dense family costs O(8^D).
+
 Monomial conventions.  A monomial spec lists vectors psi_1..psi_{N1+N2} and
 a permutation of the N1+N2 operator slots of the tuple
 
@@ -38,8 +44,10 @@ __all__ = [
     "jordan_wigner",
     "annihilator",
     "creator",
+    "apply_field",
     "second_quantize",
     "quasifree_density",
+    "quasifree_log_weights",
     "expect_monomial",
     "wick_determinant",
     "symbol_two_point",
@@ -70,6 +78,7 @@ class FockSpace:
         self.modes = modes
         self.dim = 2**modes
         self._lowering: list | None = None
+        self._jw_signs: np.ndarray | None = None
 
     def __eq__(self, other):
         return isinstance(other, FockSpace) and other.modes == self.modes
@@ -83,6 +92,20 @@ class FockSpace:
         if self._lowering is None:
             self._lowering = jordan_wigner(self.modes, fock=self)
         return self._lowering
+
+    @property
+    def jw_signs(self) -> np.ndarray:
+        """The cached Jordan-Wigner signs (-1)^(n_0 + ... + n_(k-1)).
+
+        Entry j is the sign of the occupation pattern j of the leading modes,
+        mode 0 in the highest bit; the first 2^k entries serve mode k.
+        """
+        if self._jw_signs is None:
+            signs = np.ones(1)
+            for _ in range(self.modes - 1):
+                signs = np.concatenate([signs, -signs])
+            self._jw_signs = signs
+        return self._jw_signs
 
 
 @dataclass
@@ -137,6 +160,32 @@ def annihilator(fock: FockSpace, psi: np.ndarray) -> FockOperator:
 def creator(fock: FockSpace, psi: np.ndarray) -> FockOperator:
     """a+(psi) = a(psi)*; linear in psi."""
     return annihilator(fock, psi).adjoint()
+
+
+def apply_field(
+    fock: FockSpace, psi: np.ndarray, X: np.ndarray, creator: bool = False
+) -> np.ndarray:
+    """a(psi) @ X, or a+(psi) @ X with creator=True, without a dense a(psi).
+
+    The rows of X are occupation patterns.  c_k moves row (.., n_k = 1, ..) to
+    row (.., n_k = 0, ..) with the sign (-1)^(n_0 + ... + n_(k-1)) and c_k*
+    moves it back, so each mode costs one signed copy of half the rows.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.shape[0] != fock.modes:
+        raise ValueError(f"vector length {psi.shape[0]} does not match {fock.modes} modes")
+    X = np.asarray(X)
+    if X.shape[0] != fock.dim:
+        raise ValueError(f"array with {X.shape[0]} rows does not match dimension {fock.dim}")
+    src, dst = (0, 1) if creator else (1, 0)
+    out = np.zeros(X.shape, dtype=complex)
+    for k, coeff in enumerate(psi if creator else np.conj(psi)):
+        if coeff != 0:
+            rows = X.reshape(2**k, 2, -1)  # axis 1 is the occupation of mode k
+            out.reshape(2**k, 2, -1)[:, dst] += (
+                (coeff * fock.jw_signs[: 2**k])[:, None] * rows[:, src]
+            )
+    return out
 
 
 def second_quantize(h: np.ndarray | HermitianMatrix, fock: FockSpace | None = None) -> FockOperator:
@@ -249,6 +298,21 @@ def quasifree_density(
         basis=U,
         log_weights=logp,
     )
+
+
+def quasifree_log_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """log p(occ) = -beta occ.eps - sum_k log(1 + exp(-beta eps_k)), in closed form.
+
+    The quasi-free state exp(-beta sum_k eps_k n_k) / Z is diagonal in the
+    occupation basis of the modes with energies eps; the entries follow the
+    Jordan-Wigner order, mode 0 in the highest bit.  Kept in log form, so
+    extreme energies neither overflow nor underflow.
+    """
+    logp = np.zeros(1)
+    for e in beta * np.asarray(energies, dtype=float):
+        free = np.logaddexp(0.0, -e)
+        logp = np.add.outer(logp, [-free, -e - free]).ravel()
+    return logp
 
 
 def _logsumexp(x: np.ndarray) -> float:

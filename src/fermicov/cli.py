@@ -500,6 +500,8 @@ def main(argv: list | None = None) -> int:
         for key, value in vars(args).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"parameter {key} is not finite: {value}")
+        if getattr(args, "eta", None) is not None and args.eta <= 0:
+            raise ConfigError(f"parameter eta must be positive: {args.eta}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)

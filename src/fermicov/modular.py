@@ -11,6 +11,15 @@ evaluated in the product form in which every density-matrix power carries a
 nonnegative exponent bounded by 1/2: each intermediate is then a contraction
 of the operator norms, which is the numerical content of the Hoelder bound
 itself.
+
+`ModularData`, `modular_power` and `correlation_vector` work on dense
+density matrices of any quasi-free state.  `determinant_representation`
+needs only thermal states of a known one-particle energy, and evaluates its
+chains in the occupation basis of that energy's eigenmodes: the density is
+diagonal there with closed-form log-weights, Delta^w is a row scaling, and
+each creation or annihilation operator is a signed bit-flip row map
+(`car_fock.apply_field`).  No 2^D x 2^D diagonalization or matrix product
+is formed.
 """
 
 from __future__ import annotations
@@ -24,19 +33,12 @@ from fermicov.car_fock import (
     FockOperator,
     FockSpace,
     QuasiFreeState,
-    annihilator,
-    creator,
-    quasifree_density,
+    apply_field,
+    quasifree_log_weights,
 )
 from fermicov.covariance import BoundInstance
 from fermicov.mspace import quotient_space
-from fermicov.spectral import (
-    SpectralData,
-    bernoulli_euler_rate,
-    eig_hermitian,
-    matrix_function,
-    sign_values,
-)
+from fermicov.spectral import bernoulli_euler_rate, eig_hermitian, sign_values
 from fermicov.verify import OrderingData, ordering_from_grid
 
 __all__ = [
@@ -172,27 +174,27 @@ def schatten_norm(X: FockOperator | np.ndarray, s: float) -> float:
     return float(top * np.sum((sv / top) ** s) ** (1.0 / s))
 
 
-def _representation_state(
-    S: SpectralData,
-    torus,
-    coords: np.ndarray,
-    eta: float,
-    fock: FockSpace,
-) -> QuasiFreeState:
-    """Quasi-free state of the regularized one-particle energy on fiber x color."""
-    rates = bernoulli_euler_rate(S.values, torus, eta)
-    cap = OVERFLOW_LOG / torus.beta
-    if np.max(np.abs(rates)) > cap:
-        warnings.warn(
-            f"clamping regularized one-particle energies to |rate| <= {cap:.3g} "
-            "to keep Boltzmann weights representable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        rates = np.clip(rates, -cap, cap)
-    h = matrix_function(lambda lam: rates, S)
-    h_M = np.kron(h, np.eye(coords.shape[1]))
-    return quasifree_density(h_M, torus.beta, fock)
+def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: float) -> np.ndarray:
+    """D^(w_1) x_1 D^(w_2) x_2 ... x_N D^tail for the diagonal state of log-weights logp.
+
+    chain holds pairs (w_q, (psi_q, is_creator_q)) with psi_q in the state's
+    eigenmode basis.  Applied right to left, each x_q is a row map and each
+    D^(w_q) a row scaling, so no dense Fock operator is formed.
+    """
+    X = np.diag(np.exp(logp * tail)).astype(complex)
+    for w, (psi, is_creator) in reversed(chain):
+        X = apply_field(fock, psi, X, creator=is_creator)
+        X *= np.exp(logp * w)[:, None]
+    return X
+
+
+def _half_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list) -> np.ndarray:
+    """Delta^(z1/beta) x1 ... xN eta in the eigenbasis, for a tube chain of real z."""
+    zs = np.array([z for z, _ in chain], dtype=complex)
+    _check_tube(zs, beta / 2)
+    w = np.clip(np.real(zs) / beta, 0.0, None)
+    tail = max(0.0, 0.5 - float(np.sum(w)))
+    return _eigenbasis_chain(fock, logp, list(zip(w, (x for _, x in chain))), tail)
 
 
 def determinant_representation(
@@ -209,59 +211,71 @@ def determinant_representation(
     (form="trace").  Away from the singular spectral value n/beta the result
     matches the directly computed determinant at any finite eta; with an
     eigenvalue pinned there it converges to it as eta grows.
+
+    Both forms are evaluated in the occupation basis of the eigenmodes of the
+    regularized one-particle energy h (x) 1_r.  There the quasi-free state is
+    diagonal with closed-form log-weights, every operator is a signed
+    bit-flip row map on the 2^D x 2^D chain array, and Delta^w is a row
+    scaling; inner product and trace are unitarily invariant, so no change of
+    basis back to the site modes is needed.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if form not in ("inner", "trace"):
         raise ValueError(f"unknown form {form!r}")
     torus = inst.torus
+    beta = torus.beta
     N = inst.pair_count
     S = eig_hermitian(inst.H)
     qs = quotient_space(inst.M)
     d, r = S.dim, qs.rank
     fock = FockSpace(d * r)  # raises if the cap is exceeded
 
-    state = _representation_state(S, torus, qs.coords, eta, fock)
-    mod = ModularData(state)
+    rates = bernoulli_euler_rate(S.values, torus, eta)
+    cap = OVERFLOW_LOG / beta
+    if np.max(np.abs(rates)) > cap:
+        warnings.warn(
+            f"clamping regularized one-particle energies to |rate| <= {cap:.3g} "
+            "to keep Boltzmann weights representable",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        rates = np.clip(rates, -cap, cap)
+    logp = quasifree_log_weights(np.repeat(rates, r), beta)
 
     a_units = [i - torus.zero_index for i, _, _ in inst.points]
     order: OrderingData = ordering_from_grid(a_units, N, torus.n)
 
     sqrt_chi = np.sqrt(inst.chi(S.values))
     signs = sign_values(S, torus)
-    ops = []
+    ops = []  # (psi in the eigenmode basis, is_creator); the adjoint flips the flag
     for q, (i_alpha, phi, j) in enumerate(inst.points):
-        coeff = S.vectors.conj().T @ phi
-        dressed = sqrt_chi * coeff
+        dressed = sqrt_chi * (S.vectors.conj().T @ phi)
         if order.alpha_tilde[q] % 2 == 1:
             dressed = signs * dressed  # involution: only the parity acts
-        fiber = S.vectors @ dressed
-        psi = np.kron(fiber, qs.coords[j])
-        ops.append(creator(fock, psi) if q < N else annihilator(fock, psi))
+        ops.append((np.kron(dressed, qs.coords[j]), q < N))
 
     n = torus.n
     tilde = order.alpha_tilde
     placed = order.placement
 
     if form == "trace":
-        logp = mod.log_weights
         lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
-        M = np.diag(np.exp(logp * lead)).astype(complex)
-        M = M @ mod.to_eigenbasis(ops[placed[0]].matrix)
-        for u in range(1, 2 * N):
-            M = M * np.exp(logp * order.xi[u - 1])[None, :]
-            M = M @ mod.to_eigenbasis(ops[placed[u]].matrix)
-        return order.rep_sign * complex(np.trace(M))
+        chain = [(lead, ops[placed[0]])]
+        chain += [(order.xi[u - 1], ops[placed[u]]) for u in range(1, 2 * N)]
+        return order.rep_sign * complex(np.trace(_eigenbasis_chain(fock, logp, chain, 0.0)))
+
+    def adjoint(op):
+        return op[0], not op[1]
 
     p = order.split
-    beta = torus.beta
     left_chain = []
     if p > 0:
         left_chain.append(
-            (beta * (0.5 - tilde[placed[p - 1]] / n), ops[placed[p - 1]].adjoint())
+            (beta * (0.5 - tilde[placed[p - 1]] / n), adjoint(ops[placed[p - 1]]))
         )
         for u in range(p - 1, 0, -1):
-            left_chain.append((beta * order.xi[u - 1], ops[placed[u - 1]].adjoint()))
+            left_chain.append((beta * order.xi[u - 1], adjoint(ops[placed[u - 1]])))
     right_chain = []
     if p < 2 * N:
         right_chain.append(
@@ -270,6 +284,6 @@ def determinant_representation(
         for u in range(p + 1, 2 * N):
             right_chain.append((beta * order.xi[u - 1], ops[placed[u]]))
 
-    left = correlation_vector(mod, left_chain)
-    right = correlation_vector(mod, right_chain)
-    return order.rep_sign * left.inner(right)
+    left = _half_chain(fock, logp, beta, left_chain)
+    right = _half_chain(fock, logp, beta, right_chain)
+    return order.rep_sign * complex(np.vdot(left, right))

@@ -8,7 +8,12 @@ exhaustive search) so that agreement is evidence, not tautology.
 import numpy as np
 import scipy.linalg
 
+from fermicov.car_fock import FockSpace, annihilator, creator, quasifree_density
+from fermicov.modular import OVERFLOW_LOG, ModularData, correlation_vector
+from fermicov.mspace import quotient_space
+from fermicov.spectral import bernoulli_euler_rate, eig_hermitian, matrix_function, sign_values
 from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
+from fermicov.verify import ordering_from_grid
 
 
 def dense_solve_kernel(lam: float, torus: DiscreteTorus) -> np.ndarray:
@@ -51,6 +56,53 @@ def expm_density(h: np.ndarray, beta: float, dgamma: np.ndarray) -> np.ndarray:
     """Density matrix exp(-beta dGamma(h)) / Z via scipy's expm (independent path)."""
     R = scipy.linalg.expm(-beta * dgamma)
     return R / np.trace(R).real
+
+
+def dense_representation(inst, eta: float, form: str = "inner") -> complex:
+    """determinant_representation through the dense Fock-space modular calculus.
+
+    Second-quantizes the regularized energy h (x) 1_r into a dense 2^D x 2^D
+    matrix, diagonalizes it (quasifree_density), and evaluates the two half
+    chains with correlation_vector on dense creator/annihilator matrices in
+    the site modes, or the cyclic trace in the eigenbasis of the density.
+    """
+    torus, N, beta, n = inst.torus, inst.pair_count, inst.torus.beta, inst.torus.n
+    S = eig_hermitian(inst.H)
+    qs = quotient_space(inst.M)
+    fock = FockSpace(S.dim * qs.rank)
+    cap = OVERFLOW_LOG / beta
+    rates = np.clip(bernoulli_euler_rate(S.values, torus, eta), -cap, cap)
+    h = np.kron(matrix_function(lambda lam: rates, S), np.eye(qs.rank))
+    mod = ModularData(quasifree_density(h, beta, fock))
+
+    order = ordering_from_grid([i - torus.zero_index for i, _, _ in inst.points], N, n)
+    sqrt_chi = np.sqrt(inst.chi(S.values))
+    signs = sign_values(S, torus)
+    ops = []
+    for q, (_, phi, j) in enumerate(inst.points):
+        dressed = sqrt_chi * (S.vectors.conj().T @ np.asarray(phi, dtype=complex))
+        if order.alpha_tilde[q] % 2 == 1:
+            dressed = signs * dressed
+        psi = np.kron(S.vectors @ dressed, qs.coords[j])
+        ops.append(creator(fock, psi) if q < N else annihilator(fock, psi))
+
+    tilde, placed, xi, p = order.alpha_tilde, order.placement, order.xi, order.split
+    if form == "trace":
+        logp = mod.log_weights
+        lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
+        M = np.diag(np.exp(logp * lead)) @ mod.to_eigenbasis(ops[placed[0]].matrix)
+        for u in range(1, 2 * N):
+            M = (M * np.exp(logp * xi[u - 1])[None, :]) @ mod.to_eigenbasis(ops[placed[u]].matrix)
+        return order.rep_sign * complex(np.trace(M))
+    left = []
+    if p > 0:
+        left.append((beta * (0.5 - tilde[placed[p - 1]] / n), ops[placed[p - 1]].adjoint()))
+        left += [(beta * xi[u - 1], ops[placed[u - 1]].adjoint()) for u in range(p - 1, 0, -1)]
+    right = []
+    if p < 2 * N:
+        right.append((beta * (tilde[placed[p]] / n - 0.5), ops[placed[p]]))
+        right += [(beta * xi[u - 1], ops[placed[u]]) for u in range(p + 1, 2 * N)]
+    return order.rep_sign * correlation_vector(mod, left).inner(correlation_vector(mod, right))
 
 
 def fine_grid_bk(edges, weights, m: int, t: float, samples: int = 10_000) -> np.ndarray:

@@ -8,12 +8,14 @@ from fermicov.car_fock import (
     FockSpace,
     MonomialSpec,
     annihilator,
+    apply_field,
     creator,
     expect_monomial,
     fock_cap,
     jordan_wigner,
     permutation_sign,
     quasifree_density,
+    quasifree_log_weights,
     second_quantize,
     symbol_two_point,
     wick_determinant,
@@ -57,6 +59,41 @@ def test_jordan_wigner_car_exact():
             assert np.max(np.abs(ci @ cj + cj @ ci)) == 0.0
             acc = ci @ cj.T + cj.T @ ci
             assert np.max(np.abs(acc - (eye if i == j else 0.0))) == 0.0
+
+
+def test_field_maps_rebuild_jordan_wigner():
+    for D in range(1, 7):
+        fock = FockSpace(D)
+        eye = np.eye(fock.dim)
+        for k, c in enumerate(jordan_wigner(D)):
+            mode = np.eye(D)[k]
+            assert (apply_field(fock, mode, eye) == c.matrix).all()
+            assert (apply_field(fock, mode, eye, creator=True) == c.matrix.T).all()
+
+
+def test_apply_field_matches_dense(rng):
+    fock = FockSpace(4)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    X = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    assert_allclose(apply_field(fock, psi, X), annihilator(fock, psi).matrix @ X, atol=1e-13)
+    assert_allclose(apply_field(fock, psi, X, creator=True),
+                    creator(fock, psi).matrix @ X, atol=1e-13)
+    with pytest.raises(ValueError):
+        apply_field(fock, np.ones(3), X)
+    with pytest.raises(ValueError):
+        apply_field(fock, psi, X[:8])
+
+
+def test_quasifree_log_weights_match_expm_oracle():
+    eps = np.array([0.7, -1.2, 2.5])
+    h = np.diag(eps)
+    dg = second_quantize(h).matrix
+    oracle = expm_density(h, 0.8, dg)
+    assert np.max(np.abs(np.diag(oracle) - np.exp(quasifree_log_weights(eps, 0.8)))) <= 1e-14
+    # closed form stays finite and normalized where exp(-beta eps) overflows
+    logp = quasifree_log_weights(np.array([800.0, -900.0]), 1.0)
+    assert np.isfinite(logp).all()
+    assert_allclose(np.exp(logp), [0.0, 1.0, 0.0, 0.0], atol=1e-200)  # only mode 1 filled
 
 
 def test_annihilator_antilinear(rng):

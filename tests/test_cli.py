@@ -69,6 +69,7 @@ def test_config_errors_exit_2(tmp_path):
 
 def test_non_finite_parameters_exit_2(tmp_path):
     assert run(tmp_path, "kernel", "--beta", "nan", "--out", "k.csv") == 2
+    assert run(tmp_path, "kernel", "--eta", "0", "--out", "k.csv") == 2
     assert run(tmp_path, "bound-check", "--scale-max", "inf", "--out", "b.csv") == 2
     assert not list(tmp_path.glob("*.csv"))
 

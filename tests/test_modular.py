@@ -20,6 +20,8 @@ from fermicov.modular import (
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
 from fermicov.torus import DiscreteTorus
 
+from oracles import dense_representation
+
 
 def random_state(rng, modes, beta=1.0, scale=1.0):
     A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
@@ -191,6 +193,46 @@ def test_representation_matches_covariance_det(rng):
         scale = max(abs(direct), 1e-9)
         assert abs(rep - direct) <= 1e-10 * scale
         assert abs(rep - trace) <= 1e-10 * scale
+
+
+def test_representation_matches_dense_oracle(rng):
+    # the eigenmode row maps against dense creator/annihilator chains, D <= 6
+    for d, m, N in ((1, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 1), (3, 2, 2)):
+        inst = random_instance(rng, d=d, m=m, N=N, n=int(rng.choice([2, 4, 6])),
+                               beta=float(rng.uniform(0.5, 2.0)))
+        while abs(covariance_det(inst)) < 1e-6:
+            inst = random_instance(rng, d=d, m=m, N=N, n=inst.torus.n, beta=inst.torus.beta)
+        for form in ("inner", "trace"):
+            oracle = dense_representation(inst, eta=3.0, form=form)
+            rep = determinant_representation(inst, eta=3.0, form=form)
+            assert abs(rep - oracle) <= 1e-12 * abs(oracle), (d, m, N, form)
+
+
+def test_representation_at_ten_modes(rng):
+    inst = random_instance(rng, d=5, m=2, N=2, n=4)
+    while abs(covariance_det(inst)) < 1e-6:
+        inst = random_instance(rng, d=5, m=2, N=2, n=4)
+    direct = covariance_det(inst)
+    for form in ("inner", "trace"):
+        assert abs(determinant_representation(inst, eta=3.0, form=form) - direct) \
+            <= 1e-8 * abs(direct)
+
+
+def test_representation_energy_clamp(rng):
+    # an eigenvalue pinned on n/beta gets the rate eta, here past OVERFLOW_LOG / beta
+    torus = DiscreteTorus(beta=1.0, n=4)
+    V = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    H = HermitianMatrix((V * np.array([torus.rate, -0.8])) @ V.conj().T)
+    points = [(torus.zero_index + q, rng.normal(size=2) + 1j * rng.normal(size=2), 0)
+              for q in (0, 1, 2, 3)]
+    inst = BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(),
+                         M=np.array([[1.0]]), points=points)
+    for form in ("inner", "trace"):
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            rep = determinant_representation(inst, eta=1000.0, form=form)
+        assert np.isfinite(rep)
+        oracle = dense_representation(inst, eta=1000.0, form=form)
+        assert abs(rep - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_representation_eta_sweep_at_singular_value(rng):
