@@ -35,7 +35,6 @@ __all__ = [
     "kernel_values_at",
     "covariance_entry",
     "covariance_det",
-    "sqrt_cutoff_norm",
     "instance_bound",
     "GramNormRow",
     "gram_norm_demo",
@@ -48,33 +47,35 @@ __all__ = [
 def kernel_values_at(
     lams: np.ndarray,
     torus: DiscreteTorus,
-    alpha_index: int,
+    alpha_index: int | np.ndarray,
     eta: float | None = None,
 ) -> np.ndarray:
-    """Evaluate g_lam(alpha) for an array of lam at one grid point.
+    """Evaluate g_lam(alpha) for an array of lam at one grid index or an array of them.
 
-    With eta absent, values inside the singular band around n/beta use the
-    closed infinite-regularization limit (a -1/+1 spike at alpha = beta/n and
+    A single index gives one value per lam; an array of indices gives one row
+    of values per index, from one rate_terms call.  With eta absent, values
+    inside the singular band around n/beta use the closed
+    infinite-regularization limit (a -1/+1 spike at alpha = beta/n and
     beta/n - beta); with eta given, the finite-regularization formula is used
     everywhere.  Off the band the result is eta-independent.
     """
     n, beta = torus.n, torus.beta
-    i0 = torus.wrap(alpha_index)
-    flip = 1.0
-    if i0 >= n:  # alpha in (0, beta]: antiperiodic extension g(a) = -g(a - beta)
-        i0 -= n
-        flip = -1.0
+    index = np.asarray(alpha_index)
+    # alpha in (0, beta]: antiperiodic extension g(a) = -g(a - beta)
+    flip = np.where(torus.wrap(index) >= n, -1.0, 1.0)[..., None]
+    # n - i, with i in [0, n) the index of alpha shifted into (-beta, 0]
+    steps = (n - index % n)[..., None]
 
     singular, log_rates, signs = rate_terms(lams, torus, 1.0 if eta is None else eta)
     t = beta * log_rates / n  # per-step log magnitude
     nt = n * t
     # exponent (n - i) t - max(nt, 0) is <= 0 on both branches
-    mag = np.exp((n - i0) * t - np.maximum(nt, 0.0)) / (1.0 + np.exp(-np.abs(nt)))
-    sign_factor = np.where((n - i0) % 2 == 1, signs, 1.0)
+    mag = np.exp(steps * t - np.maximum(nt, 0.0)) / (1.0 + np.exp(-np.abs(nt)))
+    sign_factor = np.where(steps % 2 == 1, signs, 1.0)
     values = flip * sign_factor * mag
 
-    if eta is None and np.any(singular):
-        spike = 1.0 if i0 == 0 else 0.0  # alpha = beta/n - beta carries +1
+    if eta is None and singular.any():
+        spike = np.where(steps == n, 1.0, 0.0)  # alpha = beta/n - beta carries +1
         values = np.where(singular, flip * spike, values)
     return values
 
@@ -101,9 +102,7 @@ class KernelEval:
 
 def kernel_g(lam: float, torus: DiscreteTorus, eta: float | None = None) -> KernelEval:
     """Tabulate the covariance kernel g_lam on the whole grid."""
-    half = np.array(
-        [kernel_values_at(np.array([lam]), torus, i, eta)[0] for i in range(torus.n)]
-    )
+    half = kernel_values_at(np.array([lam]), torus, np.arange(torus.n), eta)[:, 0]
     values = np.concatenate([half, -half])
     return KernelEval(lam, torus, eta, values)
 
@@ -116,6 +115,17 @@ def kernel_g_continuum(lam: float, beta: float, alpha: float) -> float:
     if beta * lam > 0:
         return float(np.exp(-(alpha + beta) * lam) / (1.0 + np.exp(-beta * lam)))
     return float(np.exp(-alpha * lam) / (1.0 + np.exp(beta * lam)))
+
+
+def _coefficients(S: SpectralData, phis) -> np.ndarray:
+    """Eigenbasis coefficients U* phi, one row per vector."""
+    Uh = S.vectors.conj().T
+    return np.array([Uh @ np.asarray(phi, dtype=complex).reshape(-1) for phi in phis])
+
+
+def _entries(g: np.ndarray, weights: np.ndarray, c1: np.ndarray, c2: np.ndarray):
+    """sum_j g_j chi_j conj(c2_j) c1_j over the last (eigenvalue) axis."""
+    return np.sum(g * weights * np.conj(c2) * c1, axis=-1)
 
 
 def covariance_entry(
@@ -132,14 +142,11 @@ def covariance_entry(
     Equals sum_j g_{lam_j}(alpha) chi(lam_j) <phi2, v_j> <v_j, phi1> with the
     first slot of every inner product conjugated.
     """
-    phi1 = np.asarray(phi1, dtype=complex).reshape(-1)
-    phi2 = np.asarray(phi2, dtype=complex).reshape(-1)
-    if phi1.shape[0] != S.dim or phi2.shape[0] != S.dim:
+    if np.size(phi1) != S.dim or np.size(phi2) != S.dim:
         raise ValueError("vector dimensions do not match the Hamiltonian")
+    c1, c2 = _coefficients(S, (phi1, phi2))
     g = kernel_values_at(S.values, torus, alpha_index, eta)
-    c1 = S.vectors.conj().T @ phi1
-    c2 = S.vectors.conj().T @ phi2
-    return complex(np.sum(g * chi(S.values) * np.conj(c2) * c1))
+    return complex(_entries(g, chi(S.values), c1, c2))
 
 
 @dataclass
@@ -183,6 +190,15 @@ class BoundInstance:
             norm_points.append((i, phi, int(j)))
         self.points = norm_points
 
+    @classmethod
+    def _trusted(cls, H, torus, chi, M, points) -> "BoundInstance":
+        """An instance built from fields that are valid and normalized by
+        construction, without re-running __post_init__'s checks."""
+        inst = object.__new__(cls)
+        inst.H, inst.torus, inst.chi, inst.points = H, torus, chi, points
+        inst.M = np.asarray(M, dtype=float)
+        return inst
+
     @property
     def pair_count(self) -> int:
         return len(self.points) // 2
@@ -197,34 +213,31 @@ def covariance_det(
     eta: float | None = None,
     spectral: SpectralData | None = None,
 ) -> complex:
-    """det over k,l of M[j_k, j_{N+l}] <phi_{N+l}, (C chi phi_k^)(alpha_k - alpha_{N+l})>."""
+    """det over k,l of M[j_k, j_{N+l}] <phi_{N+l}, (C chi phi_k^)(alpha_k - alpha_{N+l})>.
+
+    Each of the 2N vectors is projected once and the kernel is tabulated once
+    over the distinct time differences, so the matrix is built in one pass.
+    """
     S = spectral if spectral is not None else eig_hermitian(inst.H)
     N = inst.pair_count
-    mat = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        ik, phik, jk = inst.points[k]
-        for l in range(N):
-            il, phil, jl = inst.points[N + l]
-            diff = inst.torus.index_diff(ik, il)
-            mat[k, l] = inst.M[jk, jl] * covariance_entry(
-                S, inst.chi, phik, phil, diff, inst.torus, eta
-            )
-    return complex(np.linalg.det(mat))
-
-
-def sqrt_cutoff_norm(S: SpectralData, chi: CutoffSpec, phi: np.ndarray) -> float:
-    """|| sqrt(chi(H)) phi || computed through the eigenbasis."""
-    c = S.vectors.conj().T @ np.asarray(phi, dtype=complex).reshape(-1)
-    return float(np.sqrt(np.sum(chi(S.values) * np.abs(c) ** 2)))
+    index, phis, color = zip(*inst.points)
+    index, color = np.array(index), np.array(color)
+    c = _coefficients(S, phis)
+    diff = inst.torus.index_diff(index[:N, None], index[None, N:])
+    taus = np.flatnonzero(np.bincount(diff.ravel()))  # the distinct differences
+    g = kernel_values_at(S.values, inst.torus, taus, eta)[np.searchsorted(taus, diff)]
+    entries = _entries(g, inst.chi(S.values), c[:N, None], c[None, N:])
+    return complex(np.linalg.det(inst.M[color[:N, None], color[None, N:]] * entries))
 
 
 def instance_bound(inst: BoundInstance, spectral: SpectralData | None = None) -> float:
-    """The claimed bound prod_q ||sqrt(chi) phi_q|| * M[j_q, j_q]^(1/2)."""
+    """The claimed bound prod_q ||sqrt(chi(H)) phi_q|| * M[j_q, j_q]^(1/2)."""
     S = spectral if spectral is not None else eig_hermitian(inst.H)
-    out = 1.0
-    for _, phi, j in inst.points:
-        out *= sqrt_cutoff_norm(S, inst.chi, phi) * np.sqrt(max(inst.M[j, j], 0.0))
-    return float(out)
+    _, phis, color = zip(*inst.points)
+    c = _coefficients(S, phis)
+    norms = np.sqrt(np.sum(inst.chi(S.values) * np.abs(c) ** 2, axis=-1))
+    diag = np.diag(inst.M)[list(color)]
+    return float(np.prod(norms * np.sqrt(np.maximum(diag, 0.0))))
 
 
 @dataclass
@@ -309,9 +322,7 @@ def decay_parameter(
         raise ValueError("basis is not orthonormal to 1e-10")
     C = S.vectors.conj().T @ B  # column i = eigenbasis coefficients of phi_i
     weights = chi(S.values)
-    G = np.array(
-        [kernel_values_at(S.values, torus, tau, eta) for tau in range(torus.size)]
-    )  # shape (2n, d)
+    G = kernel_values_at(S.values, torus, np.arange(torus.size), eta)  # shape (2n, d)
     best = 0.0
     for i in range(B.shape[1]):
         # entries[tau, q] = sum_j g_j(tau) chi_j conj(C[j,q]) C[j,i]

@@ -42,6 +42,21 @@ def test_bound_check_deterministic_bytes(tmp_path):
     assert not list(tmp_path.glob(".fermicov-*"))  # atomic writes leave no temp files
 
 
+def test_suite_summaries_carry_stage_totals(tmp_path):
+    assert run(tmp_path, "bound-check", "--count", "30", "--out", "b.csv") == 0
+    assert run(tmp_path, "universal", "--count", "30", "--epsilon-list", "0.1",
+               "--out", "u.csv") == 0
+    for name in ("b.json", "u.json"):
+        summary = json.loads((tmp_path / name).read_text())
+        stages = summary["stage_s"]
+        assert sorted(stages) == ["bound", "det", "eig", "generate"]
+        assert all(t >= 0.0 for t in stages.values())
+        assert 0.0 < sum(stages.values()) <= summary["wall_time_s"]
+    header = (tmp_path / "b.csv").read_text().splitlines()[1]
+    assert header == ("instance_id,seed,d,m,N,n,beta,det_re,det_im,det_abs,"
+                      "bound,slack,pass")
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     (tmp_path / "exp.ini").write_text("[bound-check]\ncount = 12\nseed = 4\n")
     code = run(tmp_path, "--config", "exp.ini", "bound-check", "--out", "c.csv")

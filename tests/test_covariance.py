@@ -15,8 +15,9 @@ from fermicov.covariance import (
     kernel_g_continuum,
     kernel_values_at,
 )
-from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
+from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
 from fermicov.torus import DiscreteTorus
+from fermicov.verify import GeneratorConfig, instance_seed, random_instance
 
 from oracles import dense_inversion_entry, dense_solve_kernel
 
@@ -185,6 +186,95 @@ def test_covariance_det_matches_entry_oracle(rng):
     oracle = np.linalg.det(mat)
     scale = max(np.max(np.abs(mat)) ** N, 1e-12)
     assert abs(covariance_det(inst) - oracle) <= 1e-9 * max(abs(oracle), scale * 1e-3)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _per_entry_det(inst, S, eta=None) -> complex:
+    """The determinant built entry by entry, one covariance_entry call each."""
+    N = inst.pair_count
+    mat = np.zeros((N, N), dtype=complex)
+    for k in range(N):
+        ik, phik, jk = inst.points[k]
+        for l in range(N):
+            il, phil, jl = inst.points[N + l]
+            mat[k, l] = inst.M[jk, jl] * covariance_entry(
+                S, inst.chi, phik, phil, inst.torus.index_diff(ik, il), inst.torus, eta
+            )
+    return complex(np.linalg.det(mat))
+
+
+def _per_vector_bound(inst, S) -> float:
+    out = 1.0
+    for _, phi, j in inst.points:
+        c = S.vectors.conj().T @ phi
+        norm = float(np.sqrt(np.sum(inst.chi(S.values) * np.abs(c) ** 2)))
+        out *= norm * np.sqrt(max(inst.M[j, j], 0.0))
+    return float(out)
+
+
+def test_one_pass_det_and_bound_equal_per_entry_loop():
+    zero = CutoffSpec.table([0.0], [0.0])
+    cases = [(random_instance(instance_seed(13, i), GeneratorConfig()), None)
+             for i in range(500)]
+    pinned = GeneratorConfig(pin_singular_prob=1.0)
+    cases += [(random_instance(instance_seed(14, i), pinned), eta)
+              for i in range(60) for eta in (None, 2.5)]
+    for i in range(40):
+        inst = random_instance(instance_seed(15, i), GeneratorConfig())
+        inst.chi = zero
+        cases.append((inst, None))
+    hits = zeros = 0
+    for inst, eta in cases:
+        S = eig_hermitian(inst.H)
+        det = covariance_det(inst, eta=eta, spectral=S)
+        assert _bits(det) == _bits(_per_entry_det(inst, S, eta))
+        assert _bits(instance_bound(inst, S)) == _bits(_per_vector_bound(inst, S))
+        hits += bool(np.any(rate_terms(S.values, inst.torus)[0]))
+        zeros += det == 0
+    assert hits >= 60 and zeros >= 40  # pinned eigenvalues and zero cutoffs were covered
+
+
+def test_covariance_det_matches_dense_oracle_up_to_n16(rng):
+    for N in (1, 2, 5, 9, 16):
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        torus = DiscreteTorus(beta=float(rng.choice([0.5, 1.0, 2.0])), n=int(rng.choice([4, 8])))
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        H = HermitianMatrix((A + A.conj().T) / 2 * torus.rate * rng.uniform(0.1, 3.0))
+        B = rng.normal(size=(m, m))
+        points = [
+            (torus.zero_index + int(rng.integers(0, torus.n)),
+             rng.normal(size=d) + 1j * rng.normal(size=d),
+             int(rng.integers(0, m)))
+            for _ in range(2 * N)
+        ]
+        chi = CutoffSpec.gaussian(0.0, torus.rate * rng.uniform(0.5, 3.0))
+        inst = BoundInstance(H=H, torus=torus, chi=chi, M=B @ B.T, points=points)
+        mat = np.array([
+            [inst.M[jk, jl] * dense_inversion_entry(H.matrix, chi, phik, phil,
+                                                    torus.index_diff(ik, il), torus)
+             for il, phil, jl in inst.points[N:]]
+            for ik, phik, jk in inst.points[:N]
+        ])
+        assert abs(covariance_det(inst) - np.linalg.det(mat)) <= 1e-9 * instance_bound(inst)
+
+
+def test_kernel_values_at_index_array_matches_single_indices():
+    for n in (2, 4, 8, 16):
+        torus = DiscreteTorus(beta=1.0, n=n)
+        lams = np.array([0.0, -3.0, 0.5 * torus.rate, torus.rate,
+                         torus.rate * (1 + 1e-13), 1e3 * torus.rate, -1e6])
+        assert np.sum(rate_terms(lams, torus)[0]) == 2  # two lams in the singular band
+        indices = np.arange(-torus.size, 2 * torus.size)
+        for eta in (None, 2.5):
+            table = kernel_values_at(lams, torus, indices, eta)
+            assert table.shape == (indices.size, lams.size)
+            for row, i in zip(table, indices):
+                assert _bits(row) == _bits(kernel_values_at(lams, torus, int(i), eta))
+            grid = kernel_values_at(lams, torus, indices.reshape(3, -1), eta)
+            assert _bits(grid) == _bits(table.reshape(3, -1, lams.size))
 
 
 def test_bound_instance_validation():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fermicov.covariance import covariance_det
-from fermicov.spectral import CutoffSpec
+from fermicov.covariance import BoundInstance, covariance_det
+from fermicov.spectral import CutoffSpec, rate_terms
 from fermicov.torus import DiscreteTorus
 from fermicov.verify import (
     GeneratorConfig,
+    _pick,
     bound_check_suite,
     build_ordering_permutation,
     instance_seed,
@@ -101,6 +102,30 @@ def test_bound_suite_bk_matrices_only():
     config = GeneratorConfig(matrix_kinds=("bk",))
     reports = bound_check_suite(60, config, seed=11)
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("matrix_kinds", [("psd", "bk"), ("bk",)])
+def test_generated_instances_pass_full_validator(matrix_kinds):
+    config = GeneratorConfig(matrix_kinds=matrix_kinds)
+    pinned = 0
+    for i in range(2000):
+        inst = random_instance(instance_seed(21, i), config)
+        checked = BoundInstance(H=inst.H, torus=inst.torus, chi=inst.chi,
+                                M=inst.M.copy(), points=list(inst.points))
+        assert np.array_equal(checked.M, inst.M)
+        for (ia, pa, ja), (ib, pb, jb) in zip(checked.points, inst.points):
+            assert ia == ib and ja == jb and np.array_equal(pa, pb)
+        eigs = np.linalg.eigvalsh(inst.H.matrix)
+        pinned += bool(np.any(rate_terms(eigs, inst.torus)[0]))
+    assert pinned >= 50  # pinned eigenvalues are among the validated instances
+
+
+def test_pick_replays_rng_choice():
+    for seed in range(200):
+        for options in ((2, 4, 8), (0.5, 1.0, 2.0), ("one", "indicator", "gaussian")):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _pick(a, options) == b.choice(options)
+            assert a.integers(0, 2**62) == b.integers(0, 2**62)  # same draws consumed
 
 
 def test_zero_cutoff_gives_zero_det():
