@@ -6,7 +6,7 @@ antiperiodic torus and its covariance kernels, quasi-free states on finite
 fermionic Fock spaces, the finite-dimensional modular operator, and the
 Schatten/Hoelder inequalities that produce a universal per-factor bound of 1.
 Every analytic formula is cross-checked against an independent brute-force
-oracle (dense linear solves, explicit Fock-space traces).
+oracle (dense linear solves, explicit Fock-space traces; see tests/oracles.py).
 """
 
 from fermicov.torus import (
@@ -40,22 +40,16 @@ from fermicov.mspace import QuotientSpace, TreeGraph, bk_matrix, quotient_space
 from fermicov.car_fock import (
     FockSpace,
     MonomialSpec,
-    QuasiFreeState,
-    annihilator,
-    creator,
+    apply_field,
     expect_monomial,
-    jordan_wigner,
-    quasifree_density,
-    second_quantize,
+    quasifree_modes,
     wick_determinant,
 )
 from fermicov.modular import (
-    HSVector,
-    ModularData,
-    correlation_vector,
     determinant_representation,
     modular_power,
     schatten_norm,
+    tube_chain,
 )
 from fermicov.verify import (
     BoundReport,

@@ -1,15 +1,14 @@
-"""Finite CAR algebra on Fock space: the brute-force oracle substrate.
+"""Finite CAR algebra on Fock space, in the occupation basis of eigenmodes.
 
-Modes are realized by Jordan-Wigner matrices in the occupation-number basis,
-with mode order (fiber index, color index) lexicographic.  a(psi) is
-antilinear in psi, so two-point functions of a quasi-free state read
-rho(a+(psi1) a(psi2)) = <psi2, S psi1> with the symbol S.
-
-The same family also acts without dense matrices: `apply_field` applies a(psi)
-or a+(psi) to the rows of an array through each mode's signed bit flip, and
-`quasifree_log_weights` gives the diagonal state of a one-particle energy in
-the occupation basis of its own eigenmodes.  Together they evaluate modular
-chains in O(D 4^D) where the dense family costs O(8^D).
+A quasi-free state exp(-beta dGamma(h)) / Z is diagonal in the occupation
+basis of the eigenmodes of h, with the closed-form log-weights of
+`quasifree_log_weights`; `quasifree_modes` gives those modes, the weights and
+the symbol S = (1 + exp(beta h))^{-1}.  A vector psi in the site modes enters
+that basis as V* psi.  `apply_field` applies a(psi) or a+(psi) to the rows of
+an array through each mode's signed bit flip, with Jordan-Wigner signs and
+mode order (fiber index, color index) lexicographic, so no dense Fock
+operator is ever formed.  a(psi) is antilinear in psi, so two-point functions
+read rho(a+(psi1) a(psi2)) = <psi2, S psi1>.
 
 Monomial conventions.  A monomial spec lists vectors psi_1..psi_{N1+N2} and
 a permutation of the N1+N2 operator slots of the tuple
@@ -28,25 +27,17 @@ perm[k] and perm[2N-1-l] (the slot that actually carries a(psi_{N+l})).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from fermicov.spectral import HermitianMatrix
-
 __all__ = [
     "fock_cap",
     "FockSpace",
-    "FockOperator",
     "MonomialSpec",
-    "QuasiFreeState",
-    "jordan_wigner",
-    "annihilator",
-    "creator",
     "apply_field",
-    "second_quantize",
-    "quasifree_density",
+    "quasifree_modes",
     "quasifree_log_weights",
     "expect_monomial",
     "wick_determinant",
@@ -77,21 +68,10 @@ class FockSpace:
             raise ValueError(f"mode count {modes} outside allowed range 1..{cap}")
         self.modes = modes
         self.dim = 2**modes
-        self._lowering: list | None = None
         self._jw_signs: np.ndarray | None = None
-
-    def __eq__(self, other):
-        return isinstance(other, FockSpace) and other.modes == self.modes
 
     def __repr__(self):
         return f"FockSpace(modes={self.modes})"
-
-    @property
-    def lowering(self) -> list:
-        """The cached Jordan-Wigner annihilation family."""
-        if self._lowering is None:
-            self._lowering = jordan_wigner(self.modes, fock=self)
-        return self._lowering
 
     @property
     def jw_signs(self) -> np.ndarray:
@@ -106,60 +86,6 @@ class FockSpace:
                 signs = np.concatenate([signs, -signs])
             self._jw_signs = signs
         return self._jw_signs
-
-
-@dataclass
-class FockOperator:
-    """A dense operator on the Fock space."""
-
-    fock: FockSpace
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix)
-        if self.matrix.shape != (self.fock.dim, self.fock.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match 2^{self.fock.modes}"
-            )
-
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.fock, self.matrix.conj().T)
-
-
-def jordan_wigner(modes: int, fock: FockSpace | None = None) -> list:
-    """The D annihilation operators c_i in the occupation basis, exact 0/+-1 entries.
-
-    c_i = Z x ... x Z x a x 1 x ... x 1 with i sign factors Z on the left.
-    """
-    if fock is None:
-        fock = FockSpace(modes)
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    z = np.diag([1.0, -1.0])
-    one = np.eye(2)
-    ops = []
-    for i in range(modes):
-        m = np.eye(1)
-        for j in range(modes):
-            m = np.kron(m, z if j < i else (a if j == i else one))
-        ops.append(FockOperator(fock, m))
-    return ops
-
-
-def annihilator(fock: FockSpace, psi: np.ndarray) -> FockOperator:
-    """a(psi) = sum_i conj(psi_i) c_i; antilinear in psi."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != fock.modes:
-        raise ValueError(f"vector length {psi.shape[0]} does not match {fock.modes} modes")
-    out = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for coeff, c in zip(np.conj(psi), fock.lowering):
-        if coeff != 0:
-            out += coeff * c.matrix
-    return FockOperator(fock, out)
-
-
-def creator(fock: FockSpace, psi: np.ndarray) -> FockOperator:
-    """a+(psi) = a(psi)*; linear in psi."""
-    return annihilator(fock, psi).adjoint()
 
 
 def apply_field(
@@ -188,23 +114,6 @@ def apply_field(
     return out
 
 
-def second_quantize(h: np.ndarray | HermitianMatrix, fock: FockSpace | None = None) -> FockOperator:
-    """dGamma(h) = sum_ij h_ij c_i+ c_j, assembled column by column."""
-    if isinstance(h, HermitianMatrix):
-        h = h.matrix
-    h = np.asarray(h, dtype=complex)
-    modes = h.shape[0]
-    if fock is None:
-        fock = FockSpace(modes)
-    if modes != fock.modes:
-        raise ValueError(f"matrix dimension {modes} does not match {fock.modes} modes")
-    out = np.zeros((fock.dim, fock.dim), dtype=complex)
-    for j in range(modes):
-        col_creator = creator(fock, h[:, j]).matrix
-        out += col_creator @ fock.lowering[j].matrix
-    return FockOperator(fock, out)
-
-
 def _fermi(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(x)) without overflow."""
     x = np.asarray(x, dtype=float)
@@ -215,89 +124,20 @@ def _fermi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class QuasiFreeState:
-    """Gauge-invariant quasi-free state given by a thermal density matrix.
+def quasifree_modes(h: np.ndarray, beta: float) -> tuple:
+    """The quasi-free state exp(-beta dGamma(h)) / Z in the eigenmodes of h.
 
-    Carries the dense density matrix (for brute-force traces), its spectral
-    data in log form (so modular powers never underflow), the symbol, and the
-    one-particle data that generated it.
+    Returns (V, logp, symbol): the eigenvectors V of h, with which a site
+    vector psi becomes V* psi; the log-weights of the occupation basis of
+    those modes; and the symbol (1 + exp(beta h))^{-1} in the site modes.
+    Only D x D matrices are diagonalized.
     """
-
-    fock: FockSpace
-    beta: float
-    one_particle: np.ndarray = field(repr=False)
-    symbol: np.ndarray = field(repr=False)
-    density: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)
-    log_weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        tr = float(np.trace(self.density).real)
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-
-    def expectation(self, op: FockOperator | np.ndarray) -> complex:
-        m = op.matrix if isinstance(op, FockOperator) else np.asarray(op)
-        return complex(np.sum(self.density * m.T))
-
-    def verify_symbol(self, rng: np.random.Generator, trials: int = 5) -> float:
-        """Max deviation of Tr(rho a+(p1) a(p2)) from <p2, S p1> on random vectors."""
-        worst = 0.0
-        for _ in range(trials):
-            p1 = rng.normal(size=self.fock.modes) + 1j * rng.normal(size=self.fock.modes)
-            p2 = rng.normal(size=self.fock.modes) + 1j * rng.normal(size=self.fock.modes)
-            lhs = self.expectation(
-                FockOperator(
-                    self.fock, creator(self.fock, p1).matrix @ annihilator(self.fock, p2).matrix
-                )
-            )
-            rhs = complex(np.vdot(p2, self.symbol @ p1))
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-
-
-def quasifree_density(
-    h: np.ndarray | HermitianMatrix, beta: float, fock: FockSpace | None = None
-) -> QuasiFreeState:
-    """The quasi-free state with density exp(-beta dGamma(h)) / Z.
-
-    Its symbol is (1 + exp(beta h))^{-1}.  Boltzmann log-weights are kept
-    exactly; the dense density matrix may underflow in its smallest entries,
-    which only affects brute-force traces, not modular powers.  A trace
-    underflow (every weight below 1e-300) is rejected: the caller should
-    reduce the regularization parameter.
-    """
-    if isinstance(h, HermitianMatrix):
-        h = h.matrix
     h = np.asarray(h, dtype=complex)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if fock is None:
-        fock = FockSpace(h.shape[0])
     eps, V = np.linalg.eigh((h + h.conj().T) / 2)
     symbol = (V * _fermi(beta * eps)) @ V.conj().T
-
-    dg = second_quantize(h, fock).matrix
-    energies, U = np.linalg.eigh((dg + dg.conj().T) / 2)
-    logw = -beta * energies
-    if np.all(logw < np.log(1e-300)):
-        raise FloatingPointError(
-            "all Boltzmann weights underflow double precision; reduce beta or eta"
-        )
-    log_z = _logsumexp(logw)
-    logp = logw - log_z
-    density = (U * np.exp(logp)) @ U.conj().T
-    density = (density + density.conj().T) / 2
-    return QuasiFreeState(
-        fock=fock,
-        beta=float(beta),
-        one_particle=h,
-        symbol=symbol,
-        density=density,
-        basis=U,
-        log_weights=logp,
-    )
+    return V, quasifree_log_weights(eps, beta), symbol
 
 
 def quasifree_log_weights(energies: np.ndarray, beta: float) -> np.ndarray:
@@ -313,11 +153,6 @@ def quasifree_log_weights(energies: np.ndarray, beta: float) -> np.ndarray:
         free = np.logaddexp(0.0, -e)
         logp = np.add.outer(logp, [-free, -e - free]).ravel()
     return logp
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
 
 
 def permutation_sign(perm) -> int:
@@ -360,19 +195,19 @@ class MonomialSpec:
         return 2 * self.n1 + self.n2 - 1 - slot, False
 
 
-def expect_monomial(state: QuasiFreeState, spec: MonomialSpec) -> complex:
-    """sign(perm) * Tr(rho * product of the permuted operator tuple)."""
-    fock = state.fock
-    slot_at_position = [0] * len(spec.perm)
-    for slot, pos in enumerate(spec.perm):
-        slot_at_position[pos] = slot
-    prod = np.eye(fock.dim, dtype=complex)
-    for pos in range(len(spec.perm)):
-        vec_idx, is_creator = spec.slot_operator_index(slot_at_position[pos])
-        psi = spec.vectors[vec_idx]
-        op = creator(fock, psi) if is_creator else annihilator(fock, psi)
-        prod = prod @ op.matrix
-    return permutation_sign(spec.perm) * state.expectation(FockOperator(fock, prod))
+def expect_monomial(fock: FockSpace, logp: np.ndarray, spec: MonomialSpec) -> complex:
+    """sign(perm) * Tr(rho * product of the permuted operator tuple).
+
+    rho is diagonal with log-weights logp in the occupation basis of the modes
+    in which spec.vectors are written (see `quasifree_modes`).  The product
+    acts on rho as row maps, last position first, so Tr(product rho) needs no
+    dense operator.
+    """
+    X = np.diag(np.exp(logp)).astype(complex)
+    for slot in sorted(range(len(spec.perm)), key=spec.perm.__getitem__, reverse=True):
+        vec_idx, is_creator = spec.slot_operator_index(slot)
+        X = apply_field(fock, spec.vectors[vec_idx], X, creator=is_creator)
+    return permutation_sign(spec.perm) * complex(np.trace(X))
 
 
 def wick_determinant(two_point: Callable, N: int, perm) -> complex:

@@ -27,15 +27,13 @@ import numpy as np
 from fermicov.car_fock import (
     FockSpace,
     MonomialSpec,
-    annihilator,
-    creator,
     expect_monomial,
-    quasifree_density,
+    quasifree_modes,
     symbol_two_point,
     wick_determinant,
 )
 from fermicov.covariance import decay_parameter, kernel_g
-from fermicov.modular import ModularData, correlation_vector, modular_power, schatten_norm
+from fermicov.modular import modular_power, schatten_norm, tube_chain
 from fermicov.mspace import TreeGraph, bk_matrix, random_tree
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
 from fermicov.torus import DiscreteTorus
@@ -199,15 +197,16 @@ def cmd_wick_verify(args) -> int:
                 A = rng.normal(size=(args.modes, args.modes)) + 1j * rng.normal(
                     size=(args.modes, args.modes)
                 )
-                state = quasifree_density((A + A.conj().T) / 2, beta=1.0, fock=fock)
+                V, logp, symbol = quasifree_modes((A + A.conj().T) / 2, beta=1.0)
                 vecs = [
                     rng.normal(size=args.modes) + 1j * rng.normal(size=args.modes)
                     for _ in range(2 * N)
                 ]
+                in_modes = [V.conj().T @ v for v in vecs]
                 direct = expect_monomial(
-                    state, MonomialSpec(n1=N, n2=N, vectors=vecs, perm=perm)
+                    fock, logp, MonomialSpec(n1=N, n2=N, vectors=in_modes, perm=perm)
                 )
-                det = wick_determinant(symbol_two_point(state.symbol, vecs), N, perm)
+                det = wick_determinant(symbol_two_point(symbol, vecs), N, perm)
                 worst = max(
                     worst, abs(direct - det) / max(abs(direct), 1e-12)
                 )
@@ -222,36 +221,36 @@ def cmd_wick_verify(args) -> int:
 
 
 def cmd_modular_verify(args) -> int:
+    if args.states == 0 and args.pairs == 0:
+        raise ConfigError("modular-verify needs --states or --pairs above 0 to check anything")
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     rows, min_slack = [], np.inf
     for s in range(args.states):
         modes = int(rng.integers(2, args.modes + 1))
         A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
-        state = quasifree_density((A + A.conj().T) / 2, beta=float(rng.uniform(0.5, 2.0)))
-        mod = ModularData(state)
-        eta_vec = mod.eta()
-        fixed = modular_power(mod, rng.uniform(-1, 1), eta_vec)
-        fixed_err = float(np.max(np.abs(fixed.matrix - eta_vec.matrix)))
-        X = rng.normal(size=(state.fock.dim,) * 2) + 1j * rng.normal(size=(state.fock.dim,) * 2)
-        flowed = modular_power(mod, 1j * rng.uniform(-3, 3), X)
-        iso_err = abs(flowed.norm() - float(np.linalg.norm(X)))
+        beta = float(rng.uniform(0.5, 2.0))
+        V, logp, _ = quasifree_modes((A + A.conj().T) / 2, beta)
+        fock = FockSpace(modes)
+        eta = np.diag(np.exp(logp / 2))
+        fixed = modular_power(logp, rng.uniform(-1, 1), eta)
+        fixed_err = float(np.max(np.abs(fixed - eta)))
+        X = rng.normal(size=(fock.dim,) * 2) + 1j * rng.normal(size=(fock.dim,) * 2)
+        flowed = modular_power(logp, 1j * rng.uniform(-3, 3), X)
+        iso_err = abs(float(np.linalg.norm(flowed)) - float(np.linalg.norm(X)))
         rows.append((s, "fixed_point", fixed_err, fixed_err <= 1e-12))
         rows.append((s, "isometry", iso_err, iso_err <= 1e-10))
         for c in range(args.chains):
             Nc = int(rng.integers(1, 5))
             raw = rng.uniform(0, 1, size=Nc)
-            re = raw / raw.sum() * rng.uniform(0, 0.5) * state.beta
+            re = raw / raw.sum() * rng.uniform(0, 0.5) * beta
             zs = re + 1j * rng.normal(size=Nc)
             chain, prod = [], 1.0
             for z in zs:
                 psi = rng.normal(size=modes) + 1j * rng.normal(size=modes)
-                op = creator(state.fock, psi) if rng.uniform() < 0.5 else annihilator(
-                    state.fock, psi
-                )
-                chain.append((z, op))
+                chain.append((z, (V.conj().T @ psi, rng.uniform() < 0.5)))
                 prod *= np.linalg.norm(psi)
-            slack = prod - correlation_vector(mod, chain).norm()
+            slack = prod - float(np.linalg.norm(tube_chain(fock, logp, beta, chain)))
             min_slack = min(min_slack, slack)
             rows.append((s, f"holder_chain_{c}", slack, slack >= -1e-10))
     for _ in range(args.pairs):
@@ -410,14 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta-choices", default="0.5,1,2")
     s.add_argument("--scale-max", type=float, default=1e3)
     _add_common(s, "bound-check.csv")
-    s.set_defaults(func=cmd_bound_check)
+    s.set_defaults(func=cmd_bound_check,
+                   minima={"count": 1, "d_max": 1, "m_max": 1, "N_max": 1})
 
     s = subs.add_parser("wick-verify", help="exhaustive permuted-monomial checks")
     s.add_argument("--N-max", dest="N_max", type=int, default=2)
     s.add_argument("--draws", type=int, default=3)
     s.add_argument("--modes", type=int, default=3)
     _add_common(s, "wick.csv")
-    s.set_defaults(func=cmd_wick_verify)
+    s.set_defaults(func=cmd_wick_verify, minima={"N_max": 1, "draws": 1, "modes": 1})
 
     s = subs.add_parser("modular-verify", help="modular/Hoelder property checks")
     s.add_argument("--states", type=int, default=5)
@@ -425,14 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pairs", type=int, default=100)
     s.add_argument("--modes", type=int, default=4)
     _add_common(s, "modular.csv")
-    s.set_defaults(func=cmd_modular_verify)
+    s.set_defaults(func=cmd_modular_verify,
+                   minima={"states": 0, "chains": 0, "pairs": 0, "modes": 2})
 
     s = subs.add_parser("bk-matrix", help="tree interpolation matrix")
     s.add_argument("--m", type=int, default=4)
     s.add_argument("--t", type=float, default=1.0)
     s.add_argument("--edges", default=None, help="explicit edges 'u-v:w,...'")
     _add_common(s, "bk.csv")
-    s.set_defaults(func=cmd_bk_matrix)
+    s.set_defaults(func=cmd_bk_matrix, minima={"m": 1})
 
     s = subs.add_parser("sharpness", help="sharpness witness sweep")
     s.add_argument("--epsilon", type=float, default=0.1)
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon-list", default="0.1,0.01")
     s.add_argument("--beta", type=float, default=1.0)
     _add_common(s, "universal.csv")
-    s.set_defaults(func=cmd_universal)
+    s.set_defaults(func=cmd_universal, minima={"count": 1})
 
     s = subs.add_parser("decay", help="finite-n covariance summability snapshot")
     s.add_argument("--beta", type=float, default=1.0)
@@ -513,6 +514,9 @@ def main(argv: list | None = None) -> int:
                 raise ConfigError(f"parameter {key} is not finite: {value}")
         if getattr(args, "eta", None) is not None and args.eta <= 0:
             raise ConfigError(f"parameter eta must be positive: {args.eta}")
+        for key, low in getattr(args, "minima", {}).items():  # counts that run a check
+            if getattr(args, key) < low:
+                raise ConfigError(f"parameter {key} must be at least {low}: {getattr(args, key)}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)

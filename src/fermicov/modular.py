@@ -2,50 +2,37 @@
 
 Operators on the Fock space form a Hilbert space under <A, B> = Tr(A* B);
 the state's density matrix D gives the cyclic vector eta = D^(1/2) and the
-modular operator Delta X = D X D^(-1).  Powers Delta^z act entrywise in the
-eigenbasis of D as (p_k / p_l)^z, computed from log-weights so that extreme
-Boltzmann ratios neither overflow nor collapse to 0/0.
+modular operator Delta X = D X D^(-1).  Everything here works in the
+occupation basis of the eigenmodes of a one-particle energy, where the
+quasi-free density is diagonal with closed-form log-weights
+(`car_fock.quasifree_log_weights`).  There eta is diagonal, Delta^z acts
+entrywise as (p_k / p_l)^z, computed from log-weights so that extreme
+Boltzmann ratios neither overflow nor collapse to 0/0, and each creation or
+annihilation operator is a signed bit-flip row map (`car_fock.apply_field`).
+No 2^D x 2^D diagonalization or matrix product is formed.
 
-Correlation chains Delta^(z1/beta) x1 ... Delta^(zN/beta) xN eta are
-evaluated in the product form in which every density-matrix power carries a
-nonnegative exponent bounded by 1/2: each intermediate is then a contraction
-of the operator norms, which is the numerical content of the Hoelder bound
-itself.
-
-`ModularData`, `modular_power` and `correlation_vector` work on dense
-density matrices of any quasi-free state.  `determinant_representation`
-needs only thermal states of a known one-particle energy, and evaluates its
-chains in the occupation basis of that energy's eigenmodes: the density is
-diagonal there with closed-form log-weights, Delta^w is a row scaling, and
-each creation or annihilation operator is a signed bit-flip row map
-(`car_fock.apply_field`).  No 2^D x 2^D diagonalization or matrix product
-is formed.
+Correlation chains Delta^(z1/beta) x1 ... Delta^(zN/beta) xN eta equal
+D^(w1) x1 D^(w2) x2 ... xN D^(1/2 - sum w) with w = z/beta.  In the tube
+Re z >= 0, sum Re z <= beta/2 every power of D is a row scaling by factors of
+modulus at most 1, so each intermediate is a contraction of the operator
+norms, which is the numerical content of the Hoelder bound itself.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from fermicov.car_fock import (
-    FockOperator,
-    FockSpace,
-    QuasiFreeState,
-    apply_field,
-    quasifree_log_weights,
-)
+from fermicov.car_fock import FockSpace, apply_field, quasifree_log_weights
 from fermicov.covariance import BoundInstance
 from fermicov.mspace import quotient_space
 from fermicov.spectral import bernoulli_euler_rate, eig_hermitian, sign_values
 from fermicov.verify import OrderingData, ordering_from_grid
 
 __all__ = [
-    "HSVector",
-    "ModularData",
     "modular_power",
-    "correlation_vector",
+    "tube_chain",
     "schatten_norm",
     "determinant_representation",
 ]
@@ -53,72 +40,25 @@ __all__ = [
 OVERFLOW_LOG = 690.0  # log(1e300)
 
 
-@dataclass
-class HSVector:
-    """An operator viewed as a vector of the Hilbert-Schmidt space."""
+def modular_power(logp: np.ndarray, z: complex, X: np.ndarray) -> np.ndarray:
+    """Delta^z X = D^z X D^(-z) for X in the basis where D = diag(exp(logp)).
 
-    fock: FockSpace
-    matrix: np.ndarray = field(repr=False)
-
-    def inner(self, other: "HSVector") -> complex:
-        """<A, B> = Tr(A* B); conjugate-linear in the first slot."""
-        return complex(np.vdot(self.matrix, other.matrix))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
-class ModularData:
-    """Modular operator of a strictly positive quasi-free density matrix.
-
-    Holds the eigenbasis of the density matrix and the exact log-weights; the
-    strict positivity needed for Delta to exist is automatic in this form.
+    Computed as phase(X) * exp(z (log p_k - log p_l) + log|X|) so the
+    damping by |X| acts before exponentiation; zero entries never meet
+    large exponents at all.
     """
-
-    def __init__(self, state: QuasiFreeState):
-        self.state = state
-        self.fock = state.fock
-        self.beta = state.beta
-        self.basis = state.basis
-        self.log_weights = state.log_weights
-
-    def eta(self) -> HSVector:
-        """The cyclic vector D^(1/2), a unit HS vector and fixed point of Delta."""
-        U = self.basis
-        return HSVector(self.fock, (U * np.exp(self.log_weights / 2)) @ U.conj().T)
-
-    def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        return self.basis.conj().T @ matrix @ self.basis
-
-    def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        return self.basis @ matrix @ self.basis.conj().T
-
-    def power_in_basis(self, z: complex, X: np.ndarray) -> np.ndarray:
-        """Delta^z on an operator already expressed in the eigenbasis of D.
-
-        Computed as phase(X) * exp(z (log p_k - log p_l) + log|X|) so the
-        damping by |X| acts before exponentiation; zero entries never meet
-        large exponents at all.
-        """
-        X = np.asarray(X, dtype=complex)
-        L = np.subtract.outer(self.log_weights, self.log_weights)
-        absX = np.abs(X)
-        live = absX > 0
-        logabs = np.log(absX, out=np.full_like(L, -np.inf), where=live)
-        if np.any(np.real(z) * L[live] + logabs[live] > OVERFLOW_LOG):
-            raise OverflowError(
-                "modular power would exceed 1e300; the exponent lies outside "
-                "the safe tube for this state"
-            )
-        phase = np.divide(X, absX, out=np.zeros_like(X), where=live)
-        return phase * np.exp(z * L + logabs)
-
-
-def modular_power(mod: ModularData, z: complex, X: HSVector | np.ndarray) -> HSVector:
-    """Delta^z X = D^z X D^(-z), through the eigenbasis of D."""
-    matrix = X.matrix if isinstance(X, HSVector) else np.asarray(X)
-    Xb = mod.to_eigenbasis(matrix)
-    return HSVector(mod.fock, mod.from_eigenbasis(mod.power_in_basis(z, Xb)))
+    X = np.asarray(X, dtype=complex)
+    L = np.subtract.outer(logp, logp)
+    absX = np.abs(X)
+    live = absX > 0
+    logabs = np.log(absX, out=np.full_like(L, -np.inf), where=live)
+    if np.any(np.real(z) * L[live] + logabs[live] > OVERFLOW_LOG):
+        raise OverflowError(
+            "modular power would exceed 1e300; the exponent lies outside "
+            "the safe tube for this state"
+        )
+    phase = np.divide(X, absX, out=np.zeros_like(X), where=live)
+    return phase * np.exp(z * L + logabs)
 
 
 def _check_tube(zs: np.ndarray, kappa: float, slack: float = 1e-12):
@@ -129,43 +69,11 @@ def _check_tube(zs: np.ndarray, kappa: float, slack: float = 1e-12):
         )
 
 
-def correlation_vector(mod: ModularData, chain: list) -> HSVector:
-    """Delta^(z1/beta) x1 Delta^(z2/beta) x2 ... xN eta for a tube chain.
-
-    chain holds pairs (z_q, x_q) with complex z_q satisfying Re z_q >= 0 and
-    sum Re z_q <= beta/2 (to 1e-12 slack).  The product is accumulated as
-    D^(Re w_1) x1' D^(Re w_2) x2' ... D^(1/2 - sum Re w) with w = z/beta and
-    the x' Bogoliubov-rotated by the accumulated imaginary parts, so every
-    density-power exponent lies in [0, 1/2].
-    """
-    if not chain:
-        return mod.eta()
-    zs = np.array([z for z, _ in chain], dtype=complex)
-    _check_tube(zs, mod.beta / 2)
-    w = zs / mod.beta
-    re = np.clip(np.real(w), 0.0, None)
-    im = np.imag(w)
-    logp = mod.log_weights
-    L = np.subtract.outer(logp, logp)
-
-    tail = max(0.0, 0.5 - float(np.sum(re)))
-    V = np.diag(np.exp(logp * tail)).astype(complex)
-    cum_im = np.cumsum(im)
-    for q in range(len(chain) - 1, -1, -1):
-        x = chain[q][1]
-        xb = mod.to_eigenbasis(x.matrix if isinstance(x, FockOperator) else np.asarray(x))
-        rotated = xb * np.exp(1j * cum_im[q] * L)
-        V = rotated @ V
-        V = np.exp(logp * re[q])[:, None] * V
-    return HSVector(mod.fock, mod.from_eigenbasis(V))
-
-
-def schatten_norm(X: FockOperator | np.ndarray, s: float) -> float:
+def schatten_norm(X: np.ndarray, s: float) -> float:
     """(Tr |X|^s)^(1/s); s = inf gives the operator norm, s = 2 the HS norm."""
     if not (s >= 1.0):
         raise ValueError(f"Schatten order must satisfy s >= 1, got {s}")
-    matrix = X.matrix if isinstance(X, FockOperator) else np.asarray(X)
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    sv = np.linalg.svd(np.asarray(X), compute_uv=False)
     if np.isinf(s):
         return float(sv[0]) if sv.size else 0.0
     top = float(sv[0]) if sv.size else 0.0
@@ -174,12 +82,13 @@ def schatten_norm(X: FockOperator | np.ndarray, s: float) -> float:
     return float(top * np.sum((sv / top) ** s) ** (1.0 / s))
 
 
-def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: float) -> np.ndarray:
+def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: complex) -> np.ndarray:
     """D^(w_1) x_1 D^(w_2) x_2 ... x_N D^tail for the diagonal state of log-weights logp.
 
     chain holds pairs (w_q, (psi_q, is_creator_q)) with psi_q in the state's
-    eigenmode basis.  Applied right to left, each x_q is a row map and each
-    D^(w_q) a row scaling, so no dense Fock operator is formed.
+    eigenmode basis and w_q real or complex.  Applied right to left, each x_q
+    is a row map and each D^(w_q) a row scaling, so no dense Fock operator is
+    formed.
     """
     X = np.diag(np.exp(logp * tail)).astype(complex)
     for w, (psi, is_creator) in reversed(chain):
@@ -188,12 +97,22 @@ def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: floa
     return X
 
 
-def _half_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list) -> np.ndarray:
-    """Delta^(z1/beta) x1 ... xN eta in the eigenbasis, for a tube chain of real z."""
+def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list) -> np.ndarray:
+    """The correlation vector Delta^(z1/beta) x1 ... xN eta of a tube chain.
+
+    chain holds pairs (z_q, (psi_q, is_creator_q)): x_q is a+(psi_q) or
+    a(psi_q) with psi_q in the eigenmode basis of the state of log-weights
+    logp.  The z_q must satisfy Re z_q >= 0 and sum Re z_q <= beta/2 (to
+    1e-12 slack).  Real exponents stay real, so a chain of real z pays for
+    no complex row scaling.
+    """
     zs = np.array([z for z, _ in chain], dtype=complex)
     _check_tube(zs, beta / 2)
     w = np.clip(np.real(zs) / beta, 0.0, None)
     tail = max(0.0, 0.5 - float(np.sum(w)))
+    if np.any(np.imag(zs)):
+        w = w + 1j * np.imag(zs) / beta
+        tail = tail - 1j * float(np.sum(np.imag(zs))) / beta
     return _eigenbasis_chain(fock, logp, list(zip(w, (x for _, x in chain))), tail)
 
 
@@ -284,6 +203,6 @@ def determinant_representation(
         for u in range(p + 1, 2 * N):
             right_chain.append((beta * order.xi[u - 1], ops[placed[u]]))
 
-    left = _half_chain(fock, logp, beta, left_chain)
-    right = _half_chain(fock, logp, beta, right_chain)
+    left = tube_chain(fock, logp, beta, left_chain)
+    right = tube_chain(fock, logp, beta, right_chain)
     return order.rep_sign * complex(np.vdot(left, right))

@@ -1,15 +1,20 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here recomputes quantities through a different route than the
-package (dense linear solves on explicit matrices, fine-grid integration,
-exhaustive search) so that agreement is evidence, not tautology.
+package (dense linear solves on explicit matrices, dense Jordan-Wigner
+operators in the site modes, fine-grid integration, exhaustive search) so
+that agreement is evidence, not tautology.  Only numpy and scipy are needed
+besides the package itself.
 """
+
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
 
-from fermicov.car_fock import FockSpace, annihilator, creator, quasifree_density
-from fermicov.modular import OVERFLOW_LOG, ModularData, correlation_vector
+from fermicov.car_fock import permutation_sign
+from fermicov.modular import OVERFLOW_LOG
 from fermicov.mspace import quotient_space
 from fermicov.spectral import bernoulli_euler_rate, eig_hermitian, matrix_function, sign_values
 from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
@@ -58,6 +63,102 @@ def expm_density(h: np.ndarray, beta: float, dgamma: np.ndarray) -> np.ndarray:
     return R / np.trace(R).real
 
 
+@lru_cache(maxsize=None)
+def jordan_wigner(modes: int) -> tuple:
+    """The D annihilation operators c_i in the occupation basis, exact 0/+-1 entries.
+
+    c_i = Z x ... x Z x a x 1 x ... x 1 with i sign factors Z on the left;
+    cached, so the arrays are read-only.
+    """
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = np.diag([1.0, -1.0])
+    ops = []
+    for i in range(modes):
+        c = reduce(np.kron, [z] * i + [a] + [np.eye(2)] * (modes - 1 - i), np.eye(1))
+        c.setflags(write=False)
+        ops.append(c)
+    return tuple(ops)
+
+
+def annihilator(psi: np.ndarray) -> np.ndarray:
+    """a(psi) = sum_i conj(psi_i) c_i as a dense matrix; antilinear in psi."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    return sum(np.conj(p) * c for p, c in zip(psi, jordan_wigner(psi.shape[0])))
+
+
+def creator(psi: np.ndarray) -> np.ndarray:
+    """a+(psi) = a(psi)*; linear in psi."""
+    return annihilator(psi).conj().T
+
+
+def second_quantize(h: np.ndarray) -> np.ndarray:
+    """dGamma(h) = sum_ij h_ij c_i+ c_j, assembled column by column."""
+    h = np.asarray(h, dtype=complex)
+    return sum(creator(h[:, j]) @ c for j, c in enumerate(jordan_wigner(h.shape[0])))
+
+
+@dataclass
+class QuasiFreeState:
+    """The dense state exp(-beta dGamma(h)) / Z in the site modes.
+
+    Carries the density matrix (for traces) and the eigenbasis and exact
+    log-weights of dGamma(h) (for modular powers, which never underflow in
+    log form).
+    """
+
+    beta: float
+    density: np.ndarray
+    basis: np.ndarray
+    log_weights: np.ndarray
+
+    def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
+        return self.basis.conj().T @ matrix @ self.basis
+
+    def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
+        return self.basis @ matrix @ self.basis.conj().T
+
+
+def quasifree_density(h: np.ndarray, beta: float) -> QuasiFreeState:
+    """Second-quantize h into a dense 2^D x 2^D matrix and diagonalize it."""
+    dg = second_quantize(h)
+    energies, U = np.linalg.eigh((dg + dg.conj().T) / 2)
+    logw = -beta * energies
+    logp = logw - np.logaddexp.reduce(logw)
+    density = (U * np.exp(logp)) @ U.conj().T
+    return QuasiFreeState(float(beta), (density + density.conj().T) / 2, U, logp)
+
+
+def dense_monomial(state: QuasiFreeState, spec) -> complex:
+    """sign(perm) * Tr(rho * product) of a MonomialSpec in the site modes."""
+    slot_at_position = sorted(range(len(spec.perm)), key=spec.perm.__getitem__)
+    prod = np.eye(state.density.shape[0], dtype=complex)
+    for slot in slot_at_position:
+        vec_idx, is_creator = spec.slot_operator_index(slot)
+        psi = spec.vectors[vec_idx]
+        prod = prod @ (creator(psi) if is_creator else annihilator(psi))
+    return permutation_sign(spec.perm) * complex(np.sum(state.density * prod.T))
+
+
+def correlation_vector(state: QuasiFreeState, chain: list) -> np.ndarray:
+    """Delta^(z1/beta) x1 Delta^(z2/beta) x2 ... xN eta for dense operators x_q.
+
+    The product is accumulated as D^(Re w_1) x1' D^(Re w_2) x2' ...
+    D^(1/2 - sum Re w) with w = z/beta and the x' Bogoliubov-rotated by the
+    accumulated imaginary parts, in the eigenbasis of the dense density.
+    """
+    zs = np.array([z for z, _ in chain], dtype=complex)
+    w = zs / state.beta
+    re = np.clip(np.real(w), 0.0, None)
+    logp = state.log_weights
+    L = np.subtract.outer(logp, logp)
+    V = np.diag(np.exp(logp * max(0.0, 0.5 - float(np.sum(re))))).astype(complex)
+    cum_im = np.cumsum(np.imag(w))
+    for q in range(len(chain) - 1, -1, -1):
+        rotated = state.to_eigenbasis(chain[q][1]) * np.exp(1j * cum_im[q] * L)
+        V = np.exp(logp * re[q])[:, None] * (rotated @ V)
+    return state.from_eigenbasis(V)
+
+
 def dense_representation(inst, eta: float, form: str = "inner") -> complex:
     """determinant_representation through the dense Fock-space modular calculus.
 
@@ -69,11 +170,10 @@ def dense_representation(inst, eta: float, form: str = "inner") -> complex:
     torus, N, beta, n = inst.torus, inst.pair_count, inst.torus.beta, inst.torus.n
     S = eig_hermitian(inst.H)
     qs = quotient_space(inst.M)
-    fock = FockSpace(S.dim * qs.rank)
     cap = OVERFLOW_LOG / beta
     rates = np.clip(bernoulli_euler_rate(S.values, torus, eta), -cap, cap)
     h = np.kron(matrix_function(lambda lam: rates, S), np.eye(qs.rank))
-    mod = ModularData(quasifree_density(h, beta, fock))
+    state = quasifree_density(h, beta)
 
     order = ordering_from_grid([i - torus.zero_index for i, _, _ in inst.points], N, n)
     sqrt_chi = np.sqrt(inst.chi(S.values))
@@ -84,25 +184,27 @@ def dense_representation(inst, eta: float, form: str = "inner") -> complex:
         if order.alpha_tilde[q] % 2 == 1:
             dressed = signs * dressed
         psi = np.kron(S.vectors @ dressed, qs.coords[j])
-        ops.append(creator(fock, psi) if q < N else annihilator(fock, psi))
+        ops.append(creator(psi) if q < N else annihilator(psi))
 
     tilde, placed, xi, p = order.alpha_tilde, order.placement, order.xi, order.split
     if form == "trace":
-        logp = mod.log_weights
+        logp = state.log_weights
         lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
-        M = np.diag(np.exp(logp * lead)) @ mod.to_eigenbasis(ops[placed[0]].matrix)
+        M = np.diag(np.exp(logp * lead)) @ state.to_eigenbasis(ops[placed[0]])
         for u in range(1, 2 * N):
-            M = (M * np.exp(logp * xi[u - 1])[None, :]) @ mod.to_eigenbasis(ops[placed[u]].matrix)
+            M = (M * np.exp(logp * xi[u - 1])[None, :]) @ state.to_eigenbasis(ops[placed[u]])
         return order.rep_sign * complex(np.trace(M))
     left = []
     if p > 0:
-        left.append((beta * (0.5 - tilde[placed[p - 1]] / n), ops[placed[p - 1]].adjoint()))
-        left += [(beta * xi[u - 1], ops[placed[u - 1]].adjoint()) for u in range(p - 1, 0, -1)]
+        left.append((beta * (0.5 - tilde[placed[p - 1]] / n), ops[placed[p - 1]].conj().T))
+        left += [(beta * xi[u - 1], ops[placed[u - 1]].conj().T) for u in range(p - 1, 0, -1)]
     right = []
     if p < 2 * N:
         right.append((beta * (tilde[placed[p]] / n - 0.5), ops[placed[p]]))
         right += [(beta * xi[u - 1], ops[placed[u]]) for u in range(p + 1, 2 * N)]
-    return order.rep_sign * correlation_vector(mod, left).inner(correlation_vector(mod, right))
+    return order.rep_sign * complex(
+        np.vdot(correlation_vector(state, left), correlation_vector(state, right))
+    )
 
 
 def fine_grid_bk(edges, weights, m: int, t: float, samples: int = 10_000) -> np.ndarray:

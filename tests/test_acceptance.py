@@ -12,11 +12,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fermicov.car_fock import (
+    FockSpace,
     MonomialSpec,
-    annihilator,
-    creator,
     expect_monomial,
-    quasifree_density,
+    quasifree_modes,
     symbol_two_point,
     wick_determinant,
 )
@@ -30,11 +29,10 @@ from fermicov.covariance import (
 )
 from fermicov.cli import main as cli_main
 from fermicov.modular import (
-    ModularData,
-    correlation_vector,
     determinant_representation,
     modular_power,
     schatten_norm,
+    tube_chain,
 )
 from fermicov.mspace import bk_matrix, random_tree
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
@@ -94,31 +92,33 @@ def test_criterion_03_generalized_wick_exhaustive():
     budget = Budget(120.0)
     rng = np.random.default_rng(303)
     modes = 4
+    fock = FockSpace(modes)
     for N in (1, 2, 3):
         draws = []
         for _ in range(10):
             A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
-            state = quasifree_density((A + A.conj().T) / 2, beta=1.0)
+            V, logp, symbol = quasifree_modes((A + A.conj().T) / 2, beta=1.0)
             vecs = [rng.normal(size=modes) + 1j * rng.normal(size=modes)
                     for _ in range(2 * N)]
-            draws.append((state, vecs))
+            draws.append((V, logp, symbol, vecs))
         for perm in permutations(range(2 * N)):
-            for state, vecs in draws:
+            for V, logp, symbol, vecs in draws:
                 direct = expect_monomial(
-                    state, MonomialSpec(n1=N, n2=N, vectors=vecs, perm=perm)
+                    fock, logp,
+                    MonomialSpec(n1=N, n2=N, vectors=[V.conj().T @ v for v in vecs], perm=perm),
                 )
-                det = wick_determinant(symbol_two_point(state.symbol, vecs), N, perm)
+                det = wick_determinant(symbol_two_point(symbol, vecs), N, perm)
                 if abs(direct) > 1e-6:
                     assert abs(direct - det) <= 1e-10 * abs(direct)
                 else:
                     assert abs(direct - det) <= 1e-12
     # unbalanced monomials vanish
-    state = quasifree_density(np.diag([0.4, -1.0, 2.0, 0.1]), beta=1.0)
+    V, logp, _ = quasifree_modes(np.diag([0.4, -1.0, 2.0, 0.1]), beta=1.0)
     for n1, n2 in [(1, 2), (2, 1), (3, 2), (1, 3), (2, 3), (3, 1)]:
-        vecs = [rng.normal(size=modes) + 1j * rng.normal(size=modes)
+        vecs = [V.conj().T @ (rng.normal(size=modes) + 1j * rng.normal(size=modes))
                 for _ in range(n1 + n2)]
         perm = tuple(rng.permutation(n1 + n2))
-        value = expect_monomial(state, MonomialSpec(n1=n1, n2=n2, vectors=vecs, perm=perm))
+        value = expect_monomial(fock, logp, MonomialSpec(n1=n1, n2=n2, vectors=vecs, perm=perm))
         assert abs(value) <= 1e-12
     budget.check()
 
@@ -193,14 +193,13 @@ def test_criterion_05_holder_and_modular_bounds():
     for _ in range(10):
         modes = int(rng.integers(2, 5))
         A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
-        state = quasifree_density((A + A.conj().T) / 2, beta=float(rng.uniform(0.5, 2.0)))
-        mod = ModularData(state)
-        eta_vec = mod.eta()
-        moved = modular_power(mod, float(rng.uniform(-1, 1)), eta_vec)
-        assert np.max(np.abs(moved.matrix - eta_vec.matrix)) <= 1e-11
-        X = rng.normal(size=(state.fock.dim,) * 2) + 1j * rng.normal(size=(state.fock.dim,) * 2)
-        flowed = modular_power(mod, 1j * float(rng.uniform(-4, 4)), X)
-        assert abs(flowed.norm() - np.linalg.norm(X)) <= 1e-11 * np.linalg.norm(X)
+        _, logp, _ = quasifree_modes((A + A.conj().T) / 2, beta=float(rng.uniform(0.5, 2.0)))
+        eta = np.diag(np.exp(logp / 2))
+        moved = modular_power(logp, float(rng.uniform(-1, 1)), eta)
+        assert np.max(np.abs(moved - eta)) <= 1e-11
+        X = rng.normal(size=(2**modes,) * 2) + 1j * rng.normal(size=(2**modes,) * 2)
+        flowed = modular_power(logp, 1j * float(rng.uniform(-4, 4)), X)
+        assert abs(np.linalg.norm(flowed) - np.linalg.norm(X)) <= 1e-11 * np.linalg.norm(X)
     # (b) Schatten Hoelder on 200 random pairs and triples
     for _ in range(200):
         dim = int(rng.integers(2, 9))
@@ -221,22 +220,20 @@ def test_criterion_05_holder_and_modular_bounds():
     for _ in range(10):
         modes = int(rng.integers(2, 5))
         A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
-        state = quasifree_density(
-            (A + A.conj().T) / 2 * float(rng.uniform(0.5, 3.0)),
-            beta=float(rng.uniform(0.5, 2.0)),
-        )
-        mod = ModularData(state)
+        beta = float(rng.uniform(0.5, 2.0))
+        V, logp, _ = quasifree_modes((A + A.conj().T) / 2 * float(rng.uniform(0.5, 3.0)), beta)
+        fock = FockSpace(modes)
         for _ in range(100):
             Nc = int(rng.integers(1, 5))
             raw = rng.uniform(0, 1, size=Nc)
-            re = raw / raw.sum() * rng.uniform(0, 0.5) * state.beta
+            re = raw / raw.sum() * rng.uniform(0, 0.5) * beta
             product, chain = 1.0, []
             for q in range(Nc):
                 psi = rng.normal(size=modes) + 1j * rng.normal(size=modes)
-                make = creator if rng.uniform() < 0.5 else annihilator
-                chain.append((re[q] + 1j * float(rng.normal()), make(state.fock, psi)))
+                is_creator = rng.uniform() < 0.5
+                chain.append((re[q] + 1j * float(rng.normal()), (V.conj().T @ psi, is_creator)))
                 product *= np.linalg.norm(psi)
-            assert product - correlation_vector(mod, chain).norm() >= -1e-10
+            assert product - np.linalg.norm(tube_chain(fock, logp, beta, chain)) >= -1e-10
     budget.check()
 
 

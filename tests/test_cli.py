@@ -86,6 +86,18 @@ def test_non_finite_parameters_exit_2(tmp_path):
     assert run(tmp_path, "kernel", "--beta", "nan", "--out", "k.csv") == 2
     assert run(tmp_path, "kernel", "--eta", "0", "--out", "k.csv") == 2
     assert run(tmp_path, "bound-check", "--scale-max", "inf", "--out", "b.csv") == 2
+    # counts that would run nothing or crash
+    assert run(tmp_path, "bound-check", "--count", "-3", "--out", "b.csv") == 2
+    assert run(tmp_path, "bound-check", "--d-max", "0", "--out", "b.csv") == 2
+    assert run(tmp_path, "universal", "--count", "-1", "--out", "u.csv") == 2
+    assert run(tmp_path, "bk-matrix", "--m", "0", "--out", "bk.csv") == 2
+    assert run(tmp_path, "wick-verify", "--draws", "0", "--out", "w.csv") == 2
+    assert run(tmp_path, "wick-verify", "--modes", "0", "--out", "w.csv") == 2
+    assert run(tmp_path, "wick-verify", "--N-max", "0", "--out", "w.csv") == 2
+    assert run(tmp_path, "modular-verify", "--modes", "1", "--out", "m.csv") == 2
+    assert run(tmp_path, "modular-verify", "--chains", "-1", "--out", "m.csv") == 2
+    assert run(tmp_path, "modular-verify", "--states", "0", "--pairs", "0",
+               "--out", "m.csv") == 2
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -121,6 +133,10 @@ def test_wick_and_modular_verify(tmp_path):
                "--modes", "3", "--out", "w.csv") == 0
     assert run(tmp_path, "modular-verify", "--states", "2", "--chains", "5",
                "--pairs", "20", "--out", "m.csv") == 0
+    # the defaults: 5 states with 20 chains each and 100 Schatten pairs
+    assert run(tmp_path, "modular-verify", "--out", "d.csv") == 0
+    summary = json.loads((tmp_path / "d.json").read_text())
+    assert summary["count"] == 210 and summary["failures"] == []
 
 
 def test_decay_snapshot(tmp_path):

@@ -1,31 +1,40 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from fermicov.car_fock import (
-    FockOperator,
-    annihilator,
-    creator,
-    quasifree_density,
-)
+from fermicov.car_fock import FockSpace, apply_field, quasifree_log_weights, quasifree_modes
 from fermicov.covariance import BoundInstance, covariance_det
 from fermicov.modular import (
-    HSVector,
-    ModularData,
-    correlation_vector,
     determinant_representation,
     modular_power,
     schatten_norm,
+    tube_chain,
 )
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
 from fermicov.torus import DiscreteTorus
 
-from oracles import dense_representation
+from oracles import (
+    annihilator,
+    correlation_vector,
+    creator,
+    dense_representation,
+    expm_density,
+    quasifree_density,
+    second_quantize,
+)
 
 
 def random_state(rng, modes, beta=1.0, scale=1.0):
+    """(h, V, logp, symbol) of a random thermal state; see quasifree_modes."""
     A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
-    return quasifree_density(scale * (A + A.conj().T) / 2, beta=beta)
+    h = scale * (A + A.conj().T) / 2
+    return (h,) + quasifree_modes(h, beta)
+
+
+def field(fock, psi, creator=False):
+    """a(psi) or a+(psi) as a matrix in the eigenmode occupation basis."""
+    return apply_field(fock, psi, np.eye(fock.dim), creator=creator)
 
 
 def random_instance(rng, d=2, m=2, N=2, n=4, beta=1.0, avoid_singular=True):
@@ -49,102 +58,182 @@ def random_instance(rng, d=2, m=2, N=2, n=4, beta=1.0, avoid_singular=True):
 
 
 def test_eta_is_fixed_point(rng):
-    state = random_state(rng, 3)
-    mod = ModularData(state)
-    eta = mod.eta()
-    assert abs(eta.norm() - 1.0) <= 1e-12
+    _, _, logp, _ = random_state(rng, 3)
+    eta = np.diag(np.exp(logp / 2))
+    assert abs(np.linalg.norm(eta) - 1.0) <= 1e-12
     for z in (0.7, -1.3, 0.2 + 0.9j):
-        moved = modular_power(mod, z, eta)
-        assert np.max(np.abs(moved.matrix - eta.matrix)) <= 1e-12
+        moved = modular_power(logp, z, eta)
+        assert np.max(np.abs(moved - eta)) <= 1e-12
 
 
 def test_imaginary_power_is_isometry(rng):
-    state = random_state(rng, 3, beta=1.7)
-    mod = ModularData(state)
+    _, _, logp, _ = random_state(rng, 3, beta=1.7)
     for _ in range(5):
         X = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         t = float(rng.uniform(-5, 5))
-        moved = modular_power(mod, 1j * t, X)
-        assert abs(moved.norm() - np.linalg.norm(X)) <= 1e-11 * np.linalg.norm(X)
+        moved = modular_power(logp, 1j * t, X)
+        assert abs(np.linalg.norm(moved) - np.linalg.norm(X)) <= 1e-11 * np.linalg.norm(X)
+
+
+def _scipy_modular_check(rng, modes, beta):
+    """Fixed point and isometry errors of Delta^z X = rho^z X rho^-z, all through scipy.
+
+    rho comes from expm_density on the dense site-mode dGamma(h), eta is
+    sqrtm(rho), and rho^z X rho^-z = expm(z L) X expm(-z L) with
+    L = -beta dGamma(h) (the normalization cancels), so none of the package's
+    log-weights or eigenmodes enter.  The fixed point is checked in the
+    equivalent balanced form Delta^(z/2) eta = Delta^(-z/2) eta: the dense
+    product rho^z eta rho^-z rounds with the condition number of rho^z, and
+    its error reached 1.8e-10 on such states; the balanced form rounds with
+    the square root of that condition number.
+    """
+    A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    h = (A + A.conj().T) / 2
+    dg = second_quantize(h)
+    rho = expm_density(h, beta, dg)
+
+    def delta(z, X):
+        return scipy.linalg.expm(-z * beta * dg) @ X @ scipy.linalg.expm(z * beta * dg)
+
+    eta = scipy.linalg.sqrtm(rho)
+    z = float(rng.uniform(-1, 1))
+    fixed_err = np.max(np.abs(delta(z / 2, eta) - delta(-z / 2, eta)))
+    X = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+    flowed = delta(1j * float(rng.uniform(-4, 4)), X)
+    iso_err = abs(np.linalg.norm(flowed) - np.linalg.norm(X)) / np.linalg.norm(X)
+    # the package's diagonal eta has the spectrum of this one
+    _, logp, _ = quasifree_modes(h, beta)
+    spectrum_err = np.max(np.abs(np.sort(np.exp(logp / 2)) - np.linalg.eigvalsh(eta)))
+    return fixed_err, iso_err, spectrum_err
+
+
+def test_fixed_point_and_isometry_through_scipy(rng):
+    # the independent version of modular-verify's fixed_point and isometry checks,
+    # on states drawn as in criterion 05 and at its tolerance
+    for _ in range(50):
+        fixed_err, iso_err, spectrum_err = _scipy_modular_check(
+            rng, int(rng.integers(2, 5)), float(rng.uniform(0.5, 2.0)))
+        assert fixed_err <= 1e-11
+        assert iso_err <= 1e-11
+        assert spectrum_err <= 1e-12
 
 
 def test_modular_flow_is_bogoliubov_rotation(rng):
     # Delta^(-it/beta) a(psi) Delta^(it/beta) equals a(exp(it h) psi)
-    state = random_state(rng, 3, beta=1.3)
-    mod = ModularData(state)
-    w, V = np.linalg.eigh(state.one_particle)
+    h, V, logp, _ = random_state(rng, 3, beta=1.3)
+    fock = FockSpace(3)
+    w = np.linalg.eigvalsh(h)
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     for t in (0.4, -2.2):
-        lhs = modular_power(mod, -1j * t / state.beta, annihilator(state.fock, psi).matrix)
+        lhs = modular_power(logp, -1j * t / 1.3, field(fock, V.conj().T @ psi))
         rotated = (V * np.exp(1j * t * w)) @ V.conj().T @ psi
-        rhs = annihilator(state.fock, rotated).matrix
-        assert np.max(np.abs(lhs.matrix - rhs)) <= 1e-9
+        rhs = field(fock, V.conj().T @ rotated)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
 def test_modular_power_overflow_guard(rng):
-    state = quasifree_density(np.diag([-50.0, 50.0]), beta=1.0)
-    mod = ModularData(state)
+    logp = quasifree_log_weights(np.array([-50.0, 50.0]), 1.0)
     X = np.ones((4, 4), dtype=complex)
     with pytest.raises(OverflowError):
-        modular_power(mod, 8.0, X)
+        modular_power(logp, 8.0, X)
     # zero entries at the dangerous ratios are fine
     Xsafe = np.diag(np.ones(4)).astype(complex)
-    assert np.isfinite(modular_power(mod, 8.0, Xsafe).matrix).all()
+    assert np.isfinite(modular_power(logp, 8.0, Xsafe)).all()
 
 
 def test_correlation_vector_basics(rng):
-    state = random_state(rng, 3)
-    mod = ModularData(state)
-    assert abs(correlation_vector(mod, []).norm() - 1.0) <= 1e-12
+    _, V, logp, symbol = random_state(rng, 3)
+    fock = FockSpace(3)
+    assert abs(np.linalg.norm(tube_chain(fock, logp, 1.0, [])) - 1.0) <= 1e-12
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    vec = correlation_vector(mod, [(0.0, annihilator(state.fock, psi))])
-    expected = np.vdot(psi, state.symbol @ psi).real
-    assert_allclose(vec.norm() ** 2, expected, rtol=1e-11)
+    vec = tube_chain(fock, logp, 1.0, [(0.0, (V.conj().T @ psi, False))])
+    expected = np.vdot(psi, symbol @ psi).real
+    assert_allclose(np.linalg.norm(vec) ** 2, expected, rtol=1e-11)
 
 
 def test_correlation_vector_tube_validation(rng):
-    state = random_state(rng, 2)
-    mod = ModularData(state)
-    op = annihilator(state.fock, np.array([1.0, 0.0]))
+    _, _, logp, _ = random_state(rng, 2)
+    fock = FockSpace(2)
+    op = (np.array([1.0, 0.0]), False)
     with pytest.raises(ValueError):
-        correlation_vector(mod, [(-0.1, op)])
+        tube_chain(fock, logp, 1.0, [(-0.1, op)])
     with pytest.raises(ValueError):
-        correlation_vector(mod, [(0.4 * state.beta, op), (0.2 * state.beta, op)])
+        tube_chain(fock, logp, 1.0, [(0.4, op), (0.2, op)])
+    with pytest.raises(ValueError):
+        tube_chain(fock, logp, 1.0, [(-0.1 + 2j, op)])
+    tube_chain(fock, logp, 1.0, [(0.3 + 5j, op), (0.2 - 1j, op)])  # on the edge: accepted
 
 
 def test_correlation_vector_holder_bound(rng):
     for _ in range(5):
-        state = random_state(rng, 3, beta=float(rng.uniform(0.5, 2.0)),
-                             scale=float(rng.uniform(0.5, 4.0)))
-        mod = ModularData(state)
+        beta = float(rng.uniform(0.5, 2.0))
+        _, V, logp, _ = random_state(rng, 3, beta=beta, scale=float(rng.uniform(0.5, 4.0)))
+        fock = FockSpace(3)
         for _ in range(30):
             Nc = int(rng.integers(1, 5))
             raw = rng.uniform(0, 1, size=Nc)
-            re = raw / raw.sum() * rng.uniform(0, 0.5) * state.beta
+            re = raw / raw.sum() * rng.uniform(0, 0.5) * beta
             product = 1.0
             chain = []
             for q in range(Nc):
                 psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-                make = creator if rng.uniform() < 0.5 else annihilator
-                chain.append((re[q] + 1j * rng.normal(), make(state.fock, psi)))
+                op = (V.conj().T @ psi, rng.uniform() < 0.5)
+                chain.append((re[q] + 1j * rng.normal(), op))
                 product *= np.linalg.norm(psi)
-            assert correlation_vector(mod, chain).norm() <= product + 1e-10
+            assert np.linalg.norm(tube_chain(fock, logp, beta, chain)) <= product + 1e-10
+
+
+def test_correlation_vector_matches_dense_oracle(rng):
+    # complex-z tube chains: eigenmode row maps against dense Bogoliubov-rotated chains.
+    # HS norms and inner products are invariant under the Fock unitary between the
+    # site and eigenmode bases, so both routes must give the same numbers.
+    for _ in range(200):
+        modes = int(rng.integers(1, 7))
+        beta = float(rng.uniform(0.5, 2.0))
+        h, V, logp, _ = random_state(rng, modes, beta=beta, scale=float(rng.uniform(0.5, 3.0)))
+        state = quasifree_density(h, beta)
+        vectors, oracles, products = [], [], []
+        for _ in range(2):
+            Nc = int(rng.integers(0, 5))
+            raw = rng.uniform(0, 1, size=Nc)
+            zs = raw / max(raw.sum(), 1.0) * rng.uniform(0, 0.5) * beta + 1j * rng.normal(size=Nc)
+            chain, dense, product = [], [], 1.0
+            for z in zs:
+                psi = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+                is_creator = bool(rng.uniform() < 0.5)
+                chain.append((z, (V.conj().T @ psi, is_creator)))
+                dense.append((z, creator(psi) if is_creator else annihilator(psi)))
+                product *= np.linalg.norm(psi)
+            vectors.append(tube_chain(FockSpace(modes), logp, beta, chain))
+            oracles.append(correlation_vector(state, dense))
+            products.append(product)
+        for vec, oracle_vec, product in zip(vectors, oracles, products):
+            norm, oracle = np.linalg.norm(vec), np.linalg.norm(oracle_vec)
+            if norm == 0.0:  # more fields of one kind than modes: zero by particle number
+                assert oracle <= 1e-14 * product
+            else:
+                assert abs(norm - oracle) <= 1e-12 * oracle
+        inner, oracle = np.vdot(*vectors), np.vdot(*oracles)
+        assert abs(inner - oracle) <= 1e-12 * max(np.prod([np.linalg.norm(v) for v in oracles]),
+                                                 1e-14 * np.prod(products))
 
 
 def test_correlation_vector_continuous_in_tube(rng):
-    state = random_state(rng, 2)
-    mod = ModularData(state)
+    _, V, logp, _ = random_state(rng, 2)
+    fock = FockSpace(2)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    op = creator(state.fock, psi)
-    z0 = 0.2 * state.beta
-    v0 = correlation_vector(mod, [(z0, op)])
-    v1 = correlation_vector(mod, [(z0 + 1e-6, op)])
-    assert abs(v0.norm() - v1.norm()) <= 1e-4
+    op = (V.conj().T @ psi, True)
+    z0 = 0.2
+    v0 = tube_chain(fock, logp, 1.0, [(z0, op)])
+    v1 = tube_chain(fock, logp, 1.0, [(z0 + 1e-6, op)])
+    assert abs(np.linalg.norm(v0) - np.linalg.norm(v1)) <= 1e-4
+    v2 = tube_chain(fock, logp, 1.0, [(z0 + 1e-6j, op)])
+    assert np.max(np.abs(v0 - v2)) <= 1e-4
 
 
 def test_schatten_norm_values(rng):
-    state = random_state(rng, 2)
-    assert_allclose(schatten_norm(state.density, 1.0), 1.0, rtol=1e-12)
+    _, _, logp, _ = random_state(rng, 2)
+    assert_allclose(schatten_norm(np.diag(np.exp(logp)), 1.0), 1.0, rtol=1e-12)
     assert_allclose(schatten_norm(np.diag([3.0, 4.0]), 2.0), 5.0, rtol=1e-14)
     X = rng.normal(size=(5, 5))
     assert_allclose(schatten_norm(X, np.inf), np.linalg.norm(X, 2), rtol=1e-12)
@@ -165,12 +254,20 @@ def test_schatten_holder_inequality(rng):
 
 
 def test_hs_inner_conventions(rng):
-    state = random_state(rng, 2)
-    A = HSVector(state.fock, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    B = HSVector(state.fock, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    assert_allclose(A.inner(B), np.trace(A.matrix.conj().T @ B.matrix), rtol=1e-13)
-    scaled = HSVector(state.fock, (2.0 + 1j) * A.matrix)
-    assert_allclose(scaled.inner(B), np.conj(2.0 + 1j) * A.inner(B), rtol=1e-13)
+    # <A, B> = Tr(A* B) is np.vdot: <a(p1) eta, a(p2) eta> = rho(a+(p1) a(p2)) = <p2, S p1>
+    _, V, logp, symbol = random_state(rng, 2)
+    fock = FockSpace(2)
+    p1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    p2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+
+    def vec(psi):
+        return tube_chain(fock, logp, 1.0, [(0.0, (V.conj().T @ psi, False))])
+
+    A, B = vec(p1), vec(p2)
+    assert_allclose(np.vdot(A, B), np.trace(A.conj().T @ B), rtol=1e-13)
+    assert_allclose(np.vdot(A, B), np.vdot(p2, symbol @ p1), rtol=1e-12)
+    # a(psi) is antilinear, so <a(c p1) eta, B> = c <a(p1) eta, B>
+    assert_allclose(np.vdot(vec((2.0 + 1j) * p1), B), (2.0 + 1j) * np.vdot(A, B), rtol=1e-13)
 
 
 def test_representation_two_point_free():
