@@ -38,9 +38,9 @@ from fermicov.covariance import (
 )
 from fermicov.mspace import QuotientSpace, TreeGraph, bk_matrix, quotient_space
 from fermicov.car_fock import (
+    FockChain,
     FockSpace,
     MonomialSpec,
-    apply_field,
     expect_monomial,
     quasifree_modes,
     wick_determinant,

@@ -4,11 +4,13 @@ A quasi-free state exp(-beta dGamma(h)) / Z is diagonal in the occupation
 basis of the eigenmodes of h, with the closed-form log-weights of
 `quasifree_log_weights`; `quasifree_modes` gives those modes, the weights and
 the symbol S = (1 + exp(beta h))^{-1}.  A vector psi in the site modes enters
-that basis as V* psi.  `apply_field` applies a(psi) or a+(psi) to the rows of
-an array through each mode's signed bit flip, with Jordan-Wigner signs and
-mode order (fiber index, color index) lexicographic, so no dense Fock
-operator is ever formed.  a(psi) is antilinear in psi, so two-point functions
-read rho(a+(psi1) a(psi2)) = <psi2, S psi1>.
+that basis as V* psi.  A product of creation and annihilation operators on a
+diagonal is a `FockChain`: each field a(psi) or a+(psi) acts through each
+mode's signed bit flip, with Jordan-Wigner signs and mode order (fiber index,
+color index) lexicographic, on shell rows that hold only the entries such a
+product can reach, so no dense Fock operator or 2^D x 2^D array is formed.
+a(psi) is antilinear in psi, so two-point functions read
+rho(a+(psi1) a(psi2)) = <psi2, S psi1>.
 
 Monomial conventions.  A monomial spec lists vectors psi_1..psi_{N1+N2} and
 a permutation of the N1+N2 operator slots of the tuple
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,7 @@ __all__ = [
     "fock_cap",
     "FockSpace",
     "MonomialSpec",
-    "apply_field",
+    "FockChain",
     "quasifree_modes",
     "quasifree_log_weights",
     "expect_monomial",
@@ -59,8 +62,39 @@ def fock_cap() -> int:
     return max(1, min(cap, HARD_FOCK_CAP))
 
 
+# Below this many gathered entries a field is one vectorized gather over all
+# (row, mode) pairs; above it, a loop over modes moves half rows through views.
+# The loop costs about 6 us of interpreter time per mode, the gather touches
+# whole rows for every mode: on a 2-core Xeon VM the gather was 3x faster at
+# D = 4 and 4x slower at D = 10, and the two broke even near 4096 entries.
+SMALL_FIELD = 4096
+
+
+class Shell(NamedTuple):
+    """The shell family F_t of chains of t fields, and the moves of one more field.
+
+    masks are the sets S of at most t modes with |S| = t mod 2, as sorted bit
+    masks (mode k in bit D-1-k); from t = D - 1 on they are all masks of that
+    parity.  moves[k, i] is the position of masks[i] ^ bit_k in F_(t+1).  The
+    D |F_t| pairs (pair_rows, pair_modes) are sorted by that destination, and
+    starts[j] is the first pair landing on row j of F_(t+1); every row of
+    F_(t+1) has one.
+    """
+
+    masks: np.ndarray
+    moves: np.ndarray
+    pair_rows: np.ndarray
+    pair_modes: np.ndarray
+    starts: np.ndarray
+
+
 class FockSpace:
-    """Fermionic Fock space over D one-particle modes; total dimension 2^D."""
+    """Fermionic Fock space over D one-particle modes; total dimension 2^D.
+
+    Mode k is bit D-1-k of an occupation pattern (mode 0 in the highest bit).
+    The tables of `FockChain` are built on first use; shell families are
+    cached per chain length.
+    """
 
     def __init__(self, modes: int):
         cap = fock_cap()
@@ -68,50 +102,127 @@ class FockSpace:
             raise ValueError(f"mode count {modes} outside allowed range 1..{cap}")
         self.modes = modes
         self.dim = 2**modes
-        self._jw_signs: np.ndarray | None = None
+        self._shells: dict = {}
 
     def __repr__(self):
         return f"FockSpace(modes={self.modes})"
 
-    @property
-    def jw_signs(self) -> np.ndarray:
-        """The cached Jordan-Wigner signs (-1)^(n_0 + ... + n_(k-1)).
+    @cached_property
+    def hops(self) -> tuple:
+        """(flips, annihilate, create), each D x 2^D.
 
-        Entry j is the sign of the occupation pattern j of the leading modes,
-        mode 0 in the highest bit; the first 2^k entries serve mode k.
+        flips[k, r] = r ^ bit_k; annihilate[k, r] and create[k, r] are the
+        Jordan-Wigner sign (-1)^(n_0 + ... + n_(k-1)) of pattern r where c_k,
+        or c_k*, lands on r, and 0 elsewhere.
         """
-        if self._jw_signs is None:
-            signs = np.ones(1)
-            for _ in range(self.modes - 1):
-                signs = np.concatenate([signs, -signs])
-            self._jw_signs = signs
-        return self._jw_signs
+        r = np.arange(self.dim)
+        bits = 1 << np.arange(self.modes - 1, -1, -1)
+        occupied = (r & bits[:, None]) != 0
+        signs = 1 - 2 * ((np.cumsum(occupied, axis=0) - occupied) % 2)
+        return r ^ bits[:, None], signs * ~occupied, signs * occupied
+
+    def shell(self, length: int) -> Shell:
+        """The shell family of a chain of `length` fields; see `Shell`."""
+        D = self.modes
+        t = length if length <= D else D - (length - D) % 2
+        if t not in self._shells:
+            idx = np.arange(self.dim)
+            weight = sum((idx >> k) & 1 for k in range(D))
+
+            def family(u):
+                return np.flatnonzero((weight <= u) & (weight % 2 == u % 2))
+
+            masks = family(t)
+            bits = 1 << np.arange(D - 1, -1, -1)
+            moves = np.searchsorted(family(t + 1), masks ^ bits[:, None])
+            order = np.argsort(moves, axis=None, kind="stable")
+            landing = moves.ravel()[order]
+            self._shells[t] = Shell(masks, moves, order % len(masks), order // len(masks),
+                                    np.flatnonzero(np.diff(landing, prepend=-1)))
+        return self._shells[t]
 
 
-def apply_field(
-    fock: FockSpace, psi: np.ndarray, X: np.ndarray, creator: bool = False
-) -> np.ndarray:
-    """a(psi) @ X, or a+(psi) @ X with creator=True, without a dense a(psi).
+class FockChain:
+    """A Fock-space operator X made by t fields acting on a diagonal, in shell rows.
 
-    The rows of X are occupation patterns.  c_k moves row (.., n_k = 1, ..) to
-    row (.., n_k = 0, ..) with the sign (-1)^(n_0 + ... + n_(k-1)) and c_k*
-    moves it back, so each mode costs one signed copy of half the rows.
+    Each field flips one mode, so entry X[r, c] can be nonzero only where
+    r ^ c lies in the shell family F_t (`FockSpace.shell`).  The chain keeps
+    rows[i, r] = X[r, r ^ masks[i]]: |F_t| rows of length 2^D in place of
+    2^D x 2^D entries (at D = 10, 1, 10, 46, 130, 256 rows for t = 0..4).
+    A field on mode k moves row S to row S ^ bit_k and maps the entries of
+    each row as the Jordan-Wigner row map of c_k maps the rows of X; D^w
+    scales entry (S, r) by p_r^w.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != fock.modes:
-        raise ValueError(f"vector length {psi.shape[0]} does not match {fock.modes} modes")
-    X = np.asarray(X)
-    if X.shape[0] != fock.dim:
-        raise ValueError(f"array with {X.shape[0]} rows does not match dimension {fock.dim}")
-    src, dst = (0, 1) if creator else (1, 0)
-    out = np.zeros(X.shape, dtype=complex)
-    for k, coeff in enumerate(psi if creator else np.conj(psi)):
-        if coeff != 0:
-            rows = X.reshape(2**k, 2, -1)  # axis 1 is the occupation of mode k
-            out.reshape(2**k, 2, -1)[:, dst] += (
-                (coeff * fock.jw_signs[: 2**k])[:, None] * rows[:, src]
+
+    def __init__(self, fock: FockSpace, length: int, rows: np.ndarray):
+        self.fock = fock
+        self.length = length
+        self.rows = rows
+
+    @classmethod
+    def diagonal(cls, fock: FockSpace, values: np.ndarray) -> "FockChain":
+        """The chain of no fields, diag(values)."""
+        values = np.asarray(values, dtype=complex).reshape(-1)
+        if values.shape[0] != fock.dim:
+            raise ValueError(f"diagonal of length {values.shape[0]} does not match "
+                             f"dimension {fock.dim}")
+        return cls(fock, 0, values[None, :].copy())
+
+    def field(self, psi: np.ndarray, creator: bool = False) -> "FockChain":
+        """a(psi) X, or a+(psi) X with creator=True, as a chain one field longer.
+
+        c_k moves entry (.., n_k = 1, ..) of a row to (.., n_k = 0, ..) with the
+        sign (-1)^(n_0 + ... + n_(k-1)), and c_k* moves it back.
+        """
+        fock = self.fock
+        psi = np.asarray(psi, dtype=complex).reshape(-1)
+        if psi.shape[0] != fock.modes:
+            raise ValueError(f"vector length {psi.shape[0]} does not match {fock.modes} modes")
+        flips, annihilate, create = fock.hops
+        coeffs = psi if creator else np.conj(psi)
+        hop = coeffs[:, None] * (create if creator else annihilate)
+        shell = fock.shell(self.length)
+        if len(shell.pair_rows) * fock.dim <= SMALL_FIELD:
+            modes = shell.pair_modes
+            moved = self.rows[shell.pair_rows[:, None], flips[modes]] * hop[modes]
+            return FockChain(fock, self.length + 1, np.add.reduceat(moved, shell.starts))
+        count = len(shell.starts)
+        src, dst = (0, 1) if creator else (1, 0)
+        out = np.zeros((count, fock.dim), dtype=complex)
+        for k in np.flatnonzero(coeffs):
+            block = self.rows.reshape(-1, 2**k, 2, fock.dim >> (k + 1))[:, :, src]
+            out.reshape(count, 2**k, 2, -1)[shell.moves[k], :, dst] += (
+                hop[k].reshape(2**k, 2, -1)[:, dst] * block
             )
-    return out
+        return FockChain(fock, self.length + 1, out)
+
+    def scale(self, factors: np.ndarray) -> "FockChain":
+        """diag(factors) X, in place: entry (S, r) times factors[r]."""
+        self.rows *= factors
+        return self
+
+    def trace(self) -> complex:
+        """Tr X, the sum of row S = 0; a chain of odd length has no such row."""
+        return complex(np.sum(self.rows[0])) if self.length % 2 == 0 else 0j
+
+    def norm(self) -> float:
+        """The Hilbert-Schmidt norm (Tr X* X)^(1/2)."""
+        return float(np.linalg.norm(self.rows))
+
+    def vdot(self, other: "FockChain") -> complex:
+        """<X, Y> = Tr(X* Y), over the masks the two chains share.
+
+        Chains of the same parity have nested families, so the smaller family
+        is picked out of the larger one; chains of opposite parity share none.
+        """
+        if self.fock.modes != other.fock.modes:
+            raise ValueError(f"chains on {self.fock.modes} and {other.fock.modes} modes")
+        if (self.length - other.length) % 2:
+            return 0j
+        mine, theirs = self.fock.shell(self.length).masks, other.fock.shell(other.length).masks
+        if len(mine) <= len(theirs):
+            return complex(np.vdot(self.rows, other.rows[np.searchsorted(theirs, mine)]))
+        return complex(np.vdot(self.rows[np.searchsorted(mine, theirs)], other.rows))
 
 
 def _fermi(x: np.ndarray) -> np.ndarray:
@@ -203,11 +314,11 @@ def expect_monomial(fock: FockSpace, logp: np.ndarray, spec: MonomialSpec) -> co
     acts on rho as row maps, last position first, so Tr(product rho) needs no
     dense operator.
     """
-    X = np.diag(np.exp(logp)).astype(complex)
+    X = FockChain.diagonal(fock, np.exp(logp))
     for slot in sorted(range(len(spec.perm)), key=spec.perm.__getitem__, reverse=True):
         vec_idx, is_creator = spec.slot_operator_index(slot)
-        X = apply_field(fock, spec.vectors[vec_idx], X, creator=is_creator)
-    return permutation_sign(spec.perm) * complex(np.trace(X))
+        X = X.field(spec.vectors[vec_idx], creator=is_creator)
+    return permutation_sign(spec.perm) * X.trace()
 
 
 def wick_determinant(two_point: Callable, N: int, perm) -> complex:

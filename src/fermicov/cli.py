@@ -28,6 +28,7 @@ from fermicov.car_fock import (
     FockSpace,
     MonomialSpec,
     expect_monomial,
+    fock_cap,
     quasifree_modes,
     symbol_two_point,
     wick_determinant,
@@ -113,6 +114,19 @@ def _parse_cutoff(kind: str, a: float, b: float, center: float, width: float) ->
     raise ConfigError(f"unknown cutoff kind {kind!r}")
 
 
+def _parse_list(args, key: str, kind, valid, what: str) -> tuple:
+    """The values of the comma-separated list flag `key`, each a valid `kind`."""
+    text = getattr(args, key)
+    try:
+        values = tuple(kind(tok) for tok in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or not all(valid(v) for v in values):
+        flag = "--" + key.replace("_", "-")
+        raise ConfigError(f"{flag} must be a comma-separated list of {what}: {text!r}")
+    return values
+
+
 def _parse_diag(text: str) -> np.ndarray:
     try:
         return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
@@ -168,8 +182,10 @@ def cmd_bound_check(args) -> int:
     t0 = time.perf_counter()
     config = GeneratorConfig(
         d_max=args.d_max, m_max=args.m_max, N_max=args.N_max,
-        n_choices=tuple(int(v) for v in args.n_choices.split(",")),
-        beta_choices=tuple(float(v) for v in args.beta_choices.split(",")),
+        n_choices=_parse_list(args, "n_choices", int, lambda n: n >= 2 and n % 2 == 0,
+                              "even integers >= 2"),
+        beta_choices=_parse_list(args, "beta_choices", float,
+                                 lambda b: np.isfinite(b) and b > 0, "positive numbers"),
         scale_max=args.scale_max,
     )
     reports = bound_check_suite(args.count, config, seed=args.seed)
@@ -250,7 +266,7 @@ def cmd_modular_verify(args) -> int:
                 psi = rng.normal(size=modes) + 1j * rng.normal(size=modes)
                 chain.append((z, (V.conj().T @ psi, rng.uniform() < 0.5)))
                 prod *= np.linalg.norm(psi)
-            slack = prod - float(np.linalg.norm(tube_chain(fock, logp, beta, chain)))
+            slack = prod - tube_chain(fock, logp, beta, chain).norm()
             min_slack = min(min_slack, slack)
             rows.append((s, f"holder_chain_{c}", slack, slack >= -1e-10))
     for _ in range(args.pairs):
@@ -305,7 +321,7 @@ def cmd_bk_matrix(args) -> int:
 
 def cmd_sharpness(args) -> int:
     t0 = time.perf_counter()
-    N_list = tuple(int(v) for v in args.N_list.split(","))
+    N_list = _parse_list(args, "N_list", int, lambda N: N >= 1, "integers >= 1")
     reports = sharpness_sweep(args.epsilon, args.beta, N_list)
     rows = [
         (r.epsilon, r.beta, r.lam, r.n, r.N, abs(r.det), r.closed_form,
@@ -327,10 +343,12 @@ def cmd_sharpness(args) -> int:
 
 def cmd_universal(args) -> int:
     t0 = time.perf_counter()
+    epsilons = _parse_list(args, "epsilon_list", float, lambda e: 0 < e < 1,
+                           "numbers in (0, 1)")
     config = GeneratorConfig()
     reports = bound_check_suite(args.count, config, seed=args.seed)
     sharp = []
-    for eps in (float(v) for v in args.epsilon_list.split(",")):
+    for eps in epsilons:
         sharp += sharpness_sweep(eps, args.beta)
     bracket = universal_bound_estimate(reports, sharp)
     rows = [
@@ -417,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--draws", type=int, default=3)
     s.add_argument("--modes", type=int, default=3)
     _add_common(s, "wick.csv")
-    s.set_defaults(func=cmd_wick_verify, minima={"N_max": 1, "draws": 1, "modes": 1})
+    s.set_defaults(func=cmd_wick_verify, minima={"N_max": 1, "draws": 1, "modes": 1},
+                   fock=True)
 
     s = subs.add_parser("modular-verify", help="modular/Hoelder property checks")
     s.add_argument("--states", type=int, default=5)
@@ -426,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--modes", type=int, default=4)
     _add_common(s, "modular.csv")
     s.set_defaults(func=cmd_modular_verify,
-                   minima={"states": 0, "chains": 0, "pairs": 0, "modes": 2})
+                   minima={"states": 0, "chains": 0, "pairs": 0, "modes": 2}, fock=True)
 
     s = subs.add_parser("bk-matrix", help="tree interpolation matrix")
     s.add_argument("--m", type=int, default=4)
@@ -517,6 +536,14 @@ def main(argv: list | None = None) -> int:
         for key, low in getattr(args, "minima", {}).items():  # counts that run a check
             if getattr(args, key) < low:
                 raise ConfigError(f"parameter {key} must be at least {low}: {getattr(args, key)}")
+        if getattr(args, "fock", False):  # --modes sets a Fock-space mode count
+            try:
+                cap = fock_cap()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            if args.modes > cap:
+                raise ConfigError(f"parameter modes must be at most the Fock cap {cap} "
+                                  f"(FERMICOV_FOCK_CAP): {args.modes}")
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)

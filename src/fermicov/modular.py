@@ -7,9 +7,10 @@ occupation basis of the eigenmodes of a one-particle energy, where the
 quasi-free density is diagonal with closed-form log-weights
 (`car_fock.quasifree_log_weights`).  There eta is diagonal, Delta^z acts
 entrywise as (p_k / p_l)^z, computed from log-weights so that extreme
-Boltzmann ratios neither overflow nor collapse to 0/0, and each creation or
-annihilation operator is a signed bit-flip row map (`car_fock.apply_field`).
-No 2^D x 2^D diagonalization or matrix product is formed.
+Boltzmann ratios neither overflow nor collapse to 0/0, and a chain of
+creation and annihilation operators on a diagonal is a `car_fock.FockChain`
+of shell rows.  No 2^D x 2^D diagonalization or matrix product is formed,
+and no chain holds a 2^D x 2^D array.
 
 Correlation chains Delta^(z1/beta) x1 ... Delta^(zN/beta) xN eta equal
 D^(w1) x1 D^(w2) x2 ... xN D^(1/2 - sum w) with w = z/beta.  In the tube
@@ -24,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from fermicov.car_fock import FockSpace, apply_field, quasifree_log_weights
+from fermicov.car_fock import FockChain, FockSpace, quasifree_log_weights
 from fermicov.covariance import BoundInstance
 from fermicov.mspace import quotient_space
 from fermicov.spectral import bernoulli_euler_rate, eig_hermitian, sign_values
@@ -82,23 +83,22 @@ def schatten_norm(X: np.ndarray, s: float) -> float:
     return float(top * np.sum((sv / top) ** s) ** (1.0 / s))
 
 
-def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: complex) -> np.ndarray:
+def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: complex) -> FockChain:
     """D^(w_1) x_1 D^(w_2) x_2 ... x_N D^tail for the diagonal state of log-weights logp.
 
     chain holds pairs (w_q, (psi_q, is_creator_q)) with psi_q in the state's
     eigenmode basis and w_q real or complex.  Applied right to left, each x_q
-    is a row map and each D^(w_q) a row scaling, so no dense Fock operator is
-    formed.
+    is a field and each D^(w_q) a row scaling of the shell rows, so no dense
+    Fock operator is formed.
     """
-    X = np.diag(np.exp(logp * tail)).astype(complex)
+    X = FockChain.diagonal(fock, np.exp(logp * tail))
     for w, (psi, is_creator) in reversed(chain):
-        X = apply_field(fock, psi, X, creator=is_creator)
-        X *= np.exp(logp * w)[:, None]
+        X = X.field(psi, creator=is_creator).scale(np.exp(logp * w))
     return X
 
 
-def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list) -> np.ndarray:
-    """The correlation vector Delta^(z1/beta) x1 ... xN eta of a tube chain.
+def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list) -> FockChain:
+    """The correlation vector Delta^(z1/beta) x1 ... xN eta of a tube chain, as a FockChain.
 
     chain holds pairs (z_q, (psi_q, is_creator_q)): x_q is a+(psi_q) or
     a(psi_q) with psi_q in the eigenmode basis of the state of log-weights
@@ -133,10 +133,10 @@ def determinant_representation(
 
     Both forms are evaluated in the occupation basis of the eigenmodes of the
     regularized one-particle energy h (x) 1_r.  There the quasi-free state is
-    diagonal with closed-form log-weights, every operator is a signed
-    bit-flip row map on the 2^D x 2^D chain array, and Delta^w is a row
-    scaling; inner product and trace are unitarily invariant, so no change of
-    basis back to the site modes is needed.
+    diagonal with closed-form log-weights, each half chain is a `FockChain`
+    of shell rows, and Delta^w is a row scaling; inner product and trace are
+    unitarily invariant, so no change of basis back to the site modes is
+    needed.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -182,7 +182,7 @@ def determinant_representation(
         lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
         chain = [(lead, ops[placed[0]])]
         chain += [(order.xi[u - 1], ops[placed[u]]) for u in range(1, 2 * N)]
-        return order.rep_sign * complex(np.trace(_eigenbasis_chain(fock, logp, chain, 0.0)))
+        return order.rep_sign * _eigenbasis_chain(fock, logp, chain, 0.0).trace()
 
     def adjoint(op):
         return op[0], not op[1]
@@ -205,4 +205,4 @@ def determinant_representation(
 
     left = tube_chain(fock, logp, beta, left_chain)
     right = tube_chain(fock, logp, beta, right_chain)
-    return order.rep_sign * complex(np.vdot(left, right))
+    return order.rep_sign * left.vdot(right)

@@ -80,6 +80,36 @@ def jordan_wigner(modes: int) -> tuple:
     return tuple(ops)
 
 
+def apply_field(psi: np.ndarray, X: np.ndarray, creator: bool = False) -> np.ndarray:
+    """a(psi) @ X, or a+(psi) @ X with creator=True, as signed bit-flip row maps.
+
+    The rows of X are occupation patterns of D = len(psi) modes, mode 0 in the
+    highest bit.  c_k moves row (.., n_k = 1, ..) to row (.., n_k = 0, ..) with
+    the sign (-1)^(n_0 + ... + n_(k-1)) and c_k* moves it back.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    X = np.asarray(X)
+    if X.shape[0] != 2 ** psi.shape[0]:
+        raise ValueError(f"array with {X.shape[0]} rows does not match {psi.shape[0]} modes")
+    src, dst = (0, 1) if creator else (1, 0)
+    out = np.zeros(X.shape, dtype=complex)
+    for k, coeff in enumerate(psi if creator else np.conj(psi)):
+        leading = np.arange(2**k)
+        signs = (-1.0) ** np.array([bin(j).count("1") for j in leading])
+        rows = X.reshape(2**k, 2, -1)  # axis 1 is the occupation of mode k
+        out.reshape(2**k, 2, -1)[:, dst] += (coeff * signs)[:, None] * rows[:, src]
+    return out
+
+
+def dense_chain(chain) -> np.ndarray:
+    """The 2^D x 2^D matrix X of a FockChain: X[r, r ^ S] = rows[S, r]."""
+    X = np.zeros((chain.fock.dim,) * 2, dtype=complex)
+    r = np.arange(chain.fock.dim)
+    for mask, row in zip(chain.fock.shell(chain.length).masks, chain.rows):
+        X[r, r ^ mask] = row
+    return X
+
+
 def annihilator(psi: np.ndarray) -> np.ndarray:
     """a(psi) = sum_i conj(psi_i) c_i as a dense matrix; antilinear in psi."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)

@@ -233,7 +233,7 @@ def test_criterion_05_holder_and_modular_bounds():
                 is_creator = rng.uniform() < 0.5
                 chain.append((re[q] + 1j * float(rng.normal()), (V.conj().T @ psi, is_creator)))
                 product *= np.linalg.norm(psi)
-            assert product - np.linalg.norm(tube_chain(fock, logp, beta, chain)) >= -1e-10
+            assert product - tube_chain(fock, logp, beta, chain).norm() >= -1e-10
     budget.check()
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from itertools import permutations
+from math import comb
 from numpy.testing import assert_allclose
 
+from fermicov import car_fock
 from fermicov.car_fock import (
+    FockChain,
     FockSpace,
     MonomialSpec,
-    apply_field,
     expect_monomial,
     fock_cap,
     permutation_sign,
@@ -18,7 +20,9 @@ from fermicov.car_fock import (
 
 from oracles import (
     annihilator,
+    apply_field,
     creator,
+    dense_chain,
     dense_monomial,
     expm_density,
     jordan_wigner,
@@ -37,8 +41,8 @@ def random_vectors(rng, modes, count):
 
 
 def field_matrix(fock, psi, creator=False):
-    """The dense matrix of a(psi) or a+(psi), rebuilt from the row maps."""
-    return apply_field(fock, psi, np.eye(fock.dim), creator=creator)
+    """The dense matrix of a(psi) or a+(psi), rebuilt from one field on the identity."""
+    return dense_chain(FockChain.diagonal(fock, np.ones(fock.dim)).field(psi, creator=creator))
 
 
 def test_fock_cap_env(monkeypatch):
@@ -83,15 +87,15 @@ def test_field_maps_rebuild_jordan_wigner():
 
 
 def test_apply_field_matches_dense(rng):
-    fock = FockSpace(4)
+    # the row-map reference of the shell engine against dense Jordan-Wigner products
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     X = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    assert_allclose(apply_field(fock, psi, X), annihilator(psi) @ X, atol=1e-13)
-    assert_allclose(apply_field(fock, psi, X, creator=True), creator(psi) @ X, atol=1e-13)
+    assert_allclose(apply_field(psi, X), annihilator(psi) @ X, atol=1e-13)
+    assert_allclose(apply_field(psi, X, creator=True), creator(psi) @ X, atol=1e-13)
     with pytest.raises(ValueError):
-        apply_field(fock, np.ones(3), X)
+        apply_field(np.ones(3), X)
     with pytest.raises(ValueError):
-        apply_field(fock, psi, X[:8])
+        apply_field(psi, X[:8])
 
 
 def test_quasifree_log_weights_match_expm_oracle():
@@ -105,14 +109,67 @@ def test_quasifree_log_weights_match_expm_oracle():
     assert_allclose(np.exp(logp), [0.0, 1.0, 0.0, 0.0], atol=1e-200)  # only mode 1 filled
 
 
+def test_shell_families():
+    fock = FockSpace(10)
+    assert [len(fock.shell(t).masks) for t in range(5)] == [1, 10, 46, 130, 256]
+    for D in range(1, 7):
+        fock = FockSpace(D)
+        for t in range(9):
+            masks = fock.shell(t).masks
+            weights = [bin(int(m)).count("1") for m in masks]
+            assert all(w <= t and w % 2 == t % 2 for w in weights)
+            assert len(masks) == sum(comb(D, w) for w in range(t % 2, min(t, D) + 1, 2))
+            assert (0 in masks) == (t % 2 == 0)  # row 0, the trace, only on even chains
+
+
+@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0, 10**9])
+def test_fock_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
+    # chains of up to 8 fields on a diagonal, with real and complex D^w between the fields,
+    # against the dense row maps: entries, trace, norm and inner products across lengths;
+    # the three thresholds run the default choice, the per-mode loop and the gather
+    monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
+    for D in range(1, 7):
+        fock = FockSpace(D)
+        logp = quasifree_log_weights(rng.normal(size=D), float(rng.uniform(0.5, 2.0)))
+        start = rng.normal(size=2**D) + 1j * rng.normal(size=2**D)
+        X, dense = FockChain.diagonal(fock, start), np.diag(start)
+        chains, denses = [X], [dense]
+        for t in range(1, 9):
+            psi = rng.normal(size=D) + 1j * rng.normal(size=D)
+            is_creator = bool(rng.uniform() < 0.5)
+            w = float(rng.uniform(0, 0.5)) + (1j * float(rng.normal()) if t % 3 == 0 else 0.0)
+            X = X.field(psi, creator=is_creator).scale(np.exp(logp * w))
+            dense = np.exp(logp * w)[:, None] * apply_field(psi, dense, creator=is_creator)
+            scale = max(np.max(np.abs(dense)), 1e-300)
+            assert X.length == t and len(X.rows) == len(fock.shell(t).masks)
+            assert np.max(np.abs(dense_chain(X) - dense)) <= 1e-13 * scale, (D, t)
+            assert abs(X.trace() - np.trace(dense)) <= 1e-13 * 2**D * scale
+            if t % 2:
+                assert X.trace() == 0.0
+            assert abs(X.norm() - np.linalg.norm(dense)) <= 1e-13 * 2**D * scale
+            chains.append(X)
+            denses.append(dense)
+        for i in range(len(chains)):
+            for j in range(i, len(chains), 3):
+                expected = np.vdot(denses[i], denses[j])
+                bound = np.linalg.norm(denses[i]) * np.linalg.norm(denses[j])
+                assert abs(chains[i].vdot(chains[j]) - expected) <= 1e-13 * bound
+                assert abs(chains[j].vdot(chains[i]) - np.conj(expected)) <= 1e-13 * bound
+
+
 def test_annihilator_antilinear(rng):
     fock = FockSpace(3)
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    X = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert_allclose(apply_field(fock, 1j * psi, X), -1j * apply_field(fock, psi, X), atol=1e-14)
+    X = FockChain.diagonal(fock, rng.normal(size=8) + 1j * rng.normal(size=8))
+    X = X.field(rng.normal(size=3) + 1j * rng.normal(size=3), creator=True)
+    assert_allclose(X.field(1j * psi).rows, -1j * X.field(psi).rows, atol=1e-14)
     assert_allclose(annihilator(1j * psi), -1j * annihilator(psi), atol=1e-14)
     with pytest.raises(ValueError):
-        apply_field(fock, np.ones(2), X)
+        X.field(np.ones(2))
+    with pytest.raises(ValueError):
+        FockChain.diagonal(fock, np.ones(4))
+    with pytest.raises(ValueError):
+        FockChain.diagonal(FockSpace(2), np.ones(4)).vdot(X)
 
 
 def test_car_for_dressed_operators(rng):

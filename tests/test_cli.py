@@ -101,6 +101,36 @@ def test_non_finite_parameters_exit_2(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_modes_above_fock_cap_exit_2(tmp_path, monkeypatch):
+    # checked before any work: a random state need not draw the largest mode count
+    for seed in ("1", "2", "3", "4", "5"):
+        assert run(tmp_path, "modular-verify", "--modes", "11", "--seed", seed,
+                   "--out", "m.csv") == 2
+        assert run(tmp_path, "wick-verify", "--modes", "11", "--seed", seed,
+                   "--out", "w.csv") == 2
+    monkeypatch.setenv("FERMICOV_FOCK_CAP", "2")
+    assert run(tmp_path, "wick-verify", "--modes", "3", "--out", "w.csv") == 2
+    monkeypatch.setenv("FERMICOV_FOCK_CAP", "ten")
+    assert run(tmp_path, "wick-verify", "--out", "w.csv") == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_bad_list_flags_exit_2(tmp_path, capsys):
+    cases = [
+        ("bound-check", "--n-choices", "0"),
+        ("bound-check", "--n-choices", "3"),
+        ("bound-check", "--n-choices", "2,x"),
+        ("bound-check", "--beta-choices", "-1"),
+        ("bound-check", "--beta-choices", "1,inf"),
+        ("sharpness", "--N-list", "0"),
+        ("universal", "--epsilon-list", "0.1,1.5"),
+    ]
+    for sub, flag, value in cases:
+        assert run(tmp_path, sub, flag, value, "--out", "x.csv") == 2
+        assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_removed_options_exit_2(tmp_path):
     assert run(tmp_path, "bound-check", "--jobs", "2", "--out", "b.csv") == 2
     assert run(tmp_path, "covariance-det", "--out", "c.csv") == 2

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from fermicov.car_fock import FockSpace, apply_field, quasifree_log_weights, quasifree_modes
+from fermicov.car_fock import FockChain, FockSpace, quasifree_log_weights, quasifree_modes
 from fermicov.covariance import BoundInstance, covariance_det
 from fermicov.modular import (
     determinant_representation,
@@ -18,6 +20,7 @@ from oracles import (
     annihilator,
     correlation_vector,
     creator,
+    dense_chain,
     dense_representation,
     expm_density,
     quasifree_density,
@@ -34,7 +37,7 @@ def random_state(rng, modes, beta=1.0, scale=1.0):
 
 def field(fock, psi, creator=False):
     """a(psi) or a+(psi) as a matrix in the eigenmode occupation basis."""
-    return apply_field(fock, psi, np.eye(fock.dim), creator=creator)
+    return dense_chain(FockChain.diagonal(fock, np.ones(fock.dim)).field(psi, creator=creator))
 
 
 def random_instance(rng, d=2, m=2, N=2, n=4, beta=1.0, avoid_singular=True):
@@ -144,11 +147,11 @@ def test_modular_power_overflow_guard(rng):
 def test_correlation_vector_basics(rng):
     _, V, logp, symbol = random_state(rng, 3)
     fock = FockSpace(3)
-    assert abs(np.linalg.norm(tube_chain(fock, logp, 1.0, [])) - 1.0) <= 1e-12
+    assert abs(tube_chain(fock, logp, 1.0, []).norm() - 1.0) <= 1e-12
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     vec = tube_chain(fock, logp, 1.0, [(0.0, (V.conj().T @ psi, False))])
     expected = np.vdot(psi, symbol @ psi).real
-    assert_allclose(np.linalg.norm(vec) ** 2, expected, rtol=1e-11)
+    assert_allclose(vec.norm() ** 2, expected, rtol=1e-11)
 
 
 def test_correlation_vector_tube_validation(rng):
@@ -180,7 +183,7 @@ def test_correlation_vector_holder_bound(rng):
                 op = (V.conj().T @ psi, rng.uniform() < 0.5)
                 chain.append((re[q] + 1j * rng.normal(), op))
                 product *= np.linalg.norm(psi)
-            assert np.linalg.norm(tube_chain(fock, logp, beta, chain)) <= product + 1e-10
+            assert tube_chain(fock, logp, beta, chain).norm() <= product + 1e-10
 
 
 def test_correlation_vector_matches_dense_oracle(rng):
@@ -208,12 +211,12 @@ def test_correlation_vector_matches_dense_oracle(rng):
             oracles.append(correlation_vector(state, dense))
             products.append(product)
         for vec, oracle_vec, product in zip(vectors, oracles, products):
-            norm, oracle = np.linalg.norm(vec), np.linalg.norm(oracle_vec)
+            norm, oracle = vec.norm(), np.linalg.norm(oracle_vec)
             if norm == 0.0:  # more fields of one kind than modes: zero by particle number
                 assert oracle <= 1e-14 * product
             else:
                 assert abs(norm - oracle) <= 1e-12 * oracle
-        inner, oracle = np.vdot(*vectors), np.vdot(*oracles)
+        inner, oracle = vectors[0].vdot(vectors[1]), np.vdot(*oracles)
         assert abs(inner - oracle) <= 1e-12 * max(np.prod([np.linalg.norm(v) for v in oracles]),
                                                  1e-14 * np.prod(products))
 
@@ -226,9 +229,9 @@ def test_correlation_vector_continuous_in_tube(rng):
     z0 = 0.2
     v0 = tube_chain(fock, logp, 1.0, [(z0, op)])
     v1 = tube_chain(fock, logp, 1.0, [(z0 + 1e-6, op)])
-    assert abs(np.linalg.norm(v0) - np.linalg.norm(v1)) <= 1e-4
+    assert abs(v0.norm() - v1.norm()) <= 1e-4
     v2 = tube_chain(fock, logp, 1.0, [(z0 + 1e-6j, op)])
-    assert np.max(np.abs(v0 - v2)) <= 1e-4
+    assert np.max(np.abs(v0.rows - v2.rows)) <= 1e-4
 
 
 def test_schatten_norm_values(rng):
@@ -264,10 +267,10 @@ def test_hs_inner_conventions(rng):
         return tube_chain(fock, logp, 1.0, [(0.0, (V.conj().T @ psi, False))])
 
     A, B = vec(p1), vec(p2)
-    assert_allclose(np.vdot(A, B), np.trace(A.conj().T @ B), rtol=1e-13)
-    assert_allclose(np.vdot(A, B), np.vdot(p2, symbol @ p1), rtol=1e-12)
+    assert_allclose(A.vdot(B), np.trace(dense_chain(A).conj().T @ dense_chain(B)), rtol=1e-13)
+    assert_allclose(A.vdot(B), np.vdot(p2, symbol @ p1), rtol=1e-12)
     # a(psi) is antilinear, so <a(c p1) eta, B> = c <a(p1) eta, B>
-    assert_allclose(np.vdot(vec((2.0 + 1j) * p1), B), (2.0 + 1j) * np.vdot(A, B), rtol=1e-13)
+    assert_allclose(vec((2.0 + 1j) * p1).vdot(B), (2.0 + 1j) * A.vdot(B), rtol=1e-13)
 
 
 def test_representation_two_point_free():
@@ -313,6 +316,31 @@ def test_representation_at_ten_modes(rng):
     for form in ("inner", "trace"):
         assert abs(determinant_representation(inst, eta=3.0, form=form) - direct) \
             <= 1e-8 * abs(direct)
+
+
+@pytest.mark.parametrize("d, m", [(6, 2), (4, 3)])
+def test_representation_at_twelve_modes(monkeypatch, rng, d, m):
+    monkeypatch.setenv("FERMICOV_FOCK_CAP", "12")
+    inst = random_instance(rng, d=d, m=m, N=2, n=4)
+    while abs(covariance_det(inst)) < 1e-6 or np.linalg.matrix_rank(inst.M) != m:
+        inst = random_instance(rng, d=d, m=m, N=2, n=4)
+    direct = covariance_det(inst)
+    for form in ("inner", "trace"):
+        assert abs(determinant_representation(inst, eta=3.0, form=form) - direct) \
+            <= 1e-8 * abs(direct)
+
+
+def test_representation_memory_at_ten_modes(rng):
+    # one dense 2^10 x 2^10 complex array takes 16 MiB; no chain may need one
+    inst = random_instance(rng, d=5, m=2, N=2, n=4)
+    tracemalloc.start()
+    try:
+        for form in ("inner", "trace"):
+            determinant_representation(inst, eta=3.0, form=form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_representation_energy_clamp(rng):
