@@ -28,9 +28,9 @@ perm[k] and perm[2N-1-l] (the slot that actually carries a(psi_{N+l})).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,30 +70,93 @@ def fock_cap() -> int:
 SMALL_FIELD = 4096
 
 
-class Shell(NamedTuple):
-    """The shell family F_t of chains of t fields, and the moves of one more field.
+def _top(modes: int, reach: int, parity: int) -> int:
+    """The largest set size at most `reach` of the given parity among `modes` modes, or -1."""
+    top = min(reach, modes)
+    return max(top - (top - parity) % 2, -1)
 
-    masks are the sets S of at most t modes with |S| = t mod 2, as sorted bit
-    masks (mode k in bit D-1-k); from t = D - 1 on they are all masks of that
-    parity.  moves[k, i] is the position of masks[i] ^ bit_k in F_(t+1).  The
-    D |F_t| pairs (pair_rows, pair_modes) are sorted by that destination, and
-    starts[j] is the first pair landing on row j of F_(t+1); every row of
-    F_(t+1) has one.
+
+@functools.cache
+def _weights(modes: int) -> np.ndarray:
+    """|S| for every mask S of `modes` modes."""
+    idx = np.arange(2**modes)
+    return sum((idx >> k) & 1 for k in range(modes))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, locked: every space of a mode count shares the cached tables."""
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _family(modes: int, reach: int, parity: int) -> np.ndarray:
+    weight = _weights(modes)
+    return _read_only(np.flatnonzero((weight <= reach) & (weight % 2 == parity)))
+
+
+@functools.cache
+def _hops(modes: int) -> tuple:
+    r = np.arange(2**modes)
+    bits = 1 << np.arange(modes - 1, -1, -1)
+    occupied = (r & bits[:, None]) != 0
+    signs = 1 - 2 * ((np.cumsum(occupied, axis=0) - occupied) % 2)
+    return tuple(map(_read_only, (r ^ bits[:, None], signs * ~occupied, signs * occupied)))
+
+
+class Shell(NamedTuple):
+    """The moves of one field from the family F = (reach, parity) to F' = (next reach, 1 - parity).
+
+    A family holds the sets S of at most `reach` modes with |S| = parity mod 2,
+    as sorted bit masks (mode k in bit D-1-k).  The field moves row S of F by
+    mode k to row S ^ bit_k of F'; pairs (S, k) whose destination lies outside
+    F' are dropped.  The kept pairs (pair_rows, pair_modes) are sorted by
+    destination, starts[j] is the first pair landing on row j of F', and
+    by_mode[k] holds the source rows of mode k's pairs (a full slice when
+    every row has one) and their destinations.  F' has `size` masks, of at
+    most `reach` modes.
     """
 
-    masks: np.ndarray
-    moves: np.ndarray
     pair_rows: np.ndarray
     pair_modes: np.ndarray
     starts: np.ndarray
+    by_mode: tuple
+    size: int
+    reach: int
+
+
+@functools.cache
+def _shell(modes: int, reach: int, parity: int, next_reach: int | None) -> Shell:
+    """The Shell out of the family (reach, parity) into (next_reach, 1 - parity).
+
+    reach must be the family's own largest set size (`_top`); next_reach may
+    be any bound, by default the whole family one field reaches.
+    """
+    wanted = reach + 1 if next_reach is None else min(next_reach, reach + 1)
+    if next_reach != (top := _top(modes, wanted, 1 - parity)):
+        return _shell(modes, reach, parity, top)  # one table per family pair
+    masks = _family(modes, reach, parity)
+    landing = _family(modes, next_reach, 1 - parity)
+    bits = 1 << np.arange(modes - 1, -1, -1)
+    moved = masks ^ bits[:, None]
+    mode_of, row_of = np.nonzero(_weights(modes)[moved] <= next_reach)
+    dest = np.searchsorted(landing, moved[mode_of, row_of])
+    order = np.argsort(dest, kind="stable")
+    cuts = np.searchsorted(mode_of, np.arange(1, modes))
+    by_mode = tuple(
+        (slice(None) if len(rows) == len(masks) else rows, to)
+        for rows, to in zip(np.split(row_of, cuts), np.split(dest, cuts))
+    )
+    return Shell(row_of[order], mode_of[order], np.flatnonzero(np.diff(dest[order], prepend=-1)),
+                 by_mode, len(landing), next_reach)
 
 
 class FockSpace:
     """Fermionic Fock space over D one-particle modes; total dimension 2^D.
 
     Mode k is bit D-1-k of an occupation pattern (mode 0 in the highest bit).
-    The tables of `FockChain` are built on first use; shell families are
-    cached per chain length.
+    Every construction checks D against `fock_cap`.  The tables of `FockChain`
+    are built on first use and shared by all spaces of the same mode count.
     """
 
     def __init__(self, modes: int):
@@ -102,12 +165,11 @@ class FockSpace:
             raise ValueError(f"mode count {modes} outside allowed range 1..{cap}")
         self.modes = modes
         self.dim = 2**modes
-        self._shells: dict = {}
 
     def __repr__(self):
         return f"FockSpace(modes={self.modes})"
 
-    @cached_property
+    @property
     def hops(self) -> tuple:
         """(flips, annihilate, create), each D x 2^D.
 
@@ -115,49 +177,39 @@ class FockSpace:
         Jordan-Wigner sign (-1)^(n_0 + ... + n_(k-1)) of pattern r where c_k,
         or c_k*, lands on r, and 0 elsewhere.
         """
-        r = np.arange(self.dim)
-        bits = 1 << np.arange(self.modes - 1, -1, -1)
-        occupied = (r & bits[:, None]) != 0
-        signs = 1 - 2 * ((np.cumsum(occupied, axis=0) - occupied) % 2)
-        return r ^ bits[:, None], signs * ~occupied, signs * occupied
+        return _hops(self.modes)
 
-    def shell(self, length: int) -> Shell:
-        """The shell family of a chain of `length` fields; see `Shell`."""
-        D = self.modes
-        t = length if length <= D else D - (length - D) % 2
-        if t not in self._shells:
-            idx = np.arange(self.dim)
-            weight = sum((idx >> k) & 1 for k in range(D))
-
-            def family(u):
-                return np.flatnonzero((weight <= u) & (weight % 2 == u % 2))
-
-            masks = family(t)
-            bits = 1 << np.arange(D - 1, -1, -1)
-            moves = np.searchsorted(family(t + 1), masks ^ bits[:, None])
-            order = np.argsort(moves, axis=None, kind="stable")
-            landing = moves.ravel()[order]
-            self._shells[t] = Shell(masks, moves, order % len(masks), order // len(masks),
-                                    np.flatnonzero(np.diff(landing, prepend=-1)))
-        return self._shells[t]
+    def family(self, reach: int, parity: int) -> np.ndarray:
+        """The sorted masks S with |S| <= reach and |S| = parity mod 2."""
+        return _family(self.modes, _top(self.modes, reach, parity), parity)
 
 
 class FockChain:
     """A Fock-space operator X made by t fields acting on a diagonal, in shell rows.
 
     Each field flips one mode, so entry X[r, c] can be nonzero only where
-    r ^ c lies in the shell family F_t (`FockSpace.shell`).  The chain keeps
-    rows[i, r] = X[r, r ^ masks[i]]: |F_t| rows of length 2^D in place of
-    2^D x 2^D entries (at D = 10, 1, 10, 46, 130, 256 rows for t = 0..4).
+    r ^ c is a set S of at most t modes with |S| = t mod 2.  The chain keeps
+    rows[i, r] = X[r, r ^ masks[i]] for the masks of its family, the sets of
+    at most `reach` such modes: |F| rows of length 2^D in place of
+    2^D x 2^D entries (at D = 10, 1, 10, 46, 130, 256 rows for t = 0..4 when
+    reach = t).  A read-out that needs only the rows with |S| <= target
+    after f more fields lets each field keep reach at most target + f
+    (`field`), since a field changes |S| by one.
     A field on mode k moves row S to row S ^ bit_k and maps the entries of
     each row as the Jordan-Wigner row map of c_k maps the rows of X; D^w
     scales entry (S, r) by p_r^w.
     """
 
-    def __init__(self, fock: FockSpace, length: int, rows: np.ndarray):
+    def __init__(self, fock: FockSpace, length: int, rows: np.ndarray, reach: int):
         self.fock = fock
         self.length = length
         self.rows = rows
+        self.reach = reach
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The masks S of the rows held, sorted."""
+        return self.fock.family(self.reach, self.length % 2)
 
     @classmethod
     def diagonal(cls, fock: FockSpace, values: np.ndarray) -> "FockChain":
@@ -166,13 +218,15 @@ class FockChain:
         if values.shape[0] != fock.dim:
             raise ValueError(f"diagonal of length {values.shape[0]} does not match "
                              f"dimension {fock.dim}")
-        return cls(fock, 0, values[None, :].copy())
+        return cls(fock, 0, values[None, :].copy(), 0)
 
-    def field(self, psi: np.ndarray, creator: bool = False) -> "FockChain":
+    def field(self, psi: np.ndarray, creator: bool = False, reach: int | None = None) -> "FockChain":
         """a(psi) X, or a+(psi) X with creator=True, as a chain one field longer.
 
-        c_k moves entry (.., n_k = 1, ..) of a row to (.., n_k = 0, ..) with the
-        sign (-1)^(n_0 + ... + n_(k-1)), and c_k* moves it back.
+        The new chain keeps the rows with |S| <= reach; by default every row
+        the field reaches.  c_k moves entry (.., n_k = 1, ..) of a row to
+        (.., n_k = 0, ..) with the sign (-1)^(n_0 + ... + n_(k-1)), and c_k*
+        moves it back.
         """
         fock = self.fock
         psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -181,20 +235,20 @@ class FockChain:
         flips, annihilate, create = fock.hops
         coeffs = psi if creator else np.conj(psi)
         hop = coeffs[:, None] * (create if creator else annihilate)
-        shell = fock.shell(self.length)
-        if len(shell.pair_rows) * fock.dim <= SMALL_FIELD:
+        shell = _shell(fock.modes, self.reach, self.length % 2, reach)
+        if 0 < len(shell.pair_rows) * fock.dim <= SMALL_FIELD:
             modes = shell.pair_modes
             moved = self.rows[shell.pair_rows[:, None], flips[modes]] * hop[modes]
-            return FockChain(fock, self.length + 1, np.add.reduceat(moved, shell.starts))
-        count = len(shell.starts)
+            return FockChain(fock, self.length + 1, np.add.reduceat(moved, shell.starts),
+                             shell.reach)
         src, dst = (0, 1) if creator else (1, 0)
-        out = np.zeros((count, fock.dim), dtype=complex)
+        out = np.zeros((shell.size, fock.dim), dtype=complex)
         for k in np.flatnonzero(coeffs):
-            block = self.rows.reshape(-1, 2**k, 2, fock.dim >> (k + 1))[:, :, src]
-            out.reshape(count, 2**k, 2, -1)[shell.moves[k], :, dst] += (
-                hop[k].reshape(2**k, 2, -1)[:, dst] * block
-            )
-        return FockChain(fock, self.length + 1, out)
+            rows, to = shell.by_mode[k]
+            halves = (2**k, 2, fock.dim >> (k + 1))
+            block = self.rows.reshape(-1, *halves)[rows, :, src]
+            out.reshape(shell.size, *halves)[to, :, dst] += hop[k].reshape(halves)[:, dst] * block
+        return FockChain(fock, self.length + 1, out, shell.reach)
 
     def scale(self, factors: np.ndarray) -> "FockChain":
         """diag(factors) X, in place: entry (S, r) times factors[r]."""
@@ -202,11 +256,11 @@ class FockChain:
         return self
 
     def trace(self) -> complex:
-        """Tr X, the sum of row S = 0; a chain of odd length has no such row."""
-        return complex(np.sum(self.rows[0])) if self.length % 2 == 0 else 0j
+        """Tr X, the sum of row S = 0; a chain of odd length or an empty family has none."""
+        return complex(np.sum(self.rows[0])) if self.length % 2 == 0 and len(self.rows) else 0j
 
     def norm(self) -> float:
-        """The Hilbert-Schmidt norm (Tr X* X)^(1/2)."""
+        """The Hilbert-Schmidt norm (Tr X* X)^(1/2) of the rows held."""
         return float(np.linalg.norm(self.rows))
 
     def vdot(self, other: "FockChain") -> complex:
@@ -219,8 +273,10 @@ class FockChain:
             raise ValueError(f"chains on {self.fock.modes} and {other.fock.modes} modes")
         if (self.length - other.length) % 2:
             return 0j
-        mine, theirs = self.fock.shell(self.length).masks, other.fock.shell(other.length).masks
-        if len(mine) <= len(theirs):
+        mine, theirs = self.masks, other.masks
+        if len(mine) == len(theirs):
+            return complex(np.vdot(self.rows, other.rows))
+        if len(mine) < len(theirs):
             return complex(np.vdot(self.rows, other.rows[np.searchsorted(theirs, mine)]))
         return complex(np.vdot(self.rows[np.searchsorted(mine, theirs)], other.rows))
 
@@ -312,12 +368,14 @@ def expect_monomial(fock: FockSpace, logp: np.ndarray, spec: MonomialSpec) -> co
     rho is diagonal with log-weights logp in the occupation basis of the modes
     in which spec.vectors are written (see `quasifree_modes`).  The product
     acts on rho as row maps, last position first, so Tr(product rho) needs no
-    dense operator.
+    dense operator; with f fields still to apply a row can reach the trace's
+    row S = 0 only if |S| <= f, so no other row is kept.
     """
     X = FockChain.diagonal(fock, np.exp(logp))
-    for slot in sorted(range(len(spec.perm)), key=spec.perm.__getitem__, reverse=True):
+    slots = sorted(range(len(spec.perm)), key=spec.perm.__getitem__, reverse=True)
+    for done, slot in enumerate(slots, 1):
         vec_idx, is_creator = spec.slot_operator_index(slot)
-        X = X.field(spec.vectors[vec_idx], creator=is_creator)
+        X = X.field(spec.vectors[vec_idx], creator=is_creator, reach=len(slots) - done)
     return permutation_sign(spec.perm) * X.trace()
 
 

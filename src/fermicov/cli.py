@@ -47,6 +47,16 @@ from fermicov.verify import (
 
 SCHEMA_LINE = "# fermicov-schema v1"
 
+# Scalar flags whose domain is narrower than their type, by parameter name; `main`
+# checks them before any work, next to each subcommand's minimum counts.
+DOMAINS = {
+    "beta": (lambda v: v > 0, "positive"),
+    "eta": (lambda v: v > 0, "positive"),
+    "n": (lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2"),
+    "epsilon": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "t": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
 
 class ConfigError(Exception):
     pass
@@ -531,8 +541,10 @@ def main(argv: list | None = None) -> int:
         for key, value in vars(args).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"parameter {key} is not finite: {value}")
-        if getattr(args, "eta", None) is not None and args.eta <= 0:
-            raise ConfigError(f"parameter eta must be positive: {args.eta}")
+        for key, (valid, what) in DOMAINS.items():
+            value = getattr(args, key, None)
+            if value is not None and not valid(value):
+                raise ConfigError(f"parameter {key} must be {what}: {value}")
         for key, low in getattr(args, "minima", {}).items():  # counts that run a check
             if getattr(args, key) < low:
                 raise ConfigError(f"parameter {key} must be at least {low}: {getattr(args, key)}")

@@ -83,28 +83,34 @@ def schatten_norm(X: np.ndarray, s: float) -> float:
     return float(top * np.sum((sv / top) ** s) ** (1.0 / s))
 
 
-def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: complex) -> FockChain:
+def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: complex,
+                      target: int | None = None) -> FockChain:
     """D^(w_1) x_1 D^(w_2) x_2 ... x_N D^tail for the diagonal state of log-weights logp.
 
     chain holds pairs (w_q, (psi_q, is_creator_q)) with psi_q in the state's
     eigenmode basis and w_q real or complex.  Applied right to left, each x_q
     is a field and each D^(w_q) a row scaling of the shell rows, so no dense
-    Fock operator is formed.
+    Fock operator is formed.  With a target, the result holds only the rows
+    with |S| <= target, and no field builds a row that cannot reach them.
     """
     X = FockChain.diagonal(fock, np.exp(logp * tail))
-    for w, (psi, is_creator) in reversed(chain):
-        X = X.field(psi, creator=is_creator).scale(np.exp(logp * w))
+    for left, (w, (psi, is_creator)) in reversed(list(enumerate(chain))):
+        reach = None if target is None else target + left
+        X = X.field(psi, creator=is_creator, reach=reach).scale(np.exp(logp * w))
     return X
 
 
-def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list) -> FockChain:
+def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list,
+               target: int | None = None) -> FockChain:
     """The correlation vector Delta^(z1/beta) x1 ... xN eta of a tube chain, as a FockChain.
 
     chain holds pairs (z_q, (psi_q, is_creator_q)): x_q is a+(psi_q) or
     a(psi_q) with psi_q in the eigenmode basis of the state of log-weights
     logp.  The z_q must satisfy Re z_q >= 0 and sum Re z_q <= beta/2 (to
     1e-12 slack).  Real exponents stay real, so a chain of real z pays for
-    no complex row scaling.
+    no complex row scaling.  A target keeps only the rows with |S| <= target
+    (see `FockChain`); without one the chain holds every row and its norm is
+    the Hilbert-Schmidt norm.
     """
     zs = np.array([z for z, _ in chain], dtype=complex)
     _check_tube(zs, beta / 2)
@@ -113,7 +119,7 @@ def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list) -> F
     if np.any(np.imag(zs)):
         w = w + 1j * np.imag(zs) / beta
         tail = tail - 1j * float(np.sum(np.imag(zs))) / beta
-    return _eigenbasis_chain(fock, logp, list(zip(w, (x for _, x in chain))), tail)
+    return _eigenbasis_chain(fock, logp, list(zip(w, (x for _, x in chain))), tail, target)
 
 
 def determinant_representation(
@@ -172,7 +178,7 @@ def determinant_representation(
         dressed = sqrt_chi * (S.vectors.conj().T @ phi)
         if order.alpha_tilde[q] % 2 == 1:
             dressed = signs * dressed  # involution: only the parity acts
-        ops.append((np.kron(dressed, qs.coords[j]), q < N))
+        ops.append((np.outer(dressed, qs.coords[j]).ravel(), q < N))  # dressed (x) coords_j
 
     n = torus.n
     tilde = order.alpha_tilde
@@ -182,7 +188,7 @@ def determinant_representation(
         lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
         chain = [(lead, ops[placed[0]])]
         chain += [(order.xi[u - 1], ops[placed[u]]) for u in range(1, 2 * N)]
-        return order.rep_sign * _eigenbasis_chain(fock, logp, chain, 0.0).trace()
+        return order.rep_sign * _eigenbasis_chain(fock, logp, chain, 0.0, target=0).trace()
 
     def adjoint(op):
         return op[0], not op[1]
@@ -203,6 +209,7 @@ def determinant_representation(
         for u in range(p + 1, 2 * N):
             right_chain.append((beta * order.xi[u - 1], ops[placed[u]]))
 
-    left = tube_chain(fock, logp, beta, left_chain)
-    right = tube_chain(fock, logp, beta, right_chain)
+    target = min(len(left_chain), len(right_chain))  # the masks both half chains reach
+    left = tube_chain(fock, logp, beta, left_chain, target)
+    right = tube_chain(fock, logp, beta, right_chain, target)
     return order.rep_sign * left.vdot(right)

@@ -105,7 +105,7 @@ def dense_chain(chain) -> np.ndarray:
     """The 2^D x 2^D matrix X of a FockChain: X[r, r ^ S] = rows[S, r]."""
     X = np.zeros((chain.fock.dim,) * 2, dtype=complex)
     r = np.arange(chain.fock.dim)
-    for mask, row in zip(chain.fock.shell(chain.length).masks, chain.rows):
+    for mask, row in zip(chain.masks, chain.rows):
         X[r, r ^ mask] = row
     return X
 

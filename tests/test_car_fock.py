@@ -56,6 +56,19 @@ def test_fock_cap_env(monkeypatch):
     assert fock_cap() == 10
 
 
+def test_fock_tables_shared_and_cap_checked(monkeypatch):
+    monkeypatch.delenv("FERMICOV_FOCK_CAP", raising=False)
+    first, second = FockSpace(10), FockSpace(10)
+    assert first.hops is second.hops
+    assert first.family(3, 1) is second.family(4, 1)  # one table per (mode count, family)
+    with pytest.raises(ValueError):  # shared, so read-only
+        first.hops[0][0, 0] = 1
+    # the tables are warm, but every construction still checks the cap
+    monkeypatch.setenv("FERMICOV_FOCK_CAP", "4")
+    with pytest.raises(ValueError):
+        FockSpace(10)
+
+
 def test_jordan_wigner_single_mode():
     (c,) = jordan_wigner(1)
     assert_allclose(c, [[0.0, 1.0], [0.0, 0.0]])
@@ -109,13 +122,26 @@ def test_quasifree_log_weights_match_expm_oracle():
     assert_allclose(np.exp(logp), [0.0, 1.0, 0.0, 0.0], atol=1e-200)  # only mode 1 filled
 
 
-def test_shell_families():
+def test_shell_families(rng):
     fock = FockSpace(10)
-    assert [len(fock.shell(t).masks) for t in range(5)] == [1, 10, 46, 130, 256]
+    assert [len(fock.family(t, t % 2)) for t in range(5)] == [1, 10, 46, 130, 256]
+    # pruned to a read-out target: a 4-field trace chain and the right half of a 1|3 split
+    psi = rng.normal(size=10) + 1j * rng.normal(size=10)
+    X = FockChain.diagonal(fock, np.ones(fock.dim))
+    counts = [len(X.rows)]
+    for left in (3, 2, 1, 0):
+        X = X.field(psi, creator=left % 2 == 0, reach=0 + left)
+        counts.append(len(X.rows))
+    assert counts == [1, 10, 46, 10, 1]
+    X, counts = FockChain.diagonal(fock, np.ones(fock.dim)), []
+    for left in (2, 1, 0):
+        X = X.field(psi, reach=1 + left)
+        counts.append(len(X.rows))
+    assert counts == [10, 46, 10]
     for D in range(1, 7):
         fock = FockSpace(D)
         for t in range(9):
-            masks = fock.shell(t).masks
+            masks = fock.family(t, t % 2)
             weights = [bin(int(m)).count("1") for m in masks]
             assert all(w <= t and w % 2 == t % 2 for w in weights)
             assert len(masks) == sum(comb(D, w) for w in range(t % 2, min(t, D) + 1, 2))
@@ -141,7 +167,7 @@ def test_fock_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
             X = X.field(psi, creator=is_creator).scale(np.exp(logp * w))
             dense = np.exp(logp * w)[:, None] * apply_field(psi, dense, creator=is_creator)
             scale = max(np.max(np.abs(dense)), 1e-300)
-            assert X.length == t and len(X.rows) == len(fock.shell(t).masks)
+            assert X.length == t and (X.masks == fock.family(t, t % 2)).all()
             assert np.max(np.abs(dense_chain(X) - dense)) <= 1e-13 * scale, (D, t)
             assert abs(X.trace() - np.trace(dense)) <= 1e-13 * 2**D * scale
             if t % 2:
@@ -155,6 +181,55 @@ def test_fock_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
                 bound = np.linalg.norm(denses[i]) * np.linalg.norm(denses[j])
                 assert abs(chains[i].vdot(chains[j]) - expected) <= 1e-13 * bound
                 assert abs(chains[j].vdot(chains[i]) - np.conj(expected)) <= 1e-13 * bound
+
+
+@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0, 10**9])
+def test_pruned_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
+    # chains that keep only the rows a read-out target can still reach after the fields
+    # left (reach target + left), against the dense row maps on every kept row; target 0
+    # is the trace form, min(len L, len R) the inner form of two half chains
+    monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
+    for D in range(1, 7):
+        fock = FockSpace(D)
+        logp = quasifree_log_weights(rng.normal(size=D), float(rng.uniform(0.5, 2.0)))
+        r = np.arange(fock.dim)
+        weight = np.array([bin(int(m)).count("1") for m in r])
+
+        def build(fields, target):
+            start = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+            X, dense = FockChain.diagonal(fock, start), np.diag(start)
+            for t in range(1, fields + 1):
+                psi = rng.normal(size=D) + 1j * rng.normal(size=D)
+                is_creator = bool(rng.uniform() < 0.5)
+                w = float(rng.uniform(0, 0.5)) + (1j * float(rng.normal()) if t % 3 == 0 else 0.0)
+                reach = min(t, target + fields - t)
+                X = X.field(psi, creator=is_creator, reach=target + fields - t)
+                X.scale(np.exp(logp * w))
+                dense = np.exp(logp * w)[:, None] * apply_field(psi, dense, creator=is_creator)
+                expected = [m for m in r if weight[m] <= reach and weight[m] % 2 == t % 2]
+                assert X.length == t and list(X.masks) == expected, (D, t, target)
+                kept = np.isin(r[:, None] ^ r[None, :], X.masks)
+                scale = max(np.max(np.abs(dense)), 1e-300)
+                assert np.max(np.abs(dense_chain(X) - dense * kept), initial=0.0) \
+                    <= 1e-13 * scale, (D, t, target)
+            return X, dense
+
+        for fields in (1, 2, 3, 5, 8):
+            X, dense = build(fields, 0)
+            scale = max(np.max(np.abs(dense)), 1e-300)
+            assert abs(X.trace() - np.trace(dense)) <= 1e-13 * 2**D * scale
+        for p, q in ((1, 1), (1, 3), (2, 2), (3, 5), (4, 4)):
+            target = min(p, q)
+            (L, dense_l), (R, dense_r) = build(p, target), build(q, target)
+            expected = np.vdot(dense_l, dense_r)
+            bound = np.linalg.norm(dense_l) * np.linalg.norm(dense_r)
+            assert abs(L.vdot(R) - expected) <= 1e-13 * bound, (D, p, q)
+        # unbalanced monomials vanish exactly, whether or not their trace row is kept
+        _, logp, _ = quasifree_modes(random_h(rng, D), beta=1.0)
+        for n1, n2 in [(1, 0), (0, 2), (2, 1), (1, 3), (3, 1), (4, 0)]:
+            spec = MonomialSpec(n1=n1, n2=n2, vectors=random_vectors(rng, D, n1 + n2),
+                                perm=tuple(rng.permutation(n1 + n2)))
+            assert expect_monomial(fock, logp, spec) == 0.0, (D, n1, n2)
 
 
 def test_annihilator_antilinear(rng):

@@ -101,6 +101,23 @@ def test_non_finite_parameters_exit_2(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_scalar_domains_exit_2(tmp_path, capsys):
+    # usage errors, reported before any work, not failed verifications
+    cases = [
+        ("kernel", "--n", "3"),
+        ("decay", "--n", "0"),
+        ("kernel", "--beta", "-1"),
+        ("sharpness", "--epsilon", "0"),
+        ("sharpness", "--beta", "-1"),
+        ("bk-matrix", "--t", "-1"),
+        ("universal", "--beta", "0", "--count", "2"),
+    ]
+    for sub, flag, *rest in cases:
+        assert run(tmp_path, sub, flag, *rest, "--out", "x.csv") == 2
+        assert f"parameter {flag[2:]} must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_modes_above_fock_cap_exit_2(tmp_path, monkeypatch):
     # checked before any work: a random state need not draw the largest mode count
     for seed in ("1", "2", "3", "4", "5"):

@@ -343,6 +343,22 @@ def test_representation_memory_at_ten_modes(rng):
     assert peak < 16 * 2**20
 
 
+def test_trace_form_memory_at_twelve_modes(monkeypatch, rng):
+    # the trace form keeps only the rows that can still reach row 0, so at D = 12 it stays
+    # within the D = 10 bound; a last field that built every row would need about 66 MiB
+    monkeypatch.setenv("FERMICOV_FOCK_CAP", "12")
+    inst = random_instance(rng, d=6, m=2, N=2, n=4)
+    while np.linalg.matrix_rank(inst.M) != 2:
+        inst = random_instance(rng, d=6, m=2, N=2, n=4)
+    tracemalloc.start()
+    try:
+        determinant_representation(inst, eta=3.0, form="trace")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_representation_energy_clamp(rng):
     # an eigenvalue pinned on n/beta gets the rate eta, here past OVERFLOW_LOG / beta
     torus = DiscreteTorus(beta=1.0, n=4)
