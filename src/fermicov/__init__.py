@@ -9,22 +9,13 @@ Every analytic formula is cross-checked against an independent brute-force
 oracle (dense linear solves, explicit Fock-space traces; see tests/oracles.py).
 """
 
-from fermicov.torus import (
-    APFunction,
-    DiscreteTorus,
-    convolve,
-    delta_ap,
-    discrete_derivative,
-    embed_vector,
-)
+from fermicov.torus import DiscreteTorus, delta_ap
 from fermicov.spectral import (
     CutoffSpec,
     HermitianMatrix,
     SpectralData,
-    apply_scalar_function,
     bernoulli_euler_rate,
     eig_hermitian,
-    sign_power,
 )
 from fermicov.covariance import (
     BoundInstance,
@@ -55,7 +46,6 @@ from fermicov.verify import (
     BoundReport,
     SharpnessReport,
     bound_check_suite,
-    build_ordering_permutation,
     sharpness_sweep,
     universal_bound_estimate,
 )

@@ -55,6 +55,8 @@ DOMAINS = {
     "n": (lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2"),
     "epsilon": (lambda v: 0 < v < 1, "in (0, 1)"),
     "t": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "scale_max": (lambda v: v > 0, "positive"),
+    "chi_width": (lambda v: v > 0, "positive"),
 }
 
 
@@ -115,13 +117,14 @@ def _stage_totals(reports) -> dict:
 
 
 def _parse_cutoff(kind: str, a: float, b: float, center: float, width: float) -> CutoffSpec:
-    if kind == "one":
-        return CutoffSpec.one()
-    if kind == "indicator":
-        return CutoffSpec.indicator(a, b)
-    if kind == "gaussian":
-        return CutoffSpec.gaussian(center, width)
-    raise ConfigError(f"unknown cutoff kind {kind!r}")
+    try:
+        if kind == "indicator":
+            return CutoffSpec.indicator(a, b)
+        if kind == "gaussian":
+            return CutoffSpec.gaussian(center, width)
+        return CutoffSpec(kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_list(args, key: str, kind, valid, what: str) -> tuple:
@@ -139,17 +142,26 @@ def _parse_list(args, key: str, kind, valid, what: str) -> tuple:
 
 def _parse_diag(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        diag = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
         raise ConfigError(f"could not parse diagonal {text!r}: {exc}")
+    if diag.size == 0 or not np.all(np.isfinite(diag)):
+        raise ConfigError(f"--H-diag must be a comma-separated list of finite numbers: {text!r}")
+    return diag
+
+
+def _lam(text: str):
+    """A --lam value: 'singular' (for n/beta) or a float."""
+    return text if text == "singular" else float(text)
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_kernel(args) -> int:
+    t0 = time.perf_counter()
     torus = DiscreteTorus(beta=args.beta, n=args.n)
-    lam = torus.rate if args.lam == "singular" else float(args.lam)
+    lam = torus.rate if args.lam == "singular" else args.lam
     ker = kernel_g(lam, torus, eta=args.eta)
     rows = [(i, torus.alpha(i), ker.values[i]) for i in range(torus.size)]
     write_csv(args.out, ["index", "alpha", "g"], rows)
@@ -157,18 +169,9 @@ def cmd_kernel(args) -> int:
     tol = 1e-9 * torus.rate
     finite_eta_singular = args.eta is not None and bool(rate_terms(lam, torus)[0])
     ok = residual <= tol or finite_eta_singular
-    write_summary(
-        args.summary,
-        {
-            "suite": "kernel",
-            "count": torus.size,
-            "failures": [] if ok else [0],
-            "min_slack": tol - residual,
-            "wall_time_s": 0.0,
-            "lam": lam,
-            "residual": residual,
-        },
-    )
+    summary = _summary("kernel", torus.size, [] if ok else [0], tol - residual, t0)
+    summary.update({"lam": lam, "residual": residual})
+    write_summary(args.summary, summary)
     print(f"kernel lam={lam:g} residual={residual:.3e} ({'ok' if ok else 'FAIL'})")
     return 0 if ok else 1
 
@@ -313,7 +316,10 @@ def cmd_bk_matrix(args) -> int:
                 weights.append(float(w))
             except ValueError:
                 raise ConfigError(f"bad edge token {tok!r}; expected 'u-v:w'")
-        graph = TreeGraph(m=args.m, edges=tuple(edges), weights=np.array(weights))
+        try:
+            graph = TreeGraph(m=args.m, edges=tuple(edges), weights=np.array(weights))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     else:
         graph = random_tree(args.m, np.random.default_rng(args.seed))
     M = bk_matrix(graph, args.t)
@@ -423,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("kernel", help="tabulate a covariance kernel")
     s.add_argument("--beta", type=float, default=1.0)
     s.add_argument("--n", type=int, default=8)
-    s.add_argument("--lam", default="0.0", help="float or 'singular' for n/beta")
+    s.add_argument("--lam", type=_lam, default="0.0", help="float or 'singular' for n/beta")
     s.add_argument("--eta", type=float, default=None)
     _add_common(s, "kernel.csv")
     s.set_defaults(func=cmd_kernel)

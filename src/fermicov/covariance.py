@@ -25,7 +25,7 @@ from fermicov.spectral import (
     eig_hermitian,
     rate_terms,
 )
-from fermicov.torus import APFunction, DiscreteTorus, delta_ap, derivative_matrix
+from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
 
 __all__ = [
     "KernelEval",
@@ -89,14 +89,11 @@ class KernelEval:
     eta: float | None
     values: np.ndarray = field(repr=False)
 
-    def as_apfunction(self) -> APFunction:
-        return APFunction.from_half(self.torus, self.values[: self.torus.n])
-
     def residual(self) -> float:
         """max_alpha |del g + lam g + 2 delta_ap| for the defining equation."""
         g = self.values
         dg = self.torus.rate * (np.roll(g, -1) - g)
-        r = dg + self.lam * g + 2.0 * delta_ap(self.torus).values[:, 0].real
+        r = dg + self.lam * g + 2.0 * delta_ap(self.torus)
         return float(np.max(np.abs(r)))
 
 

@@ -64,14 +64,13 @@ class TreeGraph:
     """An undirected weighted graph on vertices 0..m-1.
 
     Edges carry weights in [0, 1].  Despite the name, general graphs are
-    accepted; acyclicity is only checked when require_tree is set, since the
-    interpolation matrix is defined for arbitrary edge sets.
+    accepted, since the interpolation matrix is defined for arbitrary edge
+    sets.
     """
 
     m: int
     edges: tuple
     weights: np.ndarray = field(repr=False)
-    require_tree: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
@@ -83,15 +82,6 @@ class TreeGraph:
                 raise ValueError(f"bad edge ({u}, {v}) on {self.m} vertices")
         if np.any((self.weights < 0) | (self.weights > 1)):
             raise ValueError("edge weights must lie in [0, 1]")
-        if self.require_tree:
-            if len(self.edges) != self.m - 1 or not self._connected():
-                raise ValueError("graph is not a spanning tree")
-
-    def _connected(self) -> bool:
-        uf = _UnionFind(self.m)
-        for u, v in self.edges:
-            uf.union(u, v)
-        return uf.components == 1
 
 
 class _UnionFind:
@@ -99,7 +89,6 @@ class _UnionFind:
 
     def __init__(self, size: int):
         self.parent = list(range(size))
-        self.components = size
 
     def find(self, x: int) -> int:
         root = x
@@ -110,10 +99,7 @@ class _UnionFind:
         return root
 
     def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.components -= 1
+        self.parent[self.find(b)] = self.find(a)
 
 
 def bk_matrix(g: TreeGraph, t: float) -> np.ndarray:

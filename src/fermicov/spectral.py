@@ -1,16 +1,15 @@
-"""Hermitian eigendecomposition and scalar function calculus.
+"""Hermitian eigendecomposition and the scalar functions evaluated on it.
 
 One-particle Hamiltonians are finite Hermitian matrices; unbounded operators
 are emulated by letting eigenvalues take arbitrary magnitudes, which is what
-the universality sweeps exercise.  Everything downstream (cutoffs, sign
-powers, imaginary-time exponentials, the Bernoulli-Euler rate) is evaluated
-through one deterministic eigendecomposition.
+the universality sweeps exercise.  Everything downstream (cutoffs, signs,
+imaginary-time exponentials, the Bernoulli-Euler rate) is evaluated on the
+eigenvalues of one deterministic eigendecomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -24,10 +23,7 @@ __all__ = [
     "bernoulli_euler_rate",
     "rate_terms",
     "singular_rate_band",
-    "apply_scalar_function",
-    "matrix_function",
     "sign_values",
-    "sign_power",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -44,6 +40,8 @@ class HermitianMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        if not np.isfinite(defect):  # a nan or inf entry makes the defect nan or inf
+            raise ValueError("matrix has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
         if defect > HERMITICITY_TOL * scale:
             raise ValueError(f"matrix is not Hermitian: max |A - A*| = {defect:g}")
@@ -132,33 +130,9 @@ def bernoulli_euler_rate(lam, torus: DiscreteTorus, eta: float):
     return rates if rates.ndim else float(rates)
 
 
-def apply_scalar_function(
-    f: Callable[[np.ndarray], np.ndarray], S: SpectralData, x: np.ndarray
-) -> np.ndarray:
-    """Evaluate f(H) x through the eigenbasis: sum_j f(lam_j) v_j <v_j, x>."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.shape[0] != S.dim:
-        raise ValueError(f"vector length {x.shape[0]} does not match dim {S.dim}")
-    coeffs = S.vectors.conj().T @ x
-    return S.vectors @ (np.asarray(f(S.values), dtype=complex) * coeffs)
-
-
-def matrix_function(f: Callable[[np.ndarray], np.ndarray], S: SpectralData) -> np.ndarray:
-    """Dense U f(lam) U*; the independent reassembly used as oracle."""
-    return (S.vectors * np.asarray(f(S.values), dtype=complex)) @ S.vectors.conj().T
-
-
 def sign_values(S: SpectralData, torus: DiscreteTorus) -> np.ndarray:
     """Eigenvalues of the unitary involution sgn(1 - (beta/n) H), with sgn(0) = +1."""
     return rate_terms(S.values, torus)[2]
-
-
-def sign_power(S: SpectralData, torus: DiscreteTorus, k: int, x: np.ndarray) -> np.ndarray:
-    """Apply sgn(1 - (beta/n) H)^k; the operator is an involution so only k mod 2 matters."""
-    if k % 2 == 0:
-        return np.asarray(x, dtype=complex).reshape(-1).copy()
-    signs = sign_values(S, torus)
-    return apply_scalar_function(lambda lam: signs, S, x)
 
 
 class CutoffSpec:

@@ -1,9 +1,10 @@
-"""Discrete torus and antiperiodic function space.
+"""Discrete imaginary-time torus, its antiperiodic delta and derivative.
 
 The time grid is T_n = {-beta + k*beta/n : k = 1..2n}, a discrete torus of
-length 2*beta with the identification -beta == beta.  Functions carry the
-fermionic boundary condition f(alpha + beta) = -f(alpha); the inner product
-weights every grid point by beta/n, with the first slot conjugated.
+length 2*beta with the identification -beta == beta.  Functions on it carry
+the fermionic boundary condition f(alpha + beta) = -f(alpha) and are plain
+arrays: all 2n values (kernel tables, the delta), or the n values on
+(-beta, 0] that the reduced derivative matrix acts on.
 
 All grid arithmetic is done on the integer label k (mod 2n), never on
 floating-point alpha values, so antiperiodicity and grid identities hold
@@ -13,20 +14,11 @@ and alpha = beta at i = 2n - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DiscreteTorus",
-    "APFunction",
-    "delta_ap",
-    "embed_vector",
-    "convolve",
-    "discrete_derivative",
-    "apply_fiber_operator",
-    "derivative_matrix",
-]
+__all__ = ["DiscreteTorus", "delta_ap", "derivative_matrix"]
 
 
 @dataclass(frozen=True)
@@ -61,22 +53,6 @@ class DiscreteTorus:
         """Grid value at storage index i (wrapped mod 2n)."""
         return -self.beta + ((i % self.size) + 1) * self.beta / self.n
 
-    def alphas(self) -> np.ndarray:
-        """All 2n grid values, in storage order."""
-        return -self.beta + np.arange(1, self.size + 1) * (self.beta / self.n)
-
-    def index(self, alpha: float) -> int:
-        """Storage index of a grid value; raises if alpha is off-grid.
-
-        The tolerance is 1e-9 of a grid step, so CLI-supplied decimals snap
-        while genuinely off-grid values are rejected.
-        """
-        k = (alpha + self.beta) * self.n / self.beta
-        k_round = int(round(k))
-        if abs(k - k_round) > 1e-9:
-            raise ValueError(f"alpha={alpha} is not on the grid of {self}")
-        return (k_round - 1) % self.size
-
     def wrap(self, i: int) -> int:
         return i % self.size
 
@@ -94,124 +70,24 @@ class DiscreteTorus:
         return self.size - 1
 
 
-@dataclass
-class APFunction:
-    """Vector-valued antiperiodic function on the discrete torus.
+def delta_ap(torus: DiscreteTorus) -> np.ndarray:
+    """Discrete antiperiodic delta on all 2n grid points, as a real array.
 
-    values has shape (2n, dim); all 2n grid values are stored redundantly and
-    the relation values[i+n] == -values[i] is enforced to exact equality.
+    +n/(2 beta) at alpha = 0, -n/(2 beta) at alpha = beta, zero elsewhere.
     """
-
-    torus: DiscreteTorus
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 2 or self.values.shape[0] != self.torus.size:
-            raise ValueError(
-                f"values must have shape (2n, dim) = ({self.torus.size}, d), "
-                f"got {self.values.shape}"
-            )
-        flipped = -np.roll(self.values, -self.torus.n, axis=0)
-        if not np.array_equal(self.values, flipped):
-            raise ValueError("values are not exactly antiperiodic")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @classmethod
-    def from_half(cls, torus: DiscreteTorus, half: np.ndarray) -> "APFunction":
-        """Build from the n values on alpha in (-beta, 0], extended exactly."""
-        half = np.asarray(half, dtype=complex)
-        if half.ndim == 1:
-            half = half[:, np.newaxis]
-        if half.shape[0] != torus.n:
-            raise ValueError(f"expected {torus.n} half-grid values, got {half.shape}")
-        return cls(torus, np.concatenate([half, -half], axis=0))
-
-    def half(self) -> np.ndarray:
-        """The n values on alpha in (-beta, 0]."""
-        return self.values[: self.torus.n]
-
-    def at_index(self, i: int) -> np.ndarray:
-        return self.values[self.torus.wrap(i)]
-
-    def at_alpha(self, alpha: float) -> np.ndarray:
-        return self.values[self.torus.index(alpha)]
-
-    def inner(self, other: "APFunction") -> complex:
-        """<f1, f2> = (beta/n) * sum_alpha <f1(alpha), f2(alpha)>, first slot conjugated."""
-        _check_same_torus(self, other)
-        return complex(self.torus.step * np.vdot(self.values, other.values))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.torus.step) * np.linalg.norm(self.values))
+    values = np.zeros(torus.size)
+    values[torus.zero_index] = torus.rate / 2
+    values[torus.beta_index] = -torus.rate / 2
+    return values
 
 
-def _check_same_torus(f: APFunction, g: APFunction):
-    if f.torus != g.torus:
-        raise ValueError(f"torus mismatch: {f.torus} vs {g.torus}")
-
-
-def delta_ap(torus: DiscreteTorus) -> APFunction:
-    """Discrete antiperiodic delta: +n/(2 beta) at alpha=0, -n/(2 beta) at alpha=beta."""
-    values = np.zeros((torus.size, 1), dtype=complex)
-    values[torus.zero_index, 0] = torus.rate / 2
-    values[torus.beta_index, 0] = -torus.rate / 2
-    return APFunction(torus, values)
-
-
-def embed_vector(phi: np.ndarray, torus: DiscreteTorus) -> APFunction:
-    """View a fiber vector phi as the antiperiodic function delta_ap(.) * phi."""
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    delta = delta_ap(torus).values[:, 0]
-    return APFunction(torus, np.outer(delta, phi))
-
-
-def convolve(g: APFunction, f: APFunction) -> APFunction:
-    """(g * f)(alpha) = (beta/n) sum_tau g(alpha - tau) f(tau), f scalar-valued."""
-    _check_same_torus(g, f)
-    if f.dim != 1:
-        raise ValueError(f"second factor must be scalar-valued, got dim {f.dim}")
-    size, n = g.torus.size, g.torus.n
-    out = np.zeros_like(g.values)
-    fv = f.values[:, 0]
-    for a in range(size):
-        # index of alpha_a - alpha_t is (a - t + n - 1) mod 2n
-        idx = (a - np.arange(size) + n - 1) % size
-        out[a] = g.torus.step * (fv @ g.values[idx])
-    return APFunction(g.torus, _resymmetrize(out, n))
-
-
-def _resymmetrize(values: np.ndarray, n: int) -> np.ndarray:
-    # exact antiperiodic storage from the first half; float roundoff in the
-    # second half of an algebraically antiperiodic result is eliminated
-    return np.concatenate([values[:n], -values[:n]], axis=0)
-
-
-def discrete_derivative(f: APFunction) -> APFunction:
-    """Forward difference (del f)(alpha) = (n/beta)(f(alpha + beta/n) - f(alpha))."""
-    shifted = np.roll(f.values, -1, axis=0)
-    out = f.torus.rate * (shifted - f.values)
-    return APFunction(f.torus, _resymmetrize(out, f.torus.n))
-
-
-def apply_fiber_operator(A: np.ndarray, f: APFunction) -> APFunction:
-    """Apply a fiber operator pointwise: (A^ f)(alpha) = A f(alpha)."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape != (f.dim, f.dim):
-        raise ValueError(f"operator shape {A.shape} does not match fiber dim {f.dim}")
-    return APFunction(f.torus, f.values @ A.T)
-
-
-def derivative_matrix(torus: DiscreteTorus, dim: int = 1) -> np.ndarray:
+def derivative_matrix(torus: DiscreteTorus) -> np.ndarray:
     """Dense matrix of the discrete derivative on the reduced representation.
 
-    Coordinates are the n values on alpha in (-beta, 0] (times the fiber),
-    with the antiperiodic seam f(beta/n) = -f(beta/n - beta) built in.  The
-    matrix is invertible for every n; its eigenvalues stay away from the
-    imaginary axis' zero (inf spec |Im del| > 0).
+    Coordinates are the n values on alpha in (-beta, 0], with the
+    antiperiodic seam f(beta/n) = -f(beta/n - beta) built in.  The matrix is
+    invertible for every n; its eigenvalues stay away from the imaginary
+    axis' zero (inf spec |Im del| > 0).
     """
     n, c = torus.n, torus.rate
     M = np.zeros((n, n))
@@ -220,6 +96,4 @@ def derivative_matrix(torus: DiscreteTorus, dim: int = 1) -> np.ndarray:
         M[i, i] -= c
     M[n - 1, 0] -= c
     M[n - 1, n - 1] -= c
-    if dim == 1:
-        return M
-    return np.kron(M, np.eye(dim))
+    return M

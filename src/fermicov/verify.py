@@ -25,7 +25,6 @@ from fermicov.torus import DiscreteTorus
 
 __all__ = [
     "OrderingData",
-    "build_ordering_permutation",
     "ordering_from_grid",
     "GeneratorConfig",
     "BoundReport",
@@ -37,6 +36,8 @@ __all__ = [
     "sharpness_sweep",
     "universal_bound_estimate",
 ]
+
+SLACK_TOL = 1e-10  # a check passes when bound - |det| >= -SLACK_TOL * max(1, bound)
 
 
 @dataclass(frozen=True)
@@ -102,25 +103,6 @@ def ordering_from_grid(a_units: list, N: int, n: int) -> OrderingData:
         xi=xi,
         split=split,
     )
-
-
-def build_ordering_permutation(alphas: list, N: int, torus: DiscreteTorus) -> OrderingData:
-    """Ordering permutation for 2N grid times in [0, beta).
-
-    The returned permutation places the points in nondecreasing time with
-    creator points (the first N) strictly before annihilator points of equal
-    time; remaining ties break by index order.  Both order conditions and the
-    nonnegativity of the increments hold exactly in grid-integer arithmetic.
-    """
-    if len(alphas) != 2 * N:
-        raise ValueError(f"expected {2 * N} alphas, got {len(alphas)}")
-    a_units = []
-    for alpha in alphas:
-        i = torus.index(alpha)
-        if not torus.zero_index <= i <= torus.size - 2:
-            raise ValueError(f"alpha {alpha} outside [0, beta)")
-        a_units.append(i - torus.zero_index)
-    return ordering_from_grid(a_units, N, torus.n)
 
 
 @dataclass
@@ -264,9 +246,7 @@ def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
     return BoundInstance._trusted(HermitianMatrix(H), torus, chi, M, points)
 
 
-def _check_one(
-    instance_id: int, seed: int, config: GeneratorConfig, slack_tol: float
-) -> BoundReport:
+def _check_one(instance_id: int, seed: int, config: GeneratorConfig) -> BoundReport:
     t0 = time.perf_counter()
     inst = random_instance(seed, config)
     t1 = time.perf_counter()
@@ -288,7 +268,7 @@ def _check_one(
         det=det,
         bound=bound,
         slack=slack,
-        passed=bool(slack >= -slack_tol * max(1.0, bound)),
+        passed=bool(slack >= -SLACK_TOL * max(1.0, bound)),
         generate_s=t1 - t0,
         eig_s=t2 - t1,
         det_s=t3 - t2,
@@ -296,18 +276,11 @@ def _check_one(
     )
 
 
-def bound_check_suite(
-    count: int,
-    config: GeneratorConfig | None = None,
-    seed: int = 0,
-    slack_tol: float = 1e-10,
-) -> list:
+def bound_check_suite(count: int, config: GeneratorConfig | None = None, seed: int = 0) -> list:
     """Run count seeded random determinant-bound checks; failures are reported,
     never raised.  Results come back ordered by instance id."""
     config = config or GeneratorConfig()
-    return [
-        _check_one(i, instance_seed(seed, i), config, slack_tol) for i in range(count)
-    ]
+    return [_check_one(i, instance_seed(seed, i), config) for i in range(count)]
 
 
 def _kernel_at_zero(lam: float, torus: DiscreteTorus) -> float:
@@ -318,20 +291,19 @@ def sharpness_sweep(
     epsilon: float,
     beta: float,
     N_list: tuple = (1, 2, 4, 8),
-    n_start: int = 4,
     n_cap: int = 8192,
 ) -> list:
     """Find (lam < 0, n) with kernel value at zero >= 1 - epsilon, then verify
     the closed-form determinant family against covariance_det.
 
     The kernel value g_lam(0) = 1/(x (1 + x^-n)) with x = 1 - beta lam / n is
-    unimodal in x > 1 with maximum at x = (n-1)^(1/n); n is doubled until the
-    maximum clears 1 - epsilon, then lam is found by bisection on the
-    monotone branch between 0 and the maximizer.
+    unimodal in x > 1 with maximum at x = (n-1)^(1/n); n is doubled from 4
+    until the maximum clears 1 - epsilon, then lam is found by bisection on
+    the monotone branch between 0 and the maximizer.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    n = n_start
+    n = 4
     torus = None
     lam_star = None
     while n <= n_cap:

@@ -16,7 +16,7 @@ import scipy.linalg
 from fermicov.car_fock import permutation_sign
 from fermicov.modular import OVERFLOW_LOG
 from fermicov.mspace import quotient_space
-from fermicov.spectral import bernoulli_euler_rate, eig_hermitian, matrix_function, sign_values
+from fermicov.spectral import SpectralData, bernoulli_euler_rate, eig_hermitian, sign_values
 from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
 from fermicov.verify import ordering_from_grid
 
@@ -28,7 +28,7 @@ def dense_solve_kernel(lam: float, torus: DiscreteTorus) -> np.ndarray:
     """
     n = torus.n
     A = derivative_matrix(torus) + lam * np.eye(n)
-    rhs = -2.0 * delta_ap(torus).values[:n, 0].real
+    rhs = -2.0 * delta_ap(torus)[:n]
     g_half = np.linalg.solve(A, rhs)
     return np.concatenate([g_half, -g_half])
 
@@ -50,11 +50,16 @@ def dense_inversion_entry(H, chi, phi1, phi2, alpha_index, torus) -> complex:
     d = H.shape[0]
     w, V = np.linalg.eigh(H)
     chi_phi1 = (V * chi(w)) @ V.conj().T @ np.asarray(phi1, dtype=complex)
-    delta = delta_ap(torus).values[:, 0]
+    delta = delta_ap(torus)
     rhs = np.outer(delta, chi_phi1).reshape(-1)
     A = full_redundant_operator(H, torus)
     u = np.linalg.solve(A, rhs).reshape(torus.size, d)
     return complex(np.vdot(np.asarray(phi2, dtype=complex), -2.0 * u[torus.wrap(alpha_index)]))
+
+
+def matrix_function(f, S: SpectralData) -> np.ndarray:
+    """Dense U f(lam) U* reassembled from an eigendecomposition."""
+    return (S.vectors * np.asarray(f(S.values), dtype=complex)) @ S.vectors.conj().T
 
 
 def expm_density(h: np.ndarray, beta: float, dgamma: np.ndarray) -> np.ndarray:
@@ -261,15 +266,15 @@ def fine_grid_bk(edges, weights, m: int, t: float, samples: int = 10_000) -> np.
     return out
 
 
-def ordering_brute_force(alphas, N: int, torus: DiscreteTorus):
+def ordering_brute_force(a, N: int):
     """All placement orders satisfying both order conditions, by exhaustion.
 
-    A placement (tuple of original indices) is valid when the shifted times
-    and the raw times are both nondecreasing along it.
+    a holds the 2N integer grid offsets of the points.  A placement (tuple of
+    original indices) is valid when the shifted times and the raw times are
+    both nondecreasing along it.
     """
     from itertools import permutations
 
-    a = [torus.index(al) - torus.zero_index for al in alphas]
     tilde = [v + (1 if q >= N else 0) for q, v in enumerate(a)]
     valid = []
     for perm in permutations(range(2 * N)):

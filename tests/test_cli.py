@@ -27,6 +27,9 @@ def test_kernel_singular_table(tmp_path):
     assert table[0.125] == -1.0
     assert table[0.125 - 1.0] == 1.0
     assert sum(1 for v in table.values() if v != 0.0) == 2
+    summary = json.loads((tmp_path / "k.json").read_text())
+    assert summary["suite"] == "kernel" and summary["lam"] == 8.0
+    assert summary["wall_time_s"] > 0.0
 
 
 def test_bound_check_deterministic_bytes(tmp_path):
@@ -98,6 +101,19 @@ def test_non_finite_parameters_exit_2(tmp_path):
     assert run(tmp_path, "modular-verify", "--chains", "-1", "--out", "m.csv") == 2
     assert run(tmp_path, "modular-verify", "--states", "0", "--pairs", "0",
                "--out", "m.csv") == 2
+    # non-finite, empty or non-numeric values, and domains checked by the library
+    assert run(tmp_path, "decay", "--H-diag", "1,nan", "--out", "d.csv") == 2
+    assert run(tmp_path, "decay", "--H-diag", "1,inf", "--out", "d.csv") == 2
+    assert run(tmp_path, "decay", "--H-diag", ",,", "--out", "d.csv") == 2
+    assert run(tmp_path, "kernel", "--lam", "nan", "--out", "k.csv") == 2
+    assert run(tmp_path, "kernel", "--lam", "abc", "--out", "k.csv") == 2
+    assert run(tmp_path, "bound-check", "--scale-max", "0", "--out", "b.csv") == 2
+    assert run(tmp_path, "bound-check", "--scale-max", "-1", "--out", "b.csv") == 2
+    assert run(tmp_path, "decay", "--chi", "gaussian", "--chi-width", "0",
+               "--out", "d.csv") == 2
+    assert run(tmp_path, "decay", "--chi", "indicator", "--chi-a", "1", "--chi-b", "-1",
+               "--out", "d.csv") == 2
+    assert run(tmp_path, "bk-matrix", "--m", "2", "--edges", "0-5:0.5", "--out", "bk.csv") == 2
     assert not list(tmp_path.glob("*.csv"))
 
 

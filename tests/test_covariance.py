@@ -25,9 +25,8 @@ from oracles import dense_inversion_entry, dense_solve_kernel
 def test_kernel_singular_closed_limit():
     torus = DiscreteTorus(beta=1.0, n=8)
     ker = kernel_g(torus.rate, torus)
-    h = torus.step
-    assert ker.values[torus.index(h)] == -1.0
-    assert ker.values[torus.index(h - 1.0)] == 1.0
+    assert ker.values[torus.zero_index + 1] == -1.0  # alpha = beta/n
+    assert ker.values[torus.zero_index + 1 - torus.n] == 1.0  # alpha = beta/n - beta
     assert np.count_nonzero(ker.values) == 2
     assert ker.residual() <= 1e-12 * torus.rate
 

@@ -52,8 +52,10 @@ def test_tree_validation():
     with pytest.raises(ValueError):
         TreeGraph(m=3, edges=((0, 3),), weights=np.array([0.5]))
     with pytest.raises(ValueError):
-        TreeGraph(m=3, edges=((0, 1),), weights=np.array([0.5]), require_tree=True)
-    TreeGraph(m=3, edges=((0, 1), (1, 2)), weights=np.array([0.5, 0.2]), require_tree=True)
+        TreeGraph(m=3, edges=((1, 1),), weights=np.array([0.5]))  # self-loop
+    with pytest.raises(ValueError):
+        TreeGraph(m=3, edges=((0, 1), (1, 2)), weights=np.array([0.5]))
+    TreeGraph(m=3, edges=((0, 1), (1, 2)), weights=np.array([0.5, 0.2]))
 
 
 def test_single_edge_closed_form_and_fine_grid():

@@ -1,24 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from fermicov.torus import (
-    APFunction,
-    DiscreteTorus,
-    apply_fiber_operator,
-    convolve,
-    delta_ap,
-    derivative_matrix,
-    discrete_derivative,
-    embed_vector,
-)
-from fermicov.covariance import kernel_g
+from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
 
-
-def random_ap(torus, dim, rng):
-    half = rng.normal(size=(torus.n, dim)) + 1j * rng.normal(size=(torus.n, dim))
-    return APFunction.from_half(torus, half)
+from oracles import full_redundant_operator
 
 
 def test_torus_validation():
@@ -32,27 +18,26 @@ def test_torus_validation():
 
 def test_grid_layout():
     torus = DiscreteTorus(beta=1.0, n=2)
-    assert_allclose(torus.alphas(), [-0.5, 0.0, 0.5, 1.0])
-    assert torus.index(0.0) == torus.zero_index == 1
-    assert torus.index(1.0) == torus.beta_index == 3
-    assert torus.index(-1.0) == 3  # -beta identified with beta
-    with pytest.raises(ValueError):
-        torus.index(0.3)
+    assert_allclose([torus.alpha(i) for i in range(torus.size)], [-0.5, 0.0, 0.5, 1.0])
+    assert torus.alpha(torus.zero_index) == 0.0 and torus.zero_index == 1
+    assert torus.alpha(torus.beta_index) == 1.0 and torus.beta_index == 3
+    assert torus.alpha(-1) == 1.0  # indices wrap mod 2n: -beta identified with beta
+    assert torus.index_diff(torus.zero_index, torus.beta_index) == torus.beta_index
 
 
 def test_delta_values_beta1_n2():
     torus = DiscreteTorus(beta=1.0, n=2)
     d = delta_ap(torus)
-    expected = {0.5: 0.0, 1.0: -1.0, -0.5: 0.0, 0.0: 1.0}
-    for alpha, value in expected.items():
-        assert d.at_alpha(alpha)[0] == value
+    assert d.shape == (torus.size,) and d.dtype == float
+    assert d.tolist() == [0.0, 1.0, 0.0, -1.0]  # alpha = -0.5, 0, 0.5, 1
 
 
 def test_delta_values_beta2_n4():
-    d = delta_ap(DiscreteTorus(beta=2.0, n=4))
-    assert d.at_alpha(0.0)[0] == 1.0
-    assert d.at_alpha(2.0)[0] == -1.0
-    nonzero = np.flatnonzero(d.values[:, 0])
+    torus = DiscreteTorus(beta=2.0, n=4)
+    d = delta_ap(torus)
+    assert d[torus.zero_index] == 1.0
+    assert d[torus.beta_index] == -1.0
+    nonzero = np.flatnonzero(d)
     assert len(nonzero) == 2
 
 
@@ -60,67 +45,26 @@ def test_delta_values_beta2_n4():
 def test_delta_self_inner(beta, n):
     torus = DiscreteTorus(beta=beta, n=n)
     d = delta_ap(torus)
-    assert_allclose(d.inner(d), n / beta / 2, rtol=1e-14)
-
-
-def test_convolve_delta_is_identity(rng):
-    for beta, n, dim in [(1.0, 4, 1), (0.7, 8, 3), (2.0, 2, 2)]:
-        torus = DiscreteTorus(beta=beta, n=n)
-        g = random_ap(torus, dim, rng)
-        out = convolve(g, delta_ap(torus))
-        err = np.max(np.abs(out.values - g.values)) / np.max(np.abs(g.values))
-        assert err <= 1e-13
-
-
-def test_convolve_against_double_sum(rng):
-    # piecewise-constant antiperiodic function convolved with itself
-    torus = DiscreteTorus(beta=1.5, n=6)
-    c = 0.8
-    f = APFunction.from_half(torus, np.full(torus.n, c))
-    out = convolve(f, f)
-    size = torus.size
-    for a in range(size):
-        direct = torus.step * sum(
-            f.values[(a - t + torus.n - 1) % size, 0] * f.values[t, 0]
-            for t in range(size)
-        )
-        assert_allclose(out.values[a, 0], direct, rtol=1e-13, atol=1e-14)
-
-
-def test_convolve_zero_and_mismatch(rng):
-    torus = DiscreteTorus(beta=1.0, n=4)
-    g = random_ap(torus, 2, rng)
-    zero = APFunction.from_half(torus, np.zeros(torus.n))
-    assert np.all(convolve(g, zero).values == 0)
-    with pytest.raises(ValueError):
-        convolve(g, random_ap(DiscreteTorus(beta=1.0, n=8), 1, rng))
-    with pytest.raises(ValueError):
-        convolve(g, random_ap(torus, 2, rng))  # second factor must be scalar
+    # <d, d> = (beta/n) sum_alpha |d(alpha)|^2
+    assert_allclose(torus.step * np.vdot(d, d), n / beta / 2, rtol=1e-14)
 
 
 def test_derivative_matches_matrix_form(rng):
+    # the reduced matrix is the redundant forward difference on antiperiodic vectors
     torus = DiscreteTorus(beta=1.3, n=8)
-    f = random_ap(torus, 2, rng)
-    out = discrete_derivative(f)
-    M = derivative_matrix(torus, dim=2)
-    flat = M @ f.half().reshape(-1)
-    assert_allclose(out.half().reshape(-1), flat, rtol=1e-13, atol=1e-13)
+    full = full_redundant_operator(np.zeros((1, 1)), torus)
+    half = rng.normal(size=torus.n) + 1j * rng.normal(size=torus.n)
+    df = full @ np.concatenate([half, -half])
+    assert_allclose(df[torus.n:], -df[: torus.n], rtol=1e-13, atol=1e-13)
+    assert_allclose(derivative_matrix(torus) @ half, df[: torus.n], rtol=1e-13, atol=1e-13)
 
 
 def test_derivative_of_piecewise_constant():
     torus = DiscreteTorus(beta=1.0, n=8)
-    f = APFunction.from_half(torus, np.full(torus.n, 0.7))
-    df = discrete_derivative(f)
-    # jumps only at the two seam points alpha = 0 and alpha = beta
-    nonzero = set(np.flatnonzero(np.abs(df.values[:, 0]) > 1e-14))
-    assert nonzero == {torus.zero_index, torus.beta_index}
-
-
-def test_derivative_of_lambda0_kernel_is_minus_two_delta():
-    torus = DiscreteTorus(beta=1.0, n=8)
-    g0 = kernel_g(0.0, torus).as_apfunction()
-    df = discrete_derivative(g0)
-    assert_allclose(df.values, -2.0 * delta_ap(torus).values, atol=1e-13)
+    df = derivative_matrix(torus) @ np.full(torus.n, 0.7)
+    # on (-beta, 0] the only jump is at the seam alpha = 0
+    nonzero = set(np.flatnonzero(np.abs(df) > 1e-14))
+    assert nonzero == {torus.zero_index}
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -131,64 +75,3 @@ def test_imaginary_part_of_derivative_bounded_below(n):
     gap = np.min(np.abs(np.linalg.eigvalsh(im)))
     assert gap > 0.5  # approaches pi/beta from above
     assert np.min(np.abs(np.linalg.svd(M, compute_uv=False))) > 0
-
-
-def test_embed_isometry_factor(rng):
-    for beta, n in [(1.0, 2), (0.4, 8), (2.5, 4)]:
-        torus = DiscreteTorus(beta=beta, n=n)
-        e1 = np.array([1.0, 0.0])
-        assert_allclose(embed_vector(e1, torus).inner(embed_vector(e1, torus)),
-                        n / beta / 2, rtol=1e-14)
-        phi1 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        phi2 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        lhs = embed_vector(phi1, torus).inner(embed_vector(phi2, torus))
-        rhs = (n / beta / 2) * np.vdot(phi1, phi2)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
-
-
-def test_embed_zero():
-    torus = DiscreteTorus(beta=1.0, n=4)
-    assert np.all(embed_vector(np.zeros(2), torus).values == 0)
-
-
-def test_inner_conjugates_first_slot(rng):
-    torus = DiscreteTorus(beta=1.0, n=4)
-    f = random_ap(torus, 2, rng)
-    g = random_ap(torus, 2, rng)
-    c = 0.3 + 1.7j
-    scaled = APFunction(torus, c * f.values)
-    assert_allclose(scaled.inner(g), np.conj(c) * f.inner(g), rtol=1e-14)
-    assert_allclose(f.inner(APFunction(torus, c * g.values)), c * f.inner(g), rtol=1e-14)
-
-
-def test_fiber_operator_commutes_with_derivative(rng):
-    torus = DiscreteTorus(beta=0.9, n=6)
-    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    A = (A + A.conj().T) / 2
-    f = random_ap(torus, 3, rng)
-    left = discrete_derivative(apply_fiber_operator(A, f))
-    right = apply_fiber_operator(A, discrete_derivative(f))
-    diff = APFunction(torus, left.values - right.values)
-    assert diff.norm() <= 1e-12 * f.norm()
-
-
-@given(
-    n=st.sampled_from([2, 4, 6]),
-    dim=st.integers(1, 3),
-    seed=st.integers(0, 2**31),
-)
-def test_operations_preserve_exact_antiperiodicity(n, dim, seed):
-    torus = DiscreteTorus(beta=1.0, n=n)
-    local = np.random.default_rng(seed)
-    f = random_ap(torus, dim, local)
-    scalar = random_ap(torus, 1, local)
-    # APFunction __post_init__ re-validates exact antiperiodicity on every build
-    for result in (discrete_derivative(f), convolve(f, scalar)):
-        assert np.array_equal(result.values, -np.roll(result.values, -n, axis=0))
-
-
-def test_apfunction_rejects_broken_antiperiodicity():
-    torus = DiscreteTorus(beta=1.0, n=2)
-    values = np.ones((4, 1), dtype=complex)
-    with pytest.raises(ValueError):
-        APFunction(torus, values)

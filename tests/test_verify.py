@@ -9,7 +9,6 @@ from fermicov.verify import (
     GeneratorConfig,
     _pick,
     bound_check_suite,
-    build_ordering_permutation,
     instance_seed,
     ordering_from_grid,
     random_instance,
@@ -21,8 +20,7 @@ from oracles import ordering_brute_force
 
 
 def test_ordering_trivial_pair():
-    torus = DiscreteTorus(beta=1.0, n=4)
-    order = build_ordering_permutation([0.0, 0.0], 1, torus)
+    order = ordering_from_grid([0, 0], 1, 4)
     assert order.placement == (0, 1)
     assert order.pi == (0, 1)
     assert order.sign == 1
@@ -32,29 +30,26 @@ def test_ordering_trivial_pair():
 
 
 def test_ordering_reference_example():
-    torus = DiscreteTorus(beta=1.0, n=4)
-    alphas = [0.5, 0.0, 0.0, 0.5]
-    order = build_ordering_permutation(alphas, 2, torus)
+    a = [2, 0, 0, 2]  # alphas 0.5, 0, 0, 0.5 at beta = 1, n = 4
+    order = ordering_from_grid(a, 2, 4)
     assert order.placement == (1, 2, 0, 3)  # shifted times 0.5, 0, 0.25, 0.75
     assert order.sign == 1
     # the brute-force search over all 24 permutations finds exactly this one
-    valid = ordering_brute_force(alphas, 2, torus)
+    valid = ordering_brute_force(a, 2)
     assert valid == [(1, 2, 0, 3)]
 
 
 def test_ordering_tie_break_by_index():
-    torus = DiscreteTorus(beta=1.0, n=4)
-    order = build_ordering_permutation([0.25, 0.25, 0.5, 0.5], 2, torus)
+    order = ordering_from_grid([1, 1, 2, 2], 2, 4)
     assert order.placement == (0, 1, 2, 3)
 
 
 def test_ordering_satisfies_conditions_at_random(rng):
-    torus = DiscreteTorus(beta=2.0, n=8)
+    n = 8
     for _ in range(50):
         N = int(rng.integers(1, 4))
-        a = [int(rng.integers(0, torus.n)) for _ in range(2 * N)]
-        alphas = [v * torus.step for v in a]
-        order = build_ordering_permutation(alphas, N, torus)
+        a = [int(rng.integers(0, n)) for _ in range(2 * N)]
+        order = ordering_from_grid(a, N, n)
         tilde = order.alpha_tilde
         # both footnote conditions, re-inspected on the output
         for k in range(2 * N):
@@ -69,15 +64,14 @@ def test_ordering_satisfies_conditions_at_random(rng):
         total = sum(tilde[order.placement[u]] - tilde[order.placement[u - 1]]
                     for u in range(1, 2 * N))
         assert total == max(tilde) - min(tilde)  # exact integer telescoping
-        assert order.placement in ordering_brute_force(alphas, N, torus)
+        assert order.placement in ordering_brute_force(a, N)
 
 
 def test_ordering_rejects_bad_points():
-    torus = DiscreteTorus(beta=1.0, n=4)
     with pytest.raises(ValueError):
-        build_ordering_permutation([0.0, 0.3], 1, torus)  # off grid
+        ordering_from_grid([0, -1], 1, 4)  # alpha < 0
     with pytest.raises(ValueError):
-        build_ordering_permutation([0.0, 1.0], 1, torus)  # alpha = beta excluded
+        ordering_from_grid([0, 4], 1, 4)  # alpha = beta excluded
     with pytest.raises(ValueError):
         ordering_from_grid([0, 1, 2], 1, 4)
 
