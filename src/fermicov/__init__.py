@@ -31,7 +31,6 @@ from fermicov.mspace import QuotientSpace, TreeGraph, bk_matrix, quotient_space
 from fermicov.car_fock import (
     FockChain,
     FockSpace,
-    MonomialSpec,
     expect_monomial,
     quasifree_modes,
     wick_determinant,

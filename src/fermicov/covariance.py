@@ -246,7 +246,6 @@ class GramNormRow:
     cov_norm: float
     embed_norm: float
     gram_factor: float
-    resolvent_norms: np.ndarray
 
 
 def covariance_matrix_reduced(H: np.ndarray, torus: DiscreteTorus) -> np.ndarray:
@@ -275,13 +274,6 @@ def gram_norm_demo(H: HermitianMatrix, torus_list: list) -> tuple[list, bool]:
         C = covariance_matrix_reduced(H.matrix, torus)
         cov_norm = float(np.linalg.norm(C, 2))
         embed_norm = float(np.sqrt(torus.rate / 2.0))
-        dmat = derivative_matrix(torus).astype(complex)
-        res = np.array(
-            [
-                2.0 * np.linalg.norm(np.linalg.inv(dmat + lam * np.eye(torus.n)), 2)
-                for lam in S.values
-            ]
-        )
         rows.append(
             GramNormRow(
                 n=torus.n,
@@ -289,7 +281,6 @@ def gram_norm_demo(H: HermitianMatrix, torus_list: list) -> tuple[list, bool]:
                 cov_norm=cov_norm,
                 embed_norm=embed_norm,
                 gram_factor=float(np.sqrt(cov_norm) * embed_norm),
-                resolvent_norms=res,
             )
         )
     return rows, zero_mode

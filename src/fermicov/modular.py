@@ -188,7 +188,7 @@ def determinant_representation(
         lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
         chain = [(lead, ops[placed[0]])]
         chain += [(order.xi[u - 1], ops[placed[u]]) for u in range(1, 2 * N)]
-        return order.rep_sign * _eigenbasis_chain(fock, logp, chain, 0.0, target=0).trace()
+        return order.rep_sign * complex(_eigenbasis_chain(fock, logp, chain, 0.0, target=0).trace())
 
     def adjoint(op):
         return op[0], not op[1]

@@ -29,9 +29,6 @@ class QuotientSpace:
     rank: int
     coords: np.ndarray = field(repr=False)
 
-    def gram(self) -> np.ndarray:
-        return self.coords @ self.coords.conj().T
-
 
 def quotient_space(M: np.ndarray) -> QuotientSpace:
     """Factor a real PSD matrix M into e_k coordinates with Gram matrix M.

@@ -93,11 +93,11 @@ def ordering_from_grid(a_units: list, N: int, n: int) -> OrderingData:
     # canonical CAR tuple order: creators ascending, then annihilators descending
     slot_order = list(range(N)) + list(range(2 * N - 1, N - 1, -1))
     slot_of = {q: u for u, q in enumerate(slot_order)}
-    rep_sign = permutation_sign([slot_of[q] for q in placement])
+    sign, rep_sign = permutation_sign([pi, [slot_of[q] for q in placement]]).tolist()
     return OrderingData(
         placement=placement,
         pi=tuple(pi),
-        sign=permutation_sign(pi),
+        sign=sign,
         rep_sign=rep_sign,
         alpha_tilde=a_tilde,
         xi=xi,

@@ -13,7 +13,6 @@ from functools import lru_cache, reduce
 import numpy as np
 import scipy.linalg
 
-from fermicov.car_fock import permutation_sign
 from fermicov.modular import OVERFLOW_LOG
 from fermicov.mspace import quotient_space
 from fermicov.spectral import SpectralData, bernoulli_euler_rate, eig_hermitian, sign_values
@@ -163,15 +162,21 @@ def quasifree_density(h: np.ndarray, beta: float) -> QuasiFreeState:
     return QuasiFreeState(float(beta), (density + density.conj().T) / 2, U, logp)
 
 
-def dense_monomial(state: QuasiFreeState, spec) -> complex:
-    """sign(perm) * Tr(rho * product) of a MonomialSpec in the site modes."""
-    slot_at_position = sorted(range(len(spec.perm)), key=spec.perm.__getitem__)
+def dense_monomial(state: QuasiFreeState, vectors: list, perm: tuple, creators: int) -> complex:
+    """sign(perm) * Tr(rho * product) of a permuted monomial in the site modes.
+
+    Slot u < creators holds a+(vectors[u]), slot u >= creators holds
+    a(vectors[creators + n - 1 - u]); perm[u] is the position of slot u.
+    """
+    n = len(perm)
     prod = np.eye(state.density.shape[0], dtype=complex)
-    for slot in slot_at_position:
-        vec_idx, is_creator = spec.slot_operator_index(slot)
-        psi = spec.vectors[vec_idx]
-        prod = prod @ (creator(psi) if is_creator else annihilator(psi))
-    return permutation_sign(spec.perm) * complex(np.sum(state.density * prod.T))
+    for slot in sorted(range(n), key=perm.__getitem__):
+        if slot < creators:
+            prod = prod @ creator(vectors[slot])
+        else:
+            prod = prod @ annihilator(vectors[creators + n - 1 - slot])
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return (-1) ** inversions * complex(np.sum(state.density * prod.T))
 
 
 def correlation_vector(state: QuasiFreeState, chain: list) -> np.ndarray:

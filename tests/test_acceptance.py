@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fermicov.car_fock import (
-    FockSpace,
-    MonomialSpec,
-    expect_monomial,
-    quasifree_modes,
-    symbol_two_point,
-    wick_determinant,
-)
+from fermicov.car_fock import FockSpace, expect_monomial, quasifree_modes, wick_determinant
 from fermicov.covariance import (
     BoundInstance,
     covariance_det,
@@ -100,26 +93,23 @@ def test_criterion_03_generalized_wick_exhaustive():
             V, logp, symbol = quasifree_modes((A + A.conj().T) / 2, beta=1.0)
             vecs = [rng.normal(size=modes) + 1j * rng.normal(size=modes)
                     for _ in range(2 * N)]
-            draws.append((V, logp, symbol, vecs))
-        for perm in permutations(range(2 * N)):
-            for V, logp, symbol, vecs in draws:
-                direct = expect_monomial(
-                    fock, logp,
-                    MonomialSpec(n1=N, n2=N, vectors=[V.conj().T @ v for v in vecs], perm=perm),
-                )
-                det = wick_determinant(symbol_two_point(symbol, vecs), N, perm)
-                if abs(direct) > 1e-6:
-                    assert abs(direct - det) <= 1e-10 * abs(direct)
-                else:
-                    assert abs(direct - det) <= 1e-12
+            draws.append((logp, symbol, vecs, [V.conj().T @ v for v in vecs]))
+        logp, symbol, vecs, in_modes = map(np.array, zip(*draws))
+        # every permutation against every draw: one stack of (permutation, draw)
+        perms = np.array(list(permutations(range(2 * N))))[:, None, :]
+        direct = expect_monomial(fock, logp, in_modes, perms, N)
+        det = wick_determinant(symbol, vecs, perms)
+        assert direct.shape == det.shape == (len(perms), 10)
+        large = np.abs(direct) > 1e-6
+        assert np.all(np.abs(direct - det)[large] <= 1e-10 * np.abs(direct)[large])
+        assert np.all(np.abs(direct - det)[~large] <= 1e-12)
     # unbalanced monomials vanish
     V, logp, _ = quasifree_modes(np.diag([0.4, -1.0, 2.0, 0.1]), beta=1.0)
     for n1, n2 in [(1, 2), (2, 1), (3, 2), (1, 3), (2, 3), (3, 1)]:
         vecs = [V.conj().T @ (rng.normal(size=modes) + 1j * rng.normal(size=modes))
                 for _ in range(n1 + n2)]
         perm = tuple(rng.permutation(n1 + n2))
-        value = expect_monomial(fock, logp, MonomialSpec(n1=n1, n2=n2, vectors=vecs, perm=perm))
-        assert abs(value) <= 1e-12
+        assert abs(expect_monomial(fock, logp, vecs, perm, n1)) <= 1e-12
     budget.check()
 
 

@@ -8,13 +8,11 @@ from fermicov import car_fock
 from fermicov.car_fock import (
     FockChain,
     FockSpace,
-    MonomialSpec,
     expect_monomial,
     fock_cap,
     permutation_sign,
     quasifree_log_weights,
     quasifree_modes,
-    symbol_two_point,
     wick_determinant,
 )
 
@@ -227,9 +225,8 @@ def test_pruned_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
         # unbalanced monomials vanish exactly, whether or not their trace row is kept
         _, logp, _ = quasifree_modes(random_h(rng, D), beta=1.0)
         for n1, n2 in [(1, 0), (0, 2), (2, 1), (1, 3), (3, 1), (4, 0)]:
-            spec = MonomialSpec(n1=n1, n2=n2, vectors=random_vectors(rng, D, n1 + n2),
-                                perm=tuple(rng.permutation(n1 + n2)))
-            assert expect_monomial(fock, logp, spec) == 0.0, (D, n1, n2)
+            vecs, perm = random_vectors(rng, D, n1 + n2), rng.permutation(n1 + n2)
+            assert expect_monomial(fock, logp, vecs, perm, n1) == 0.0, (D, n1, n2)
 
 
 def test_annihilator_antilinear(rng):
@@ -314,8 +311,7 @@ def test_quasifree_symbol_invariant(rng):
 def test_quasifree_gauge_invariance(rng):
     V, logp, _ = quasifree_modes(random_h(rng, 3), beta=1.0)
     vecs = [V.conj().T @ p for p in random_vectors(rng, 3, 2)]
-    two_creators = MonomialSpec(n1=2, n2=0, vectors=vecs, perm=(0, 1))
-    assert abs(expect_monomial(FockSpace(3), logp, two_creators)) <= 1e-12
+    assert abs(expect_monomial(FockSpace(3), logp, vecs, (0, 1), 2)) <= 1e-12  # two creators
 
 
 def test_quasifree_density_survives_extreme_energies():
@@ -329,9 +325,8 @@ def test_quasifree_density_survives_extreme_energies():
 def test_expect_monomial_two_point(rng):
     V, logp, symbol = quasifree_modes(random_h(rng, 3), beta=1.0)
     p1, p2 = random_vectors(rng, 3, 2)
-    spec = MonomialSpec(n1=1, n2=1, vectors=[V.conj().T @ p1, V.conj().T @ p2], perm=(0, 1))
-    assert_allclose(expect_monomial(FockSpace(3), logp, spec), np.vdot(p2, symbol @ p1),
-                    rtol=1e-11, atol=1e-12)
+    value = expect_monomial(FockSpace(3), logp, [V.conj().T @ p1, V.conj().T @ p2], (0, 1), 1)
+    assert_allclose(value, np.vdot(p2, symbol @ p1), rtol=1e-11, atol=1e-12)
 
 
 def test_expect_monomial_unbalanced_vanishes(rng):
@@ -339,9 +334,7 @@ def test_expect_monomial_unbalanced_vanishes(rng):
     for n1, n2 in [(2, 1), (1, 2), (3, 1), (0, 2)]:
         vecs = random_vectors(rng, 4, n1 + n2)
         perm = tuple(rng.permutation(n1 + n2))
-        value = expect_monomial(FockSpace(4), logp,
-                                MonomialSpec(n1=n1, n2=n2, vectors=vecs, perm=perm))
-        assert abs(value) <= 1e-12
+        assert abs(expect_monomial(FockSpace(4), logp, vecs, perm, n1)) <= 1e-12
 
 
 def test_expect_monomial_matches_dense_oracle(rng):
@@ -355,11 +348,8 @@ def test_expect_monomial_matches_dense_oracle(rng):
         for n1, n2 in [(1, 1), (2, 2), (3, 3), (1, 0), (2, 1), (1, 3)]:
             vecs = random_vectors(rng, modes, n1 + n2)
             perm = tuple(rng.permutation(n1 + n2))
-            oracle = dense_monomial(state, MonomialSpec(n1=n1, n2=n2, vectors=vecs, perm=perm))
-            value = expect_monomial(
-                fock, logp,
-                MonomialSpec(n1=n1, n2=n2, vectors=[V.conj().T @ v for v in vecs], perm=perm),
-            )
+            oracle = dense_monomial(state, vecs, perm, n1)
+            value = expect_monomial(fock, logp, [V.conj().T @ v for v in vecs], perm, n1)
             if n1 != n2:
                 assert value == 0.0 and abs(oracle) <= 1e-12
             else:
@@ -369,13 +359,12 @@ def test_expect_monomial_matches_dense_oracle(rng):
 def test_wick_single_pair_conventions(rng):
     V, logp, symbol = quasifree_modes(random_h(rng, 2), beta=1.0)
     p1, p2 = random_vectors(rng, 2, 2)
-    tp = symbol_two_point(symbol, [p1, p2])
-    assert_allclose(wick_determinant(tp, 1, (0, 1)), np.vdot(p2, symbol @ p1), rtol=1e-12)
-    swapped = wick_determinant(tp, 1, (1, 0))
+    assert_allclose(wick_determinant(symbol, [p1, p2], (0, 1)), np.vdot(p2, symbol @ p1),
+                    rtol=1e-12)
+    swapped = wick_determinant(symbol, [p1, p2], (1, 0))
     expected = np.vdot(p2, symbol @ p1) - np.vdot(p2, p1)
     assert_allclose(swapped, expected, rtol=1e-12)
-    spec = MonomialSpec(n1=1, n2=1, vectors=[V.conj().T @ p1, V.conj().T @ p2], perm=(1, 0))
-    direct = expect_monomial(FockSpace(2), logp, spec)
+    direct = expect_monomial(FockSpace(2), logp, [V.conj().T @ p1, V.conj().T @ p2], (1, 0), 1)
     assert_allclose(swapped, direct, rtol=1e-11, atol=1e-12)
 
 
@@ -383,24 +372,60 @@ def test_wick_single_pair_conventions(rng):
 def test_wick_exhaustive_small(N, rng):
     V, logp, symbol = quasifree_modes(random_h(rng, 3), beta=1.0)
     fock = FockSpace(3)
-    for perm in permutations(range(2 * N)):
-        vecs = random_vectors(rng, 3, 2 * N)
-        spec = MonomialSpec(n1=N, n2=N, vectors=[V.conj().T @ v for v in vecs], perm=perm)
-        direct = expect_monomial(fock, logp, spec)
-        det = wick_determinant(symbol_two_point(symbol, vecs), N, perm)
-        assert abs(direct - det) <= 1e-10 * max(abs(direct), 1e-2)
+    perms = np.array(list(permutations(range(2 * N))))
+    vecs = np.array([random_vectors(rng, 3, 2 * N) for _ in perms])  # one draw per permutation
+    direct = expect_monomial(fock, logp, vecs @ V.conj(), perms, N)
+    det = wick_determinant(symbol, vecs, perms)
+    assert np.all(np.abs(direct - det) <= 1e-10 * np.maximum(np.abs(direct), 1e-2))
+
+
+@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0])  # gather, per-mode loop
+@pytest.mark.parametrize("modes", [3, 4])
+def test_stacked_wick_matches_stacks_of_one_bitwise(modes, small_field, rng, monkeypatch):
+    monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
+    fock = FockSpace(modes)
+    for N in (1, 2, 3):
+        perms = np.array(list(permutations(range(2 * N))))
+        perms = perms[rng.choice(len(perms), size=min(len(perms), 40), replace=False)]
+        kinds = np.argsort(perms, axis=-1) < N  # creator at each position
+        assert np.any(kinds.any(axis=0) & ~kinds.all(axis=0))  # some field mixes kinds
+        h = np.array([random_h(rng, modes) for _ in perms])
+        V, logp, symbol = quasifree_modes(h, beta=1.0)
+        vecs = np.array([random_vectors(rng, modes, 2 * N) for _ in perms])
+        in_modes = (V.conj().mT[:, None] @ vecs[..., None])[..., 0]
+        direct = expect_monomial(fock, logp, in_modes, perms, N)
+        det = wick_determinant(symbol, vecs, perms)
+        assert direct.shape == det.shape == (len(perms),)
+        for i, perm in enumerate(perms):
+            assert direct[i] == expect_monomial(fock, logp[i], in_modes[i], perm, N)
+            assert det[i] == wick_determinant(symbol[i], vecs[i], perm)
+    # one stacked eigh gives each state's bits
+    h = np.array([random_h(rng, modes) for _ in range(5)])
+    for stacked, single in zip(quasifree_modes(h, 1.0), zip(*(quasifree_modes(x, 1.0) for x in h))):
+        assert np.array_equal(stacked, np.array(single))
 
 
 def test_monomial_spec_validation(rng):
+    fock, logp = FockSpace(2), np.zeros(4)
+    with pytest.raises(ValueError):  # two slots, one vector
+        expect_monomial(fock, logp, [np.ones(2)], (0, 1), 1)
     with pytest.raises(ValueError):
-        MonomialSpec(n1=1, n2=1, vectors=[np.ones(2)], perm=(0, 1))
+        expect_monomial(fock, logp, [np.ones(2), np.ones(2)], (0, 0), 1)
+    with pytest.raises(ValueError):  # one stack entry of three is not a permutation
+        expect_monomial(fock, logp, np.ones((3, 2, 2)), [(0, 1), (1, 0), (1, 1)], 1)
     with pytest.raises(ValueError):
-        MonomialSpec(n1=1, n2=1, vectors=[np.ones(2), np.ones(2)], perm=(0, 0))
+        expect_monomial(fock, logp, [np.ones(2), np.ones(2)], (0, 1), 3)
     with pytest.raises(ValueError):
-        wick_determinant(lambda k, l, o: 0.0, 1, (0, 2))
+        wick_determinant(np.eye(2), [np.ones(2), np.ones(2)], (0, 2))
+    with pytest.raises(ValueError):  # an odd operator count has no Wick determinant
+        wick_determinant(np.eye(2), [np.ones(2)] * 3, (0, 1, 2))
 
 
 def test_permutation_sign():
     assert permutation_sign((0, 1, 2)) == 1
     assert permutation_sign((1, 0, 2)) == -1
     assert permutation_sign((2, 0, 1)) == 1
+    perms = list(permutations(range(4)))
+    expected = [(-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) for p in perms]
+    assert permutation_sign(perms).tolist() == expected
+    assert permutation_sign(()) == 1

@@ -202,6 +202,43 @@ def test_wick_and_modular_verify(tmp_path):
     assert summary["count"] == 210 and summary["failures"] == []
 
 
+@pytest.mark.parametrize("argv", [("--N-max", "3", "--modes", "4"),
+                                  ("--N-max", "2", "--modes", "7", "--draws", "2")])
+def test_wick_verify_block_budget_keeps_bytes(tmp_path, monkeypatch, argv):
+    # one permutation per block, the default blocks, and every permutation of an N
+    # in one block give the same CSV; at D = 7 the stacked fields take the per-mode loop
+    from fermicov import car_fock
+
+    csvs = []
+    for budget in (1, car_fock.BLOCK_ENTRIES, 10**9):
+        monkeypatch.setattr(car_fock, "BLOCK_ENTRIES", budget)
+        assert run(tmp_path, "wick-verify", *argv, "--seed", "3", "--out", "w.csv") == 0
+        csvs.append((tmp_path / "w.csv").read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+def test_wick_verify_rows_replay_one_draw_at_a_time(tmp_path):
+    # the stacked draws are the stream of one draw after another: A (real, then
+    # imaginary), then each of the 2N vectors (real, then imaginary)
+    from fermicov.car_fock import FockSpace, expect_monomial, quasifree_modes, wick_determinant
+
+    assert run(tmp_path, "wick-verify", "--N-max", "1", "--modes", "3", "--draws", "2",
+               "--seed", "5", "--out", "w.csv") == 0
+    rows = [line.split(",") for line in (tmp_path / "w.csv").read_text().splitlines()[2:]]
+    rng = np.random.default_rng(5)
+    for perm_id, perm in enumerate([(0, 1), (1, 0)]):
+        worst = 0.0
+        for _ in range(2):
+            A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            V, logp, symbol = quasifree_modes((A + A.conj().T) / 2, beta=1.0)
+            vecs = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2)]
+            in_modes = [V.conj().T @ v for v in vecs]
+            direct = complex(expect_monomial(FockSpace(3), logp, in_modes, perm, 1))
+            det = complex(wick_determinant(symbol, vecs, perm))
+            worst = max(worst, abs(direct - det) / max(abs(direct), 1e-12))
+        assert rows[perm_id][:3] == ["1", str(perm_id), f"{worst:.17g}"]
+
+
 def test_decay_snapshot(tmp_path):
     code = run(tmp_path, "decay", "--beta", "1.0", "--n", "8", "--H-diag", "0.0",
                "--out", "dec.csv")

@@ -16,7 +16,7 @@ from fermicov.covariance import (
     kernel_values_at,
 )
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
-from fermicov.torus import DiscreteTorus
+from fermicov.torus import DiscreteTorus, derivative_matrix
 from fermicov.verify import GeneratorConfig, instance_seed, random_instance
 
 from oracles import dense_inversion_entry, dense_solve_kernel
@@ -314,7 +314,10 @@ def test_gram_demo_resolvent_comparison():
     torus = DiscreteTorus(beta=1.0, n=16)
     rows, zero_mode = gram_norm_demo(H, [torus])
     assert zero_mode
-    res = rows[0].resolvent_norms
+    # ||C_H|| is the largest resolvent norm 2 ||(del + lam)^-1|| over the spectrum
+    dmat = derivative_matrix(torus).astype(complex)
+    res = np.array([2.0 * np.linalg.norm(np.linalg.inv(dmat + lam * np.eye(torus.n)), 2)
+                    for lam in eig_hermitian(H).values])
     assert res[0] > res[1]  # the zero mode dominates the norm
     assert_allclose(rows[0].cov_norm, res.max(), rtol=1e-10)
     C = covariance_matrix_reduced(H.matrix, torus)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,7 +27,6 @@ def test_hermitian_validation():
     assert H.dim == 2
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_hermitian_rejects_non_finite_entries(bad):
     for m in ([[1.0, 0.0], [0.0, bad]], [[1.0, bad], [bad, 1.0]], [[1.0, bad], [0.0, 1.0]]):
@@ -33,6 +34,14 @@ def test_hermitian_rejects_non_finite_entries(bad):
             HermitianMatrix(np.array(m))
     with pytest.raises(ValueError, match="non-finite"):
         eig_hermitian(np.diag([1.0, bad]))
+
+
+def test_hermitian_non_finite_fails_without_warning():
+    # finiteness is tested before m - m*, where inf - inf would warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianMatrix(np.diag([1.0, np.inf]))
 
 
 def test_eig_diagonal():
@@ -47,11 +56,22 @@ def test_eig_pauli_x():
 
 
 def test_eig_reconstruction(rng):
-    H = random_hermitian(rng, 5, 3.0)
-    S = eig_hermitian(H)
-    sym = (H + H.conj().T) / 2
-    assert np.max(np.abs(S.reconstruct() - sym)) <= 1e-10 * np.max(np.abs(sym))
-    assert np.max(np.abs(S.vectors.conj().T @ S.vectors - np.eye(5))) <= 1e-12
+    # U diag(values) U* = H to 1e-10 of max |H|, with eigenvalues up to 10^3 n/beta
+    cases = [random_hermitian(rng, 5, 3.0)]
+    for trial in range(200):
+        d = int(rng.integers(1, 9))
+        torus = DiscreteTorus(beta=float(rng.choice([0.5, 1.0, 2.0])), n=int(rng.choice([2, 4, 8])))
+        Q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        values = rng.uniform(-1e3, 1e3, size=d) * torus.rate
+        if trial % 2:
+            values[0] = torus.rate  # one eigenvalue pinned on n/beta
+        cases.append((Q * values) @ Q.conj().T)
+    for H in cases:
+        S = eig_hermitian(H)
+        sym = HermitianMatrix(H).matrix
+        rebuilt = (S.vectors * S.values) @ S.vectors.conj().T
+        assert np.max(np.abs(rebuilt - sym)) <= 1e-10 * np.max(np.abs(sym))
+        assert np.max(np.abs(S.vectors.conj().T @ S.vectors - np.eye(S.dim))) <= 1e-12
 
 
 def test_eig_deterministic_phase(rng):
