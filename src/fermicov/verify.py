@@ -7,6 +7,7 @@ instance-id order.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -45,18 +46,15 @@ class OrderingData:
     """Time-ordering of 2N covariance points for the modular representation.
 
     placement lists the original 0-based point indices in increasing shifted
-    time; pi is the inverse map (pi[q] = position of point q) whose inversion
-    count gives sign.  rep_sign is the parity of rearranging the canonical
-    CAR tuple (creators ascending, annihilators descending) into placement
-    order; it is the sign carried by the modular inner-product formula.  xi
-    holds the 2N-1 consecutive shifted-time increments divided by beta (all
-    >= 0, grid-exact), and split is the first position whose shifted time
-    reaches beta/2 (2N if none does).
+    time.  rep_sign is the parity of rearranging the canonical CAR tuple
+    (creators ascending, annihilators descending) into placement order; it
+    is the sign carried by the modular inner-product formula.  xi holds the
+    2N-1 consecutive shifted-time increments divided by beta (all >= 0,
+    grid-exact), and split is the first position whose shifted time reaches
+    beta/2 (2N if none does).
     """
 
     placement: tuple
-    pi: tuple
-    sign: int
     rep_sign: int
     alpha_tilde: tuple
     xi: tuple
@@ -78,9 +76,6 @@ def ordering_from_grid(a_units: list, N: int, n: int) -> OrderingData:
     placement = tuple(
         sorted(range(2 * N), key=lambda q: (a_tilde[q], a_units[q], q))
     )
-    pi = [0] * (2 * N)
-    for pos, q in enumerate(placement):
-        pi[q] = pos
     xi = tuple(
         (a_tilde[placement[u]] - a_tilde[placement[u - 1]]) / n
         for u in range(1, 2 * N)
@@ -90,19 +85,23 @@ def ordering_from_grid(a_units: list, N: int, n: int) -> OrderingData:
         if 2 * a_tilde[q] >= n:
             split = u
             break
-    # canonical CAR tuple order: creators ascending, then annihilators descending
-    slot_order = list(range(N)) + list(range(2 * N - 1, N - 1, -1))
-    slot_of = {q: u for u, q in enumerate(slot_order)}
-    sign, rep_sign = permutation_sign([pi, [slot_of[q] for q in placement]]).tolist()
     return OrderingData(
         placement=placement,
-        pi=tuple(pi),
-        sign=sign,
-        rep_sign=rep_sign,
+        rep_sign=_rep_sign(placement, N),
         alpha_tilde=a_tilde,
         xi=xi,
         split=split,
     )
+
+
+@functools.cache
+def _rep_sign(placement: tuple, N: int) -> int:
+    """The parity of placement in the slots of the canonical CAR tuple.
+
+    Creator q sits in slot q and annihilator q in slot 3N - 1 - q.  There are
+    (2N)! placements, so each parity is computed once.
+    """
+    return int(permutation_sign([q if q < N else 3 * N - 1 - q for q in placement]))
 
 
 @dataclass
