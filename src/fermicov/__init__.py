@@ -14,7 +14,6 @@ from fermicov.spectral import (
     CutoffSpec,
     HermitianMatrix,
     SpectralData,
-    bernoulli_euler_rate,
     eig_hermitian,
 )
 from fermicov.covariance import (

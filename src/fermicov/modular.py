@@ -28,7 +28,7 @@ import numpy as np
 from fermicov.car_fock import FockChain, FockSpace, quasifree_log_weights
 from fermicov.covariance import BoundInstance
 from fermicov.mspace import quotient_space
-from fermicov.spectral import bernoulli_euler_rate, eig_hermitian, sign_values
+from fermicov.spectral import eig_hermitian, rate_terms
 from fermicov.verify import OrderingData, ordering_from_grid
 
 __all__ = [
@@ -156,7 +156,7 @@ def determinant_representation(
     d, r = S.dim, qs.rank
     fock = FockSpace(d * r)  # raises if the cap is exceeded
 
-    rates = bernoulli_euler_rate(S.values, torus, eta)
+    _, rates, signs = rate_terms(S.values, torus, eta)  # signs do not depend on eta
     cap = OVERFLOW_LOG / beta
     if np.max(np.abs(rates)) > cap:
         warnings.warn(
@@ -172,7 +172,6 @@ def determinant_representation(
     order: OrderingData = ordering_from_grid(a_units, N, torus.n)
 
     sqrt_chi = np.sqrt(inst.chi(S.values))
-    signs = sign_values(S, torus)
     ops = []  # (psi in the eigenmode basis, is_creator); the adjoint flips the flag
     for q, (i_alpha, phi, j) in enumerate(inst.points):
         dressed = sqrt_chi * (S.vectors.conj().T @ phi)

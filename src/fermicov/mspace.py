@@ -77,7 +77,7 @@ class TreeGraph:
         for u, v in self.edges:
             if not (0 <= u < self.m and 0 <= v < self.m) or u == v:
                 raise ValueError(f"bad edge ({u}, {v}) on {self.m} vertices")
-        if np.any((self.weights < 0) | (self.weights > 1)):
+        if not np.all((self.weights >= 0) & (self.weights <= 1)):  # nan fails too
             raise ValueError("edge weights must lie in [0, 1]")
 
 

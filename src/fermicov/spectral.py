@@ -20,10 +20,8 @@ __all__ = [
     "SpectralData",
     "CutoffSpec",
     "eig_hermitian",
-    "bernoulli_euler_rate",
     "rate_terms",
     "singular_rate_band",
-    "sign_values",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -104,21 +102,6 @@ def rate_terms(lams, torus: DiscreteTorus, eta: float = 1.0) -> tuple:
         singular, float(eta), -rate * np.log(np.maximum(np.abs(ratio), 1e-300))
     )
     return singular, log_rate, np.where(ratio >= 0.0, 1.0, -1.0)
-
-
-def bernoulli_euler_rate(lam, torus: DiscreteTorus, eta: float):
-    """Discrete log-rate whose exponential is the Bernoulli-Euler power.
-
-    -(n/beta) ln|1 - (beta/n) lam| off the singular band and eta on it (see
-    rate_terms); a scalar lam gives a float, an array of lam an array.
-    """
-    rates = rate_terms(lam, torus, eta)[1]
-    return rates if rates.ndim else float(rates)
-
-
-def sign_values(S: SpectralData, torus: DiscreteTorus) -> np.ndarray:
-    """Eigenvalues of the unitary involution sgn(1 - (beta/n) H), with sgn(0) = +1."""
-    return rate_terms(S.values, torus)[2]
 
 
 class CutoffSpec:

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from fermicov.modular import OVERFLOW_LOG
 from fermicov.mspace import quotient_space
-from fermicov.spectral import SpectralData, bernoulli_euler_rate, eig_hermitian, sign_values
+from fermicov.spectral import SpectralData, eig_hermitian
 from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
 from fermicov.verify import ordering_from_grid
 
@@ -211,13 +211,18 @@ def dense_representation(inst, eta: float, form: str = "inner") -> complex:
     S = eig_hermitian(inst.H)
     qs = quotient_space(inst.M)
     cap = OVERFLOW_LOG / beta
-    rates = np.clip(bernoulli_euler_rate(S.values, torus, eta), -cap, cap)
+    # -(n/beta) ln|1 - (beta/n) lam|, eta within 1e-12 n/beta of the singular n/beta
+    ratio = 1.0 - S.values / torus.rate
+    with np.errstate(divide="ignore"):
+        log_rates = -torus.rate * np.log(np.abs(ratio))
+    singular = np.abs(S.values - torus.rate) <= 1e-12 * torus.rate
+    rates = np.clip(np.where(singular, eta, log_rates), -cap, cap)
     h = np.kron(matrix_function(lambda lam: rates, S), np.eye(qs.rank))
     state = quasifree_density(h, beta)
 
     order = ordering_from_grid([i - torus.zero_index for i, _, _ in inst.points], N, n)
     sqrt_chi = np.sqrt(inst.chi(S.values))
-    signs = sign_values(S, torus)
+    signs = np.where(ratio >= 0.0, 1.0, -1.0)  # sgn(1 - (beta/n) lam), sgn(0) = +1
     ops = []
     for q, (_, phi, j) in enumerate(inst.points):
         dressed = sqrt_chi * (S.vectors.conj().T @ np.asarray(phi, dtype=complex))

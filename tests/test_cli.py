@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fermicov.cli import main
+from fermicov.verify import bound_check_suite
 
 
 def run(tmp_path, *argv):
@@ -76,6 +77,9 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert code == 0
     rows = [ln.split(",") for ln in (tmp_path / "e.csv").read_text().splitlines()[2:]]
     assert len(rows) == 8 and all(row[4] == "1" for row in rows)  # column N
+    # an abbreviation of --config applies the file too
+    assert run(tmp_path, "--conf", "exp.ini", "bound-check", "--out", "f.csv") == 0
+    assert len((tmp_path / "f.csv").read_text().splitlines()[2:]) == 12
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -83,6 +87,13 @@ def test_config_errors_exit_2(tmp_path):
     (tmp_path / "bad.ini").write_text("[bound-check]\nnot_a_flag = 3\n")
     assert run(tmp_path, "--config", "bad.ini", "bound-check") == 2
     assert run(tmp_path, "no-such-subcommand") == 2
+    # INI values pass through the flags' own types
+    (tmp_path / "neg.ini").write_text("[bound-check]\ncount = 2\nseed = -1\n")
+    assert run(tmp_path, "--config", "neg.ini", "bound-check") == 2
+    # --config goes before the subcommand
+    (tmp_path / "ok.ini").write_text("[bound-check]\ncount = 2\n")
+    assert run(tmp_path, "bound-check", "--config", "ok.ini") == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_non_finite_parameters_exit_2(tmp_path):
@@ -114,6 +125,7 @@ def test_non_finite_parameters_exit_2(tmp_path):
     assert run(tmp_path, "decay", "--chi", "indicator", "--chi-a", "1", "--chi-b", "-1",
                "--out", "d.csv") == 2
     assert run(tmp_path, "bk-matrix", "--m", "2", "--edges", "0-5:0.5", "--out", "bk.csv") == 2
+    assert run(tmp_path, "bk-matrix", "--m", "3", "--edges", "0-1:nan", "--out", "bk.csv") == 2
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -127,10 +139,17 @@ def test_scalar_domains_exit_2(tmp_path, capsys):
         ("sharpness", "--beta", "-1"),
         ("bk-matrix", "--t", "-1"),
         ("universal", "--beta", "0", "--count", "2"),
+        # a seed is a non-negative integer on every subcommand
+        ("wick-verify", "--seed", "-1"),
+        ("modular-verify", "--seed", "-1"),
+        ("bk-matrix", "--seed", "-1"),
+        ("bound-check", "--seed", "-1", "--count", "2"),
+        ("universal", "--seed", "-1", "--count", "2"),
+        ("kernel", "--seed", "0.5"),
     ]
     for sub, flag, *rest in cases:
         assert run(tmp_path, sub, flag, *rest, "--out", "x.csv") == 2
-        assert f"parameter {flag[2:]} must be" in capsys.readouterr().err
+        assert f"argument {flag}: must be" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -200,6 +219,9 @@ def test_wick_and_modular_verify(tmp_path):
     assert run(tmp_path, "modular-verify", "--out", "d.csv") == 0
     summary = json.loads((tmp_path / "d.json").read_text())
     assert summary["count"] == 210 and summary["failures"] == []
+    # on one mode, orders with a+ a+ or a a vanish exactly: an absolute tolerance there
+    assert run(tmp_path, "wick-verify", "--modes", "1", "--N-max", "2", "--seed", "5",
+               "--out", "w1.csv") == 0
 
 
 @pytest.mark.parametrize("argv", [("--N-max", "3", "--modes", "4"),
@@ -237,6 +259,37 @@ def test_wick_verify_rows_replay_one_draw_at_a_time(tmp_path):
             det = complex(wick_determinant(symbol, vecs, perm))
             worst = max(worst, abs(direct - det) / max(abs(direct), 1e-12))
         assert rows[perm_id][:3] == ["1", str(perm_id), f"{worst:.17g}"]
+
+
+def test_universal_lists_violating_seeds(tmp_path, monkeypatch):
+    from fermicov import cli
+
+    failed = []
+
+    def suite(count, config, seed):
+        reports = bound_check_suite(count, config, seed=seed)
+        reports[1].passed = False
+        failed.append(reports[1].seed)
+        return reports
+
+    monkeypatch.setattr(cli, "bound_check_suite", suite)
+    assert run(tmp_path, "universal", "--count", "3", "--epsilon-list", "0.1",
+               "--out", "u.csv") == 1
+    summary = json.loads((tmp_path / "u.json").read_text())
+    assert summary["violations"] == 1
+    assert len(failed) == 1 and summary["failures"] == failed
+
+
+def test_memory_error_exits_1(tmp_path, monkeypatch, capsys):
+    from fermicov import cli
+
+    def suite(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5 EiB")
+
+    monkeypatch.setattr(cli, "bound_check_suite", suite)
+    assert run(tmp_path, "bound-check", "--count", "2", "--out", "b.csv") == 1
+    assert "error: Unable to allocate" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_decay_snapshot(tmp_path):

@@ -52,8 +52,9 @@ def test_quotient_rejects_bad_input():
 
 
 def test_tree_validation():
-    with pytest.raises(ValueError):
-        TreeGraph(m=3, edges=((0, 1),), weights=np.array([1.5]))
+    for weight in (1.5, -0.1, np.nan):  # nan compares false both ways
+        with pytest.raises(ValueError):
+            TreeGraph(m=3, edges=((0, 1),), weights=np.array([weight]))
     with pytest.raises(ValueError):
         TreeGraph(m=3, edges=((0, 3),), weights=np.array([0.5]))
     with pytest.raises(ValueError):

@@ -7,10 +7,8 @@ from numpy.testing import assert_allclose
 from fermicov.spectral import (
     CutoffSpec,
     HermitianMatrix,
-    bernoulli_euler_rate,
     eig_hermitian,
     rate_terms,
-    sign_values,
 )
 from fermicov.torus import DiscreteTorus
 
@@ -88,15 +86,15 @@ def test_eig_deterministic_phase(rng):
 
 def test_rate_at_zero_and_singular():
     torus = DiscreteTorus(beta=1.0, n=8)
-    assert bernoulli_euler_rate(0.0, torus, eta=5.0) == 0.0
-    assert bernoulli_euler_rate(torus.rate, torus, eta=7.0) == 7.0
+    assert rate_terms(0.0, torus, eta=5.0)[1] == 0.0
+    assert rate_terms(torus.rate, torus, eta=7.0)[1] == 7.0
     with pytest.raises(ValueError):
-        bernoulli_euler_rate(1.0, torus, eta=0.0)
+        rate_terms(1.0, torus, eta=0.0)
 
 
 def test_rate_convergence_to_identity():
     torus = DiscreteTorus(beta=1.0, n=64)
-    val = bernoulli_euler_rate(1.0, torus, eta=1.0)
+    val = rate_terms(1.0, torus, eta=1.0)[1]
     assert_allclose(val, -64.0 * np.log(1.0 - 1.0 / 64.0), rtol=1e-15)
     assert abs(val - 1.0) <= 2.0 / 64.0  # O(1/n) defect
 
@@ -104,9 +102,8 @@ def test_rate_convergence_to_identity():
 def test_rate_array_matches_scalar():
     torus = DiscreteTorus(beta=0.7, n=8)
     lams = np.array([-30.0, 0.0, 0.3, torus.rate, 2.0 * torus.rate, 1e3 * torus.rate])
-    rates = bernoulli_euler_rate(lams, torus, eta=2.5)
-    assert rates.tolist() == [bernoulli_euler_rate(lam, torus, eta=2.5) for lam in lams]
-    singular, _, sign = rate_terms(lams, torus, eta=2.5)
+    singular, rates, sign = rate_terms(lams, torus, eta=2.5)
+    assert rates.tolist() == [float(rate_terms(lam, torus, eta=2.5)[1]) for lam in lams]
     assert singular.tolist() == [False, False, False, True, False, False]
     assert sign.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, -1.0]
 
@@ -116,7 +113,7 @@ def test_rate_exponential_identity(n):
     # exp(-+beta*rate(lam)) == (1 - beta lam / n)^(+-n) for even n
     torus = DiscreteTorus(beta=0.7, n=n)
     for lam in (-30.0, -1.0, 0.3, 2.0 * torus.rate, 5.0 * torus.rate):
-        rate = bernoulli_euler_rate(lam, torus, eta=1.0)
+        rate = rate_terms(lam, torus, eta=1.0)[1]
         target = (1.0 - lam / torus.rate) ** n
         assert_allclose(np.exp(-torus.beta * rate), target, rtol=1e-10)
 
@@ -124,18 +121,18 @@ def test_rate_exponential_identity(n):
 def test_sign_values_conventions():
     torus = DiscreteTorus(beta=1.0, n=4)
     below = eig_hermitian(np.diag([-7.0, 3.9]))  # both eigenvalues < n/beta
-    assert sign_values(below, torus).tolist() == [1.0, 1.0]
+    assert rate_terms(below.values, torus)[2].tolist() == [1.0, 1.0]
     above = eig_hermitian(np.diag([2.0 * torus.rate, 0.0]))  # ascending: 0, 2 n/beta
-    assert sign_values(above, torus).tolist() == [1.0, -1.0]
+    assert rate_terms(above.values, torus)[2].tolist() == [1.0, -1.0]
     at_singular = eig_hermitian(np.diag([torus.rate]))
-    assert sign_values(at_singular, torus)[0] == 1.0  # sgn(0) = +1
+    assert rate_terms(at_singular.values, torus)[2][0] == 1.0  # sgn(0) = +1
 
 
 def test_sign_is_involution(rng):
     # sgn(1 - (beta/n) H) squares to the identity: every eigenvalue is +-1
     torus = DiscreteTorus(beta=2.0, n=8)
     S = eig_hermitian(random_hermitian(rng, 4, 10.0))
-    assert set(sign_values(S, torus).tolist()) <= {-1.0, 1.0}
+    assert set(rate_terms(S.values, torus)[2].tolist()) <= {-1.0, 1.0}
 
 
 def test_cutoff_kinds():
