@@ -33,13 +33,12 @@ of shape ().
 from __future__ import annotations
 
 import functools
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "fock_cap",
+    "FOCK_CAP",
     "FockSpace",
     "FockChain",
     "quasifree_modes",
@@ -50,18 +49,7 @@ __all__ = [
     "permutation_sign",
 ]
 
-HARD_FOCK_CAP = 14
-DEFAULT_FOCK_CAP = 10
-
-
-def fock_cap() -> int:
-    """Current Fock dimension cap: FERMICOV_FOCK_CAP, clamped to the hard max 14."""
-    raw = os.environ.get("FERMICOV_FOCK_CAP", "")
-    try:
-        cap = int(raw) if raw else DEFAULT_FOCK_CAP
-    except ValueError:
-        raise ValueError(f"FERMICOV_FOCK_CAP must be an integer, got {raw!r}")
-    return max(1, min(cap, HARD_FOCK_CAP))
+FOCK_CAP = 14  # the largest mode count of any Fock space; no 2^D x 2^D array is formed
 
 
 # Below this many gathered entries a field is one vectorized gather over all
@@ -166,14 +154,13 @@ class FockSpace:
     """Fermionic Fock space over D one-particle modes; total dimension 2^D.
 
     Mode k is bit D-1-k of an occupation pattern (mode 0 in the highest bit).
-    Every construction checks D against `fock_cap`.  The tables of `FockChain`
+    Every construction checks D against `FOCK_CAP`.  The tables of `FockChain`
     are built on first use and shared by all spaces of the same mode count.
     """
 
     def __init__(self, modes: int):
-        cap = fock_cap()
-        if not 1 <= modes <= cap:
-            raise ValueError(f"mode count {modes} outside allowed range 1..{cap}")
+        if not 1 <= modes <= FOCK_CAP:
+            raise ValueError(f"mode count {modes} outside allowed range 1..{FOCK_CAP}")
         self.modes = modes
         self.dim = 2**modes
 

@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from fermicov.car_fock import (
+    FOCK_CAP,
     FockSpace,
     expect_monomial,
-    fock_cap,
     monomial_block,
     quasifree_modes,
     wick_determinant,
@@ -47,6 +47,10 @@ from fermicov.verify import (
 )
 
 SCHEMA_LINE = "# fermicov-schema v1"
+
+# modular-verify flows X on a principal block of at most this many occupation
+# patterns; Delta^z acts entry by entry, so the block's flow is the flow's block
+FLOW_BLOCK = 64
 
 
 class ConfigError(Exception):
@@ -116,7 +120,7 @@ def _number(kind, what: str, valid):
             value = kind(text)
             if valid(value):
                 return value
-        except ValueError:  # from `kind`, or from the environment `valid` reads
+        except ValueError:  # from `kind`
             pass
         raise argparse.ArgumentTypeError(f"must be {what}: {text!r}")
 
@@ -133,15 +137,21 @@ def _at_least(low: int):
 
 
 def _modes(low: int):
-    """A Fock-space mode count, read against FERMICOV_FOCK_CAP at parse time."""
-    return _number(int, f"an integer from {low} to the Fock cap (FERMICOV_FOCK_CAP)",
-                   lambda v: low <= v <= fock_cap())
+    """A Fock-space mode count."""
+    return _number(int, f"an integer from {low} to {FOCK_CAP}", lambda v: low <= v <= FOCK_CAP)
 
 
 FINITE = _number(float, "a finite number", math.isfinite)
 POSITIVE = _number(float, "a positive number", lambda v: 0 < v < math.inf)
 EVEN_N = _number(int, "an even integer >= 2", lambda v: v >= 2 and v % 2 == 0)
 SEED = _number(int, "a non-negative integer", lambda v: v >= 0)
+
+
+def _out_path(text: str) -> str:
+    """An output file in an existing directory, so no run ends unable to write."""
+    if text and not os.path.isdir(text) and os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        return text
+    raise argparse.ArgumentTypeError(f"must be a file in an existing directory: {text!r}")
 
 
 def _lam(text: str):
@@ -254,11 +264,13 @@ def cmd_modular_verify(args) -> Outcome:
         beta = float(rng.uniform(0.5, 2.0))
         V, logp, _ = quasifree_modes((A + A.conj().T) / 2, beta)
         fock = FockSpace(modes)
-        eta = np.diag(np.exp(logp / 2))
-        fixed = modular_power(logp, rng.uniform(-1, 1), eta)
+        block = (np.arange(fock.dim) if fock.dim <= FLOW_BLOCK
+                 else np.sort(rng.choice(fock.dim, FLOW_BLOCK, replace=False)))
+        eta = np.diag(np.exp(logp[block] / 2))
+        fixed = modular_power(logp[block], rng.uniform(-1, 1), eta)
         fixed_err = float(np.max(np.abs(fixed - eta)))
-        X = rng.normal(size=(fock.dim,) * 2) + 1j * rng.normal(size=(fock.dim,) * 2)
-        flowed = modular_power(logp, 1j * rng.uniform(-3, 3), X)
+        X = rng.normal(size=(block.size,) * 2) + 1j * rng.normal(size=(block.size,) * 2)
+        flowed = modular_power(logp[block], 1j * rng.uniform(-3, 3), X)
         iso_err = abs(float(np.linalg.norm(flowed)) - float(np.linalg.norm(X)))
         rows.append((s, "fixed_point", fixed_err, fixed_err <= 1e-12))
         rows.append((s, "isometry", iso_err, iso_err <= 1e-10))
@@ -373,10 +385,11 @@ def cmd_decay(args) -> Outcome:
 # ------------------------------------------------------------------- parsing
 
 
-def _add_common(sub, out_default: str):
-    sub.add_argument("--out", default=out_default, help="CSV output path")
-    sub.add_argument("--summary", default=None, help="JSON summary path")
-    sub.add_argument("--seed", type=SEED, default=0)
+def _add_common(sub, out_default: str, seeded: bool):
+    sub.add_argument("--out", type=_out_path, default=out_default, help="CSV output path")
+    sub.add_argument("--summary", type=_out_path, default=None, help="JSON summary path")
+    if seeded:  # only suites that draw random numbers take a seed
+        sub.add_argument("--seed", type=SEED, default=0)
 
 
 def _config_parser() -> argparse.ArgumentParser:
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=EVEN_N, default=8)
     s.add_argument("--lam", type=_lam, default="0.0", help="number or 'singular' for n/beta")
     s.add_argument("--eta", type=POSITIVE, default=None)
-    _add_common(s, "kernel.csv")
+    _add_common(s, "kernel.csv", seeded=False)
     s.set_defaults(func=cmd_kernel)
 
     s = subs.add_parser("bound-check", help="run seeded determinant-bound instances")
@@ -409,31 +422,29 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-choices", type=_list_of(EVEN_N), default="2,4,8")
     s.add_argument("--beta-choices", type=_list_of(POSITIVE), default="0.5,1,2")
     s.add_argument("--scale-max", type=POSITIVE, default=1e3)
-    _add_common(s, "bound-check.csv")
+    _add_common(s, "bound-check.csv", seeded=True)
     s.set_defaults(func=cmd_bound_check)
 
-    # --modes defaults are strings, which argparse passes through the type, so the
-    # Fock cap is checked against FERMICOV_FOCK_CAP as it is at parse time
     s = subs.add_parser("wick-verify", help="exhaustive permuted-monomial checks")
     s.add_argument("--N-max", dest="N_max", type=_at_least(1), default=2)
     s.add_argument("--draws", type=_at_least(1), default=3)
-    s.add_argument("--modes", type=_modes(1), default="3")
-    _add_common(s, "wick.csv")
+    s.add_argument("--modes", type=_modes(1), default=3)
+    _add_common(s, "wick.csv", seeded=True)
     s.set_defaults(func=cmd_wick_verify)
 
     s = subs.add_parser("modular-verify", help="modular/Hoelder property checks")
     s.add_argument("--states", type=_at_least(0), default=5)
     s.add_argument("--chains", type=_at_least(0), default=20)
     s.add_argument("--pairs", type=_at_least(0), default=100)
-    s.add_argument("--modes", type=_modes(2), default="4")
-    _add_common(s, "modular.csv")
+    s.add_argument("--modes", type=_modes(2), default=4)
+    _add_common(s, "modular.csv", seeded=True)
     s.set_defaults(func=cmd_modular_verify)
 
     s = subs.add_parser("bk-matrix", help="tree interpolation matrix")
     s.add_argument("--m", type=_at_least(1), default=4)
     s.add_argument("--t", type=_number(float, "in [0, 1]", lambda v: 0 <= v <= 1), default=1.0)
     s.add_argument("--edges", type=_edges, default=None, help="explicit edges 'u-v:w,...'")
-    _add_common(s, "bk.csv")
+    _add_common(s, "bk.csv", seeded=True)
     s.set_defaults(func=cmd_bk_matrix)
 
     epsilon = _number(float, "in (0, 1)", lambda v: 0 < v < 1)
@@ -441,14 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=epsilon, default=0.1)
     s.add_argument("--beta", type=POSITIVE, default=1.0)
     s.add_argument("--N-list", dest="N_list", type=_list_of(_at_least(1)), default="1,2,4,8")
-    _add_common(s, "sharpness.csv")
+    _add_common(s, "sharpness.csv", seeded=False)
     s.set_defaults(func=cmd_sharpness)
 
     s = subs.add_parser("universal", help="bracket the universal bound")
     s.add_argument("--count", type=_at_least(1), default=2000)
     s.add_argument("--epsilon-list", type=_list_of(epsilon), default="0.1,0.01")
     s.add_argument("--beta", type=POSITIVE, default=1.0)
-    _add_common(s, "universal.csv")
+    _add_common(s, "universal.csv", seeded=True)
     s.set_defaults(func=cmd_universal)
 
     s = subs.add_parser("decay", help="finite-n covariance summability snapshot")
@@ -460,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--chi-b", type=FINITE, default=1.0)
     s.add_argument("--chi-center", type=FINITE, default=0.0)
     s.add_argument("--chi-width", type=POSITIVE, default=1.0)
-    _add_common(s, "decay.csv")
+    _add_common(s, "decay.csv", seeded=False)
     s.set_defaults(func=cmd_decay)
 
     return parser
@@ -514,7 +525,7 @@ def main(argv: list | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, AssertionError, OverflowError, FloatingPointError,
-            MemoryError) as exc:
+            MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ from fermicov.car_fock import (
     FockChain,
     FockSpace,
     expect_monomial,
-    fock_cap,
     permutation_sign,
     quasifree_log_weights,
     quasifree_modes,
@@ -43,28 +42,16 @@ def field_matrix(fock, psi, creator=False):
     return dense_chain(FockChain.diagonal(fock, np.ones(fock.dim)).field(psi, creator=creator))
 
 
-def test_fock_cap_env(monkeypatch):
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "4")
-    assert fock_cap() == 4
-    with pytest.raises(ValueError):
-        FockSpace(5)
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "99")
-    assert fock_cap() == 14  # hard max
-    monkeypatch.delenv("FERMICOV_FOCK_CAP")
-    assert fock_cap() == 10
-
-
-def test_fock_tables_shared_and_cap_checked(monkeypatch):
-    monkeypatch.delenv("FERMICOV_FOCK_CAP", raising=False)
+def test_fock_tables_shared_and_cap_checked():
     first, second = FockSpace(10), FockSpace(10)
     assert first.hops is second.hops
     assert first.family(3, 1) is second.family(4, 1)  # one table per (mode count, family)
     with pytest.raises(ValueError):  # shared, so read-only
         first.hops[0][0, 0] = 1
-    # the tables are warm, but every construction still checks the cap
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "4")
-    with pytest.raises(ValueError):
-        FockSpace(10)
+    assert FockSpace(car_fock.FOCK_CAP).modes == 14  # checked, not built
+    for modes in (0, 15):
+        with pytest.raises(ValueError):
+            FockSpace(modes)
 
 
 def test_jordan_wigner_single_mode():

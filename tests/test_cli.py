@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,13 +140,13 @@ def test_scalar_domains_exit_2(tmp_path, capsys):
         ("sharpness", "--beta", "-1"),
         ("bk-matrix", "--t", "-1"),
         ("universal", "--beta", "0", "--count", "2"),
-        # a seed is a non-negative integer on every subcommand
+        # a seed is a non-negative integer on every subcommand that takes one
         ("wick-verify", "--seed", "-1"),
         ("modular-verify", "--seed", "-1"),
         ("bk-matrix", "--seed", "-1"),
         ("bound-check", "--seed", "-1", "--count", "2"),
         ("universal", "--seed", "-1", "--count", "2"),
-        ("kernel", "--seed", "0.5"),
+        ("bk-matrix", "--seed", "0.5"),
     ]
     for sub, flag, *rest in cases:
         assert run(tmp_path, sub, flag, *rest, "--out", "x.csv") == 2
@@ -153,18 +154,29 @@ def test_scalar_domains_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_modes_above_fock_cap_exit_2(tmp_path, monkeypatch):
+def test_modes_above_cap_exit_2(tmp_path, capsys):
     # checked before any work: a random state need not draw the largest mode count
     for seed in ("1", "2", "3", "4", "5"):
-        assert run(tmp_path, "modular-verify", "--modes", "11", "--seed", seed,
+        assert run(tmp_path, "modular-verify", "--modes", "15", "--seed", seed,
                    "--out", "m.csv") == 2
-        assert run(tmp_path, "wick-verify", "--modes", "11", "--seed", seed,
+        assert run(tmp_path, "wick-verify", "--modes", "15", "--seed", seed,
                    "--out", "w.csv") == 2
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "2")
-    assert run(tmp_path, "wick-verify", "--modes", "3", "--out", "w.csv") == 2
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "ten")
-    assert run(tmp_path, "wick-verify", "--out", "w.csv") == 2
+    assert "argument --modes: must be an integer from 1 to 14" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_modular_verify_flows_a_block_at_twelve_modes(tmp_path):
+    # the flow checks run on a 64 x 64 block: a dense 2^12 x 2^12 X needs 1.8 GiB, and
+    # rounding in its norm alone reaches the absolute 1e-10 isometry limit
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "modular-verify", "--modes", "12", "--states", "1",
+                   "--chains", "0", "--pairs", "0", "--seed", "7", "--out", "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
 
 
 def test_bad_list_flags_exit_2(tmp_path, capsys):
@@ -186,6 +198,32 @@ def test_bad_list_flags_exit_2(tmp_path, capsys):
 def test_removed_options_exit_2(tmp_path):
     assert run(tmp_path, "bound-check", "--jobs", "2", "--out", "b.csv") == 2
     assert run(tmp_path, "covariance-det", "--out", "c.csv") == 2
+    # suites that draw no random numbers take no seed
+    for sub in ("kernel", "sharpness", "decay"):
+        assert run(tmp_path, sub, "--seed", "1", "--out", "x.csv") == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_missing_output_directory_exits_2(tmp_path, capsys):
+    for bad in (str(tmp_path / "missing" / "k.csv"), str(tmp_path), ""):
+        assert run(tmp_path, "kernel", "--out", bad) == 2
+        assert "argument --out: must be a file in an existing directory" \
+            in capsys.readouterr().err
+        assert run(tmp_path, "kernel", "--out", "k.csv", "--summary", bad) == 2
+        assert "argument --summary: must be a file in an existing directory" \
+            in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_write_failure_exits_1(tmp_path, monkeypatch, capsys):
+    from fermicov import cli
+
+    def atomic_write(path, text):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "atomic_write", atomic_write)
+    assert run(tmp_path, "kernel", "--out", "k.csv") == 1
+    assert "error: [Errno 13] Permission denied: 'k.csv'" in capsys.readouterr().err
 
 
 def test_bk_matrix_explicit_edge(tmp_path):

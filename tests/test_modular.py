@@ -319,8 +319,7 @@ def test_representation_at_ten_modes(rng):
 
 
 @pytest.mark.parametrize("d, m", [(6, 2), (4, 3)])
-def test_representation_at_twelve_modes(monkeypatch, rng, d, m):
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "12")
+def test_representation_at_twelve_modes(rng, d, m):
     inst = random_instance(rng, d=d, m=m, N=2, n=4)
     while abs(covariance_det(inst)) < 1e-6 or np.linalg.matrix_rank(inst.M) != m:
         inst = random_instance(rng, d=d, m=m, N=2, n=4)
@@ -343,10 +342,9 @@ def test_representation_memory_at_ten_modes(rng):
     assert peak < 16 * 2**20
 
 
-def test_trace_form_memory_at_twelve_modes(monkeypatch, rng):
+def test_trace_form_memory_at_twelve_modes(rng):
     # the trace form keeps only the rows that can still reach row 0, so at D = 12 it stays
     # within the D = 10 bound; a last field that built every row would need about 66 MiB
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "12")
     inst = random_instance(rng, d=6, m=2, N=2, n=4)
     while np.linalg.matrix_rank(inst.M) != 2:
         inst = random_instance(rng, d=6, m=2, N=2, n=4)
@@ -357,6 +355,27 @@ def test_trace_form_memory_at_twelve_modes(monkeypatch, rng):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_representation_sign_involution(rng):
+    # an eigenvalue above n/beta has sgn(1 - beta lam / n) = -1, which the dressing of
+    # each point at an odd shifted offset carries.  covariance_det sees that dressing
+    # dropped; it reads the same sign from rate_terms, so only the dense oracle, which
+    # computes the sign itself, sees a sign lost there
+    torus = DiscreteTorus(beta=1.0, n=4)
+    V = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    H = HermitianMatrix((V * np.array([1.5 * torus.rate, -0.8])) @ V.conj().T)
+    # creators at offsets 1 and 0, annihilators at 2 and 3: shifted offsets 1, 0, 3, 4
+    points = [(torus.zero_index + a, rng.normal(size=2) + 1j * rng.normal(size=2), 0)
+              for a in (1, 0, 2, 3)]
+    inst = BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(),
+                         M=np.array([[1.0]]), points=points)
+    direct = covariance_det(inst)
+    for form in ("inner", "trace"):
+        rep = determinant_representation(inst, eta=3.0, form=form)
+        assert abs(rep - direct) <= 1e-8 * abs(direct), form
+        oracle = dense_representation(inst, eta=3.0, form=form)
+        assert abs(rep - oracle) <= 1e-12 * abs(oracle), form
 
 
 def test_representation_energy_clamp(rng):
@@ -394,10 +413,10 @@ def test_representation_eta_sweep_at_singular_value(rng):
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
-def test_representation_respects_fock_cap(monkeypatch, rng):
-    monkeypatch.setenv("FERMICOV_FOCK_CAP", "3")
-    inst = random_instance(rng, d=2, m=2, N=1)
-    with pytest.raises(ValueError):
+def test_representation_respects_mode_cap(rng):
+    inst = random_instance(rng, d=8, m=2, N=1)  # D = d * rank M = 16 modes
+    assert np.linalg.matrix_rank(inst.M) == 2
+    with pytest.raises(ValueError, match="mode count 16"):
         determinant_representation(inst, eta=2.0)
 
 
