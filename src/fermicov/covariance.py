@@ -86,7 +86,6 @@ class KernelEval:
 
     lam: float
     torus: DiscreteTorus
-    eta: float | None
     values: np.ndarray = field(repr=False)
 
     def residual(self) -> float:
@@ -101,7 +100,7 @@ def kernel_g(lam: float, torus: DiscreteTorus, eta: float | None = None) -> Kern
     """Tabulate the covariance kernel g_lam on the whole grid."""
     half = kernel_values_at(np.array([lam]), torus, np.arange(torus.n), eta)[:, 0]
     values = np.concatenate([half, -half])
-    return KernelEval(lam, torus, eta, values)
+    return KernelEval(lam, torus, values)
 
 
 def kernel_g_continuum(lam: float, beta: float, alpha: float) -> float:

@@ -83,23 +83,6 @@ def schatten_norm(X: np.ndarray, s: float) -> float:
     return float(top * np.sum((sv / top) ** s) ** (1.0 / s))
 
 
-def _eigenbasis_chain(fock: FockSpace, logp: np.ndarray, chain: list, tail: complex,
-                      target: int | None = None) -> FockChain:
-    """D^(w_1) x_1 D^(w_2) x_2 ... x_N D^tail for the diagonal state of log-weights logp.
-
-    chain holds pairs (w_q, (psi_q, is_creator_q)) with psi_q in the state's
-    eigenmode basis and w_q real or complex.  Applied right to left, each x_q
-    is a field and each D^(w_q) a row scaling of the shell rows, so no dense
-    Fock operator is formed.  With a target, the result holds only the rows
-    with |S| <= target, and no field builds a row that cannot reach them.
-    """
-    X = FockChain.diagonal(fock, np.exp(logp * tail))
-    for left, (w, (psi, is_creator)) in reversed(list(enumerate(chain))):
-        reach = None if target is None else target + left
-        X = X.field(psi, creator=is_creator, reach=reach).scale(np.exp(logp * w))
-    return X
-
-
 def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list,
                target: int | None = None) -> FockChain:
     """The correlation vector Delta^(z1/beta) x1 ... xN eta of a tube chain, as a FockChain.
@@ -111,6 +94,11 @@ def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list,
     no complex row scaling.  A target keeps only the rows with |S| <= target
     (see `FockChain`); without one the chain holds every row and its norm is
     the Hilbert-Schmidt norm.
+
+    The chain equals D^(w_1) x_1 ... x_N D^tail with w = z/beta and
+    tail = 1/2 - sum w.  Applied right to left, each x_q is a field and each
+    D^(w_q) a row scaling of the shell rows, so no dense Fock operator is
+    formed, and no field builds a row that cannot reach the target.
     """
     zs = np.array([z for z, _ in chain], dtype=complex)
     _check_tube(zs, beta / 2)
@@ -119,35 +107,32 @@ def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list,
     if np.any(np.imag(zs)):
         w = w + 1j * np.imag(zs) / beta
         tail = tail - 1j * float(np.sum(np.imag(zs))) / beta
-    return _eigenbasis_chain(fock, logp, list(zip(w, (x for _, x in chain))), tail, target)
+    X = FockChain.diagonal(fock, np.exp(logp * tail))
+    for left, (_, (psi, is_creator)) in reversed(list(enumerate(chain))):
+        reach = None if target is None else target + left
+        X = X.field(psi, creator=is_creator, reach=reach).scale(np.exp(logp * w[left]))
+    return X
 
 
-def determinant_representation(
-    inst: BoundInstance,
-    eta: float,
-    form: str = "inner",
-) -> complex:
+def determinant_representation(inst: BoundInstance, eta: float) -> complex:
     """Covariance determinant through the modular standard representation.
 
     Builds the time-ordered chain of creation/annihilation operators dressed
     with sign-operator powers and the square-root cutoff, splits it where the
     shifted times cross beta/2, and evaluates the signed inner product of the
-    two modular half-chains (form="inner") or the equivalent cyclic trace
-    (form="trace").  Away from the singular spectral value n/beta the result
-    matches the directly computed determinant at any finite eta; with an
-    eigenvalue pinned there it converges to it as eta grows.
+    two modular half-chains.  Away from the singular spectral value n/beta
+    the result matches the directly computed determinant at any finite eta;
+    with an eigenvalue pinned there it converges to it as eta grows.
 
-    Both forms are evaluated in the occupation basis of the eigenmodes of the
+    It is evaluated in the occupation basis of the eigenmodes of the
     regularized one-particle energy h (x) 1_r.  There the quasi-free state is
     diagonal with closed-form log-weights, each half chain is a `FockChain`
-    of shell rows, and Delta^w is a row scaling; inner product and trace are
+    of shell rows, and Delta^w is a row scaling; the inner product is
     unitarily invariant, so no change of basis back to the site modes is
     needed.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if form not in ("inner", "trace"):
-        raise ValueError(f"unknown form {form!r}")
     torus = inst.torus
     beta = torus.beta
     N = inst.pair_count
@@ -182,12 +167,6 @@ def determinant_representation(
     n = torus.n
     tilde = order.alpha_tilde
     placed = order.placement
-
-    if form == "trace":
-        lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
-        chain = [(lead, ops[placed[0]])]
-        chain += [(order.xi[u - 1], ops[placed[u]]) for u in range(1, 2 * N)]
-        return order.rep_sign * complex(_eigenbasis_chain(fock, logp, chain, 0.0, target=0).trace())
 
     def adjoint(op):
         return op[0], not op[1]

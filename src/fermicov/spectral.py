@@ -9,6 +9,7 @@ eigenvalues of one deterministic eigendecomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,13 +108,16 @@ def rate_terms(lams, torus: DiscreteTorus, eta: float = 1.0) -> tuple:
 class CutoffSpec:
     """A named nonnegative bounded scalar cutoff function on the spectrum.
 
-    Supported kinds: the constant-one function, the indicator of an interval,
-    a Gaussian window, and a user table with nearest-point lookup.
+    Supported kinds: the constant-one function, the indicator of an interval
+    and a Gaussian window, each with finite parameters.
     """
 
     def __init__(self, kind: str, **params):
-        if kind not in ("one", "indicator", "gaussian", "table"):
+        if kind not in ("one", "indicator", "gaussian"):
             raise ValueError(f"unknown cutoff kind {kind!r}")
+        for name, value in params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{kind} cutoff needs a finite {name}, got {value}")
         self.kind = kind
         self.params = params
         if kind == "indicator":
@@ -123,15 +127,6 @@ class CutoffSpec:
         elif kind == "gaussian":
             if params["width"] <= 0:
                 raise ValueError("gaussian width must be positive")
-        elif kind == "table":
-            pts = np.asarray(params["points"], dtype=float)
-            vals = np.asarray(params["values"], dtype=float)
-            if pts.shape != vals.shape or pts.ndim != 1 or pts.size == 0:
-                raise ValueError("table needs matching 1-d points and values")
-            if np.any(vals < 0):
-                raise ValueError("cutoff table values must be nonnegative")
-            order = np.argsort(pts)
-            self.params = {"points": pts[order], "values": vals[order]}
 
     @classmethod
     def one(cls) -> "CutoffSpec":
@@ -145,27 +140,15 @@ class CutoffSpec:
     def gaussian(cls, center: float, width: float) -> "CutoffSpec":
         return cls("gaussian", center=center, width=width)
 
-    @classmethod
-    def table(cls, points, values) -> "CutoffSpec":
-        return cls("table", points=points, values=values)
-
     def __call__(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         if self.kind == "one":
-            out = np.ones_like(lam)
-        elif self.kind == "indicator":
+            return np.ones_like(lam)
+        if self.kind == "indicator":
             a, b = self.params["a"], self.params["b"]
-            out = np.where((lam >= a) & (lam <= b), 1.0, 0.0)
-        elif self.kind == "gaussian":
-            c, w = self.params["center"], self.params["width"]
-            out = np.exp(-(((lam - c) / w) ** 2))
-        else:
-            pts, vals = self.params["points"], self.params["values"]
-            idx = np.clip(np.searchsorted(pts, lam), 0, pts.size - 1)
-            left = np.clip(idx - 1, 0, pts.size - 1)
-            nearer_left = np.abs(lam - pts[left]) <= np.abs(pts[idx] - lam)
-            out = vals[np.where(nearer_left, left, idx)]
-        return out
+            return np.where((lam >= a) & (lam <= b), 1.0, 0.0)
+        c, w = self.params["center"], self.params["width"]
+        return np.exp(-(((lam - c) / w) ** 2))
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())

@@ -14,6 +14,7 @@ and alpha = beta at i = 2n - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class DiscreteTorus:
     n: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
 

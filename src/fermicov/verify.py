@@ -114,9 +114,6 @@ class GeneratorConfig:
     n_choices: tuple = (2, 4, 8)
     beta_choices: tuple = (0.5, 1.0, 2.0)
     scale_max: float = 1e3  # eigenvalue magnitude sweep, in units of n/beta
-    cutoff_kinds: tuple = ("one", "indicator", "gaussian")
-    matrix_kinds: tuple = ("psd", "bk")
-    pin_singular_prob: float = 0.05
 
 
 @dataclass
@@ -170,9 +167,6 @@ class UniversalBracket:
 
     lower: float
     upper: float
-    epsilon: float
-    sharpness_count: int
-    bound_count: int
     violations: int
 
 
@@ -192,7 +186,12 @@ def _pick(rng: np.random.Generator, options):
 
 
 def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
-    """Generate one seeded random instance within the configured ranges."""
+    """Generate one seeded random instance within the configured ranges.
+
+    The cutoff kind (one, indicator, gaussian) and the matrix kind (PSD or
+    BK) are drawn uniformly, and one instance in twenty gets an eigenvalue
+    pinned on n/beta.
+    """
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, config.d_max + 1))
     m = int(rng.integers(1, config.m_max + 1))
@@ -204,14 +203,14 @@ def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
 
     scale = rate * 10.0 ** rng.uniform(-1.0, np.log10(config.scale_max))
     H = _random_hermitian(rng, d, scale / max(1.0, np.sqrt(d)))
-    if rng.uniform() < config.pin_singular_prob:
+    if rng.uniform() < 0.05:
         # pin one eigenvalue exactly on the singular value n/beta
         S = eig_hermitian(HermitianMatrix(H))
         vals = S.values.copy()
         vals[int(rng.integers(0, d))] = rate
         H = (S.vectors * vals) @ S.vectors.conj().T
 
-    kind = str(_pick(rng, config.cutoff_kinds))
+    kind = _pick(rng, ("one", "indicator", "gaussian"))
     if kind == "one":
         chi = CutoffSpec.one()
     elif kind == "indicator":
@@ -223,8 +222,7 @@ def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
             center=rng.uniform(-scale, scale), width=scale * rng.uniform(0.2, 2.0)
         )
 
-    mkind = str(_pick(rng, config.matrix_kinds))
-    if mkind == "bk" and m >= 1:
+    if _pick(rng, ("psd", "bk")) == "bk":
         M = bk_matrix(random_tree(m, rng), t=float(rng.uniform(0.2, 1.0)))
         if np.abs(M).max() == 0:
             M = np.eye(m)
@@ -388,11 +386,4 @@ def universal_bound_estimate(
         raise AssertionError(
             f"sharpness lower estimate {lower} fell below 1 - epsilon = {1 - eps}"
         )
-    return UniversalBracket(
-        lower=lower,
-        upper=1.0,
-        epsilon=eps,
-        sharpness_count=len(sharpness_reports),
-        bound_count=len(bound_reports),
-        violations=violations,
-    )
+    return UniversalBracket(lower=lower, upper=1.0, violations=violations)

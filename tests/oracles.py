@@ -199,13 +199,13 @@ def correlation_vector(state: QuasiFreeState, chain: list) -> np.ndarray:
     return state.from_eigenbasis(V)
 
 
-def dense_representation(inst, eta: float, form: str = "inner") -> complex:
+def dense_representation(inst, eta: float) -> complex:
     """determinant_representation through the dense Fock-space modular calculus.
 
     Second-quantizes the regularized energy h (x) 1_r into a dense 2^D x 2^D
     matrix, diagonalizes it (quasifree_density), and evaluates the two half
     chains with correlation_vector on dense creator/annihilator matrices in
-    the site modes, or the cyclic trace in the eigenbasis of the density.
+    the site modes.
     """
     torus, N, beta, n = inst.torus, inst.pair_count, inst.torus.beta, inst.torus.n
     S = eig_hermitian(inst.H)
@@ -232,13 +232,6 @@ def dense_representation(inst, eta: float, form: str = "inner") -> complex:
         ops.append(creator(psi) if q < N else annihilator(psi))
 
     tilde, placed, xi, p = order.alpha_tilde, order.placement, order.xi, order.split
-    if form == "trace":
-        logp = state.log_weights
-        lead = 1.0 - (tilde[placed[-1]] - tilde[placed[0]]) / n
-        M = np.diag(np.exp(logp * lead)) @ state.to_eigenbasis(ops[placed[0]])
-        for u in range(1, 2 * N):
-            M = (M * np.exp(logp * xi[u - 1])[None, :]) @ state.to_eigenbasis(ops[placed[u]])
-        return order.rep_sign * complex(np.trace(M))
     left = []
     if p > 0:
         left.append((beta * (0.5 - tilde[placed[p - 1]] / n), ops[placed[p - 1]].conj().T))

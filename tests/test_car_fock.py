@@ -172,7 +172,8 @@ def test_fock_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
 def test_pruned_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
     # chains that keep only the rows a read-out target can still reach after the fields
     # left (reach target + left), against the dense row maps on every kept row; target 0
-    # is the trace form, min(len L, len R) the inner form of two half chains
+    # is expect_monomial's trace read-out, min(len L, len R) the inner product of two
+    # half chains
     monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
     for D in range(1, 7):
         fock = FockSpace(D)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -215,12 +217,17 @@ def _per_vector_bound(inst, S) -> float:
 
 
 def test_one_pass_det_and_bound_equal_per_entry_loop():
-    zero = CutoffSpec.table([0.0], [0.0])
+    zero = CutoffSpec.indicator(1e300, 1e300)  # 0 on every generated spectrum
     cases = [(random_instance(instance_seed(13, i), GeneratorConfig()), None)
              for i in range(500)]
-    pinned = GeneratorConfig(pin_singular_prob=1.0)
-    cases += [(random_instance(instance_seed(14, i), pinned), eta)
-              for i in range(60) for eta in (None, 2.5)]
+    pinned = []  # the first 60 default instances with an eigenvalue on n/beta
+    for i in itertools.count():
+        inst = random_instance(instance_seed(14, i), GeneratorConfig())
+        if rate_terms(eig_hermitian(inst.H).values, inst.torus)[0].any():
+            pinned.append(inst)
+            if len(pinned) == 60:
+                break
+    cases += [(inst, eta) for inst in pinned for eta in (None, 2.5)]
     for i in range(40):
         inst = random_instance(instance_seed(15, i), GeneratorConfig())
         inst.chi = zero
@@ -339,7 +346,7 @@ def test_decay_parameter_free_value():
 def test_decay_parameter_zero_cutoff_and_stability():
     torus = DiscreteTorus(beta=1.0, n=8)
     S = eig_hermitian(np.diag([0.3, -1.2]))
-    zero = CutoffSpec.table([0.0], [0.0])
+    zero = CutoffSpec.indicator(1e300, 1e300)
     basis = list(np.eye(2))
     assert decay_parameter(S, zero, basis, torus) == 0.0
     v1 = decay_parameter(S, CutoffSpec.one(), basis, torus)

@@ -281,7 +281,6 @@ def test_representation_two_point_free():
         points=[(torus.zero_index, [1.0], 0), (torus.zero_index, [1.0], 0)],
     )
     assert_allclose(determinant_representation(inst, eta=3.0), 0.5, rtol=1e-12)
-    assert_allclose(determinant_representation(inst, eta=3.0, form="trace"), 0.5, rtol=1e-12)
 
 
 def test_representation_matches_covariance_det(rng):
@@ -289,10 +288,7 @@ def test_representation_matches_covariance_det(rng):
         inst = random_instance(rng, d=2, m=2, N=2, n=4)
         direct = covariance_det(inst)
         rep = determinant_representation(inst, eta=4.0)
-        trace = determinant_representation(inst, eta=4.0, form="trace")
-        scale = max(abs(direct), 1e-9)
-        assert abs(rep - direct) <= 1e-10 * scale
-        assert abs(rep - trace) <= 1e-10 * scale
+        assert abs(rep - direct) <= 1e-10 * max(abs(direct), 1e-9)
 
 
 def test_representation_matches_dense_oracle(rng):
@@ -302,10 +298,9 @@ def test_representation_matches_dense_oracle(rng):
                                beta=float(rng.uniform(0.5, 2.0)))
         while abs(covariance_det(inst)) < 1e-6:
             inst = random_instance(rng, d=d, m=m, N=N, n=inst.torus.n, beta=inst.torus.beta)
-        for form in ("inner", "trace"):
-            oracle = dense_representation(inst, eta=3.0, form=form)
-            rep = determinant_representation(inst, eta=3.0, form=form)
-            assert abs(rep - oracle) <= 1e-12 * abs(oracle), (d, m, N, form)
+        oracle = dense_representation(inst, eta=3.0)
+        rep = determinant_representation(inst, eta=3.0)
+        assert abs(rep - oracle) <= 1e-12 * abs(oracle), (d, m, N)
 
 
 def test_representation_at_ten_modes(rng):
@@ -313,9 +308,7 @@ def test_representation_at_ten_modes(rng):
     while abs(covariance_det(inst)) < 1e-6:
         inst = random_instance(rng, d=5, m=2, N=2, n=4)
     direct = covariance_det(inst)
-    for form in ("inner", "trace"):
-        assert abs(determinant_representation(inst, eta=3.0, form=form) - direct) \
-            <= 1e-8 * abs(direct)
+    assert abs(determinant_representation(inst, eta=3.0) - direct) <= 1e-8 * abs(direct)
 
 
 @pytest.mark.parametrize("d, m", [(6, 2), (4, 3)])
@@ -324,37 +317,32 @@ def test_representation_at_twelve_modes(rng, d, m):
     while abs(covariance_det(inst)) < 1e-6 or np.linalg.matrix_rank(inst.M) != m:
         inst = random_instance(rng, d=d, m=m, N=2, n=4)
     direct = covariance_det(inst)
-    for form in ("inner", "trace"):
-        assert abs(determinant_representation(inst, eta=3.0, form=form) - direct) \
-            <= 1e-8 * abs(direct)
+    assert abs(determinant_representation(inst, eta=3.0) - direct) <= 1e-8 * abs(direct)
+
+
+def _representation_peak(inst) -> int:
+    """Peak traced bytes of one determinant_representation call."""
+    tracemalloc.start()
+    try:
+        determinant_representation(inst, eta=3.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_representation_memory_at_ten_modes(rng):
     # one dense 2^10 x 2^10 complex array takes 16 MiB; no chain may need one
     inst = random_instance(rng, d=5, m=2, N=2, n=4)
-    tracemalloc.start()
-    try:
-        for form in ("inner", "trace"):
-            determinant_representation(inst, eta=3.0, form=form)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert _representation_peak(inst) < 16 * 2**20
 
 
-def test_trace_form_memory_at_twelve_modes(rng):
-    # the trace form keeps only the rows that can still reach row 0, so at D = 12 it stays
-    # within the D = 10 bound; a last field that built every row would need about 66 MiB
+def test_representation_memory_at_twelve_modes(rng):
+    # the half chains keep only the rows that both reach, so at D = 12 they stay within
+    # the D = 10 bound; one dense 2^12 x 2^12 complex array would take 256 MiB
     inst = random_instance(rng, d=6, m=2, N=2, n=4)
     while np.linalg.matrix_rank(inst.M) != 2:
         inst = random_instance(rng, d=6, m=2, N=2, n=4)
-    tracemalloc.start()
-    try:
-        determinant_representation(inst, eta=3.0, form="trace")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert _representation_peak(inst) < 16 * 2**20
 
 
 def test_representation_sign_involution(rng):
@@ -371,11 +359,10 @@ def test_representation_sign_involution(rng):
     inst = BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(),
                          M=np.array([[1.0]]), points=points)
     direct = covariance_det(inst)
-    for form in ("inner", "trace"):
-        rep = determinant_representation(inst, eta=3.0, form=form)
-        assert abs(rep - direct) <= 1e-8 * abs(direct), form
-        oracle = dense_representation(inst, eta=3.0, form=form)
-        assert abs(rep - oracle) <= 1e-12 * abs(oracle), form
+    rep = determinant_representation(inst, eta=3.0)
+    assert abs(rep - direct) <= 1e-8 * abs(direct)
+    oracle = dense_representation(inst, eta=3.0)
+    assert abs(rep - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_representation_energy_clamp(rng):
@@ -387,12 +374,11 @@ def test_representation_energy_clamp(rng):
               for q in (0, 1, 2, 3)]
     inst = BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(),
                          M=np.array([[1.0]]), points=points)
-    for form in ("inner", "trace"):
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            rep = determinant_representation(inst, eta=1000.0, form=form)
-        assert np.isfinite(rep)
-        oracle = dense_representation(inst, eta=1000.0, form=form)
-        assert abs(rep - oracle) <= 1e-12 * abs(oracle)
+    with pytest.warns(RuntimeWarning, match="clamping"):
+        rep = determinant_representation(inst, eta=1000.0)
+    assert np.isfinite(rep)
+    oracle = dense_representation(inst, eta=1000.0)
+    assert abs(rep - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_representation_eta_sweep_at_singular_value(rng):
@@ -424,5 +410,3 @@ def test_representation_rejects_bad_eta(rng):
     inst = random_instance(rng, d=1, m=1, N=1)
     with pytest.raises(ValueError):
         determinant_representation(inst, eta=-1.0)
-    with pytest.raises(ValueError):
-        determinant_representation(inst, eta=2.0, form="nope")

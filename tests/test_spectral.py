@@ -142,13 +142,17 @@ def test_cutoff_kinds():
     assert_allclose(ind(lam), [0.0, 1.0, 1.0, 0.0])
     gauss = CutoffSpec.gaussian(0.0, 1.0)
     assert_allclose(gauss(lam), np.exp(-(lam**2)))
-    table = CutoffSpec.table([0.0, 1.0, 2.0], [5.0, 1.0, 0.25])
-    assert_allclose(table(np.array([-3.0, 0.4, 0.6, 1.9, 10.0])), [5.0, 5.0, 1.0, 0.25, 0.25])
     with pytest.raises(ValueError):
         CutoffSpec.indicator(2.0, 1.0)
     with pytest.raises(ValueError):
         CutoffSpec.gaussian(0.0, -1.0)
-    with pytest.raises(ValueError):
-        CutoffSpec.table([0.0], [-1.0])
-    with pytest.raises(ValueError):
-        CutoffSpec("nope")
+    for kind in ("nope", "table"):
+        with pytest.raises(ValueError, match="unknown cutoff kind"):
+            CutoffSpec(kind)
+    # non-finite parameters would give NaN weights or a silently all-zero indicator
+    for a, b in ((np.nan, 1.0), (-1.0, np.inf), (-np.inf, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            CutoffSpec.indicator(a, b)
+    for center, width in ((0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            CutoffSpec.gaussian(center, width)

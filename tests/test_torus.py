@@ -14,6 +14,9 @@ def test_torus_validation():
         DiscreteTorus(beta=1.0, n=0)
     with pytest.raises(ValueError):
         DiscreteTorus(beta=-1.0, n=2)
+    for beta in (np.inf, np.nan):  # inf would give rate 0 and an all-NaN kernel
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteTorus(beta=beta, n=4)
 
 
 def test_grid_layout():

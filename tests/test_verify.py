@@ -105,15 +105,8 @@ def test_bound_suite_deterministic():
         assert ra.bound == rb.bound
 
 
-def test_bound_suite_bk_matrices_only():
-    config = GeneratorConfig(matrix_kinds=("bk",))
-    reports = bound_check_suite(60, config, seed=11)
-    assert all(r.passed for r in reports)
-
-
-@pytest.mark.parametrize("matrix_kinds", [("psd", "bk"), ("bk",)])
-def test_generated_instances_pass_full_validator(matrix_kinds):
-    config = GeneratorConfig(matrix_kinds=matrix_kinds)
+def test_generated_instances_pass_full_validator():
+    config = GeneratorConfig()
     pinned = 0
     for i in range(2000):
         inst = random_instance(instance_seed(21, i), config)
@@ -137,7 +130,7 @@ def test_pick_replays_rng_choice():
 
 def test_zero_cutoff_gives_zero_det():
     inst = random_instance(instance_seed(5, 0), GeneratorConfig())
-    inst.chi = CutoffSpec.table([0.0], [0.0])
+    inst.chi = CutoffSpec.indicator(1e300, 1e300)  # 0 on every generated spectrum
     assert covariance_det(inst) == 0.0
 
 
