@@ -17,24 +17,32 @@ D^(w1) x1 D^(w2) x2 ... xN D^(1/2 - sum w) with w = z/beta.  In the tube
 Re z >= 0, sum Re z <= beta/2 every power of D is a row scaling by factors of
 modulus at most 1, so each intermediate is a contraction of the operator
 norms, which is the numerical content of the Hoelder bound itself.
+
+The covariance determinant is the parity of a time order times the inner
+product of two such chains.  `time_order` shifts each annihilator one grid
+step later, places the 2N points by shifted time and splits them where the
+shifted times reach beta/2.  Each point's exponent z/beta is its gap to the
+neighbour on the side of beta/2, or to beta/2 itself, so the exponents of each
+half chain sum to at most 1/2 and both chains lie in the tube.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 
-from fermicov.car_fock import FockChain, FockSpace, quasifree_log_weights
-from fermicov.covariance import BoundInstance
+from fermicov.car_fock import FockChain, FockSpace, permutation_sign, quasifree_log_weights
+from fermicov.covariance import BoundInstance, _coefficients
 from fermicov.mspace import quotient_space
 from fermicov.spectral import eig_hermitian, rate_terms
-from fermicov.verify import OrderingData, ordering_from_grid
 
 __all__ = [
     "modular_power",
     "tube_chain",
     "schatten_norm",
+    "time_order",
     "determinant_representation",
 ]
 
@@ -114,14 +122,56 @@ def tube_chain(fock: FockSpace, logp: np.ndarray, beta: float, chain: list,
     return X
 
 
+def time_order(a_units, N: int, n: int) -> tuple:
+    """Time-order 2N covariance points at grid offsets a_q (alpha_q = a_q beta / n).
+
+    Points q < N are creators and q >= N annihilators; an annihilator is
+    shifted one grid step, t~_q = a_q + [q >= N], so that a creator goes first
+    at a time tie.  Returns (t~, placement, split, gaps):
+
+    - placement lists the point indices by t~, then a, then index;
+    - split is the first position whose shifted time reaches beta/2 (2N if
+      none does);
+    - gaps[u] is the exponent z/beta of the point placed at u, its distance in
+      units of beta from the next shifted time (or from beta/2) on the left of
+      split and from the previous one (or from beta/2) on the right.  All gaps
+      are >= 0, and each side sums to at most 1/2.
+    """
+    a = np.asarray(a_units)
+    if a.shape != (2 * N,):
+        raise ValueError(f"expected {2 * N} grid points, got {a.size}")
+    if np.any((a < 0) | (a >= n)):
+        raise ValueError(f"grid offsets {a.tolist()} outside [0, {n})")
+    q = np.arange(2 * N)
+    tilde = a + (q >= N)
+    placement = np.lexsort((q, a, tilde))
+    twice = 2 * tilde[placement]
+    split = int(np.searchsorted(twice, n))
+    gaps = np.diff(np.insert(twice, split, n)) / (2 * n)
+    return tilde, placement, split, gaps
+
+
+@functools.cache
+def _rep_sign(placement: tuple, N: int) -> int:
+    """The parity of placement in the slots of the canonical CAR tuple.
+
+    Creator q sits in slot q and annihilator q in slot 3N - 1 - q.  There are
+    (2N)! placements, so each parity is computed once.
+    """
+    return int(permutation_sign([q if q < N else 3 * N - 1 - q for q in placement]))
+
+
 def determinant_representation(inst: BoundInstance, eta: float) -> complex:
     """Covariance determinant through the modular standard representation.
 
-    Builds the time-ordered chain of creation/annihilation operators dressed
-    with sign-operator powers and the square-root cutoff, splits it where the
-    shifted times cross beta/2, and evaluates the signed inner product of the
-    two modular half-chains.  Away from the singular spectral value n/beta
-    the result matches the directly computed determinant at any finite eta;
+    Dresses each point's vector with the square-root cutoff and, at an odd
+    shifted offset, the sign operator, orders the points with `time_order`
+    and splits them where the shifted times cross beta/2.  The left half chain
+    holds the adjoints of the points before the split, last placed first, and
+    the right half chain the points from the split on; each point carries its
+    own gap as exponent.  The result is the inner product of the two chains
+    times the parity of the placement.  Away from the singular spectral value
+    n/beta it matches the directly computed determinant at any finite eta;
     with an eigenvalue pinned there it converges to it as eta grows.
 
     It is evaluated in the occupation basis of the eigenmodes of the
@@ -131,8 +181,6 @@ def determinant_representation(inst: BoundInstance, eta: float) -> complex:
     unitarily invariant, so no change of basis back to the site modes is
     needed.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
     torus = inst.torus
     beta = torus.beta
     N = inst.pair_count
@@ -153,41 +201,17 @@ def determinant_representation(inst: BoundInstance, eta: float) -> complex:
         rates = np.clip(rates, -cap, cap)
     logp = quasifree_log_weights(np.repeat(rates, r), beta)
 
-    a_units = [i - torus.zero_index for i, _, _ in inst.points]
-    order: OrderingData = ordering_from_grid(a_units, N, torus.n)
+    index, phis, color = zip(*inst.points)
+    tilde, placement, split, gaps = time_order(np.array(index) - torus.zero_index, N, torus.n)
+    dressed = np.sqrt(inst.chi(S.values)) * _coefficients(S, phis)
+    dressed[tilde % 2 == 1] *= signs  # involution: only the parity acts
+    psis = [np.outer(row, qs.coords[j]).ravel() for row, j in zip(dressed, color)]
 
-    sqrt_chi = np.sqrt(inst.chi(S.values))
-    ops = []  # (psi in the eigenmode basis, is_creator); the adjoint flips the flag
-    for q, (i_alpha, phi, j) in enumerate(inst.points):
-        dressed = sqrt_chi * (S.vectors.conj().T @ phi)
-        if order.alpha_tilde[q] % 2 == 1:
-            dressed = signs * dressed  # involution: only the parity acts
-        ops.append((np.outer(dressed, qs.coords[j]).ravel(), q < N))  # dressed (x) coords_j
-
-    n = torus.n
-    tilde = order.alpha_tilde
-    placed = order.placement
-
-    def adjoint(op):
-        return op[0], not op[1]
-
-    p = order.split
-    left_chain = []
-    if p > 0:
-        left_chain.append(
-            (beta * (0.5 - tilde[placed[p - 1]] / n), adjoint(ops[placed[p - 1]]))
-        )
-        for u in range(p - 1, 0, -1):
-            left_chain.append((beta * order.xi[u - 1], adjoint(ops[placed[u - 1]])))
-    right_chain = []
-    if p < 2 * N:
-        right_chain.append(
-            (beta * (tilde[placed[p]] / n - 0.5), ops[placed[p]])
-        )
-        for u in range(p + 1, 2 * N):
-            right_chain.append((beta * order.xi[u - 1], ops[placed[u]]))
-
-    target = min(len(left_chain), len(right_chain))  # the masks both half chains reach
-    left = tube_chain(fock, logp, beta, left_chain, target)
-    right = tube_chain(fock, logp, beta, right_chain, target)
-    return order.rep_sign * left.vdot(right)
+    # (z, (psi, is_creator)); the adjoint of a left point swaps creator and annihilator
+    left = [(beta * gaps[u], (psis[placement[u]], placement[u] >= N))
+            for u in range(split - 1, -1, -1)]
+    right = [(beta * gaps[u], (psis[placement[u]], placement[u] < N))
+             for u in range(split, 2 * N)]
+    target = min(len(left), len(right))  # the masks both half chains reach
+    return _rep_sign(tuple(placement), N) * tube_chain(fock, logp, beta, left, target).vdot(
+        tube_chain(fock, logp, beta, right, target))

@@ -91,11 +91,14 @@ def rate_terms(lams, torus: DiscreteTorus, eta: float = 1.0) -> tuple:
     |lam - n/beta| <= singular_rate_band, the Bernoulli-Euler log-rate
     -(n/beta) ln|1 - (beta/n) lam| (eta on the band), and sgn(1 - (beta/n) lam)
     with sgn(0) = +1.  Off the band the log-rate is eta-independent and
-    satisfies exp(-+beta*rate) = (1 - (beta/n) lam)^(+-n) for even n.
+    satisfies exp(-+beta*rate) = (1 - (beta/n) lam)^(+-n) for even n.  Raises
+    ValueError unless 0 < eta < inf and every lam is finite.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError("eigenvalues must be finite")
     rate = torus.rate
     ratio = 1.0 - lams / rate
     singular = np.abs(lams - rate) <= singular_rate_band(torus)

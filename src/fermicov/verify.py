@@ -1,4 +1,4 @@
-"""Verification suites: ordering permutations, bound checks, sharpness sweeps.
+"""Verification suites: bound checks, sharpness sweeps.
 
 Everything here is seeded and replayable: each generated instance carries an
 integer seed that regenerates it bit-exactly, and suites process instances in
@@ -7,13 +7,11 @@ instance-id order.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from fermicov.car_fock import permutation_sign
 from fermicov.covariance import (
     BoundInstance,
     covariance_det,
@@ -25,12 +23,9 @@ from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
 from fermicov.torus import DiscreteTorus
 
 __all__ = [
-    "OrderingData",
-    "ordering_from_grid",
     "GeneratorConfig",
     "BoundReport",
     "SharpnessReport",
-    "UniversalBracket",
     "random_instance",
     "instance_seed",
     "bound_check_suite",
@@ -39,69 +34,6 @@ __all__ = [
 ]
 
 SLACK_TOL = 1e-10  # a check passes when bound - |det| >= -SLACK_TOL * max(1, bound)
-
-
-@dataclass(frozen=True)
-class OrderingData:
-    """Time-ordering of 2N covariance points for the modular representation.
-
-    placement lists the original 0-based point indices in increasing shifted
-    time.  rep_sign is the parity of rearranging the canonical CAR tuple
-    (creators ascending, annihilators descending) into placement order; it
-    is the sign carried by the modular inner-product formula.  xi holds the
-    2N-1 consecutive shifted-time increments divided by beta (all >= 0,
-    grid-exact), and split is the first position whose shifted time reaches
-    beta/2 (2N if none does).
-    """
-
-    placement: tuple
-    rep_sign: int
-    alpha_tilde: tuple
-    xi: tuple
-    split: int
-
-
-def ordering_from_grid(a_units: list, N: int, n: int) -> OrderingData:
-    """Ordering data from integer grid offsets a_q (alpha_q = a_q * beta / n).
-
-    The 0-based points q < N are creator slots, q >= N annihilator slots; the
-    latter get the one-step shift that breaks time ties in favor of creators.
-    """
-    if len(a_units) != 2 * N:
-        raise ValueError(f"expected {2 * N} grid points, got {len(a_units)}")
-    for a in a_units:
-        if not 0 <= a < n:
-            raise ValueError(f"grid offset {a} outside [0, n)")
-    a_tilde = tuple(a + (1 if q >= N else 0) for q, a in enumerate(a_units))
-    placement = tuple(
-        sorted(range(2 * N), key=lambda q: (a_tilde[q], a_units[q], q))
-    )
-    xi = tuple(
-        (a_tilde[placement[u]] - a_tilde[placement[u - 1]]) / n
-        for u in range(1, 2 * N)
-    )
-    split = 2 * N
-    for u, q in enumerate(placement):
-        if 2 * a_tilde[q] >= n:
-            split = u
-            break
-    return OrderingData(
-        placement=placement,
-        rep_sign=_rep_sign(placement, N),
-        alpha_tilde=a_tilde,
-        xi=xi,
-        split=split,
-    )
-
-
-@functools.cache
-def _rep_sign(placement: tuple, N: int) -> int:
-    """The parity of placement in the slots of the canonical CAR tuple.
-
-    Creator q sits in slot q and annihilator q in slot 3N - 1 - q.  There are
-    (2N)! placements, so each parity is computed once.
-    """
-    return int(permutation_sign([q if q < N else 3 * N - 1 - q for q in placement]))
 
 
 @dataclass
@@ -136,10 +68,6 @@ class BoundReport:
     det_s: float = 0.0
     bound_s: float = 0.0
 
-    @property
-    def det_abs(self) -> float:
-        return abs(self.det)
-
 
 @dataclass
 class SharpnessReport:
@@ -159,15 +87,6 @@ class SharpnessReport:
     @property
     def det_abs(self) -> float:
         return abs(self.det)
-
-
-@dataclass
-class UniversalBracket:
-    """Numerical bracket [lower, 1] for the best universal per-factor bound."""
-
-    lower: float
-    upper: float
-    violations: int
 
 
 def instance_seed(root_seed: int, instance_id: int) -> int:
@@ -224,8 +143,6 @@ def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
 
     if _pick(rng, ("psd", "bk")) == "bk":
         M = bk_matrix(random_tree(m, rng), t=float(rng.uniform(0.2, 1.0)))
-        if np.abs(M).max() == 0:
-            M = np.eye(m)
     else:
         r = int(rng.integers(1, m + 1))
         B = rng.normal(size=(m, r))
@@ -365,25 +282,21 @@ def sharpness_sweep(
     return reports
 
 
-def universal_bound_estimate(
-    bound_reports: list, sharpness_reports: list
-) -> UniversalBracket:
-    """Bracket the best universal per-factor constant from the two suites.
+def universal_bound_estimate(sharpness_reports: list) -> float:
+    """The lower edge of the bracket [lower, 1] for the best universal per-factor constant.
 
-    Lower edge: max over sharpness witnesses of |det|^(1/2N) normalized by the
-    per-factor bound.  Upper edge: 1, backed by the absence of violations in
-    the bound suite (violations, if any, are counted, not asserted here).
+    The maximum over sharpness witnesses of |det|^(1/2N) normalized by the
+    per-factor bound; the upper edge 1 is backed by the bound suite.
     """
-    if not bound_reports or not sharpness_reports:
-        raise ValueError("both suites must be nonempty")
+    if not sharpness_reports:
+        raise ValueError("the sharpness suite must be nonempty")
     lower = 0.0
     for rep in sharpness_reports:
         per_factor = rep.bound ** (1.0 / (2 * rep.N)) if rep.bound > 0 else 1.0
         lower = max(lower, rep.det_abs ** (1.0 / (2 * rep.N)) / per_factor)
-    violations = sum(0 if r.passed else 1 for r in bound_reports)
     eps = min(r.epsilon for r in sharpness_reports)
     if lower < 1.0 - eps - 1e-6:
         raise AssertionError(
             f"sharpness lower estimate {lower} fell below 1 - epsilon = {1 - eps}"
         )
-    return UniversalBracket(lower=lower, upper=1.0, violations=violations)
+    return lower

@@ -17,7 +17,6 @@ from fermicov.modular import OVERFLOW_LOG
 from fermicov.mspace import quotient_space
 from fermicov.spectral import SpectralData, eig_hermitian
 from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
-from fermicov.verify import ordering_from_grid
 
 
 def dense_solve_kernel(lam: float, torus: DiscreteTorus) -> np.ndarray:
@@ -199,13 +198,14 @@ def correlation_vector(state: QuasiFreeState, chain: list) -> np.ndarray:
     return state.from_eigenbasis(V)
 
 
-def dense_representation(inst, eta: float) -> complex:
+def dense_representation(inst, eta: float, placement=None) -> complex:
     """determinant_representation through the dense Fock-space modular calculus.
 
     Second-quantizes the regularized energy h (x) 1_r into a dense 2^D x 2^D
     matrix, diagonalizes it (quasifree_density), and evaluates the two half
     chains with correlation_vector on dense creator/annihilator matrices in
-    the site modes.
+    the site modes.  The points go in placement order, by default the first
+    valid order that ordering_brute_force finds.
     """
     torus, N, beta, n = inst.torus, inst.pair_count, inst.torus.beta, inst.torus.n
     S = eig_hermitian(inst.H)
@@ -220,27 +220,36 @@ def dense_representation(inst, eta: float) -> complex:
     h = np.kron(matrix_function(lambda lam: rates, S), np.eye(qs.rank))
     state = quasifree_density(h, beta)
 
-    order = ordering_from_grid([i - torus.zero_index for i, _, _ in inst.points], N, n)
+    a = [i - torus.zero_index for i, _, _ in inst.points]
+    tilde = [v + (1 if q >= N else 0) for q, v in enumerate(a)]  # annihilators one step later
+    placed = ordering_brute_force(a, N)[0] if placement is None else placement
     sqrt_chi = np.sqrt(inst.chi(S.values))
     signs = np.where(ratio >= 0.0, 1.0, -1.0)  # sgn(1 - (beta/n) lam), sgn(0) = +1
     ops = []
     for q, (_, phi, j) in enumerate(inst.points):
         dressed = sqrt_chi * (S.vectors.conj().T @ np.asarray(phi, dtype=complex))
-        if order.alpha_tilde[q] % 2 == 1:
+        if tilde[q] % 2 == 1:
             dressed = signs * dressed
         psi = np.kron(S.vectors @ dressed, qs.coords[j])
         ops.append(creator(psi) if q < N else annihilator(psi))
 
-    tilde, placed, xi, p = order.alpha_tilde, order.placement, order.xi, order.split
+    # canonical CAR tuple: creator q in slot q, annihilator q in slot 3N - 1 - q
+    slots = [q if q < N else 3 * N - 1 - q for q in placed]
+    inversions = sum(slots[u] > slots[v] for u in range(2 * N) for v in range(u + 1, 2 * N))
+    p = next((u for u, q in enumerate(placed) if 2 * tilde[q] >= n), 2 * N)  # at or after beta/2
     left = []
     if p > 0:
         left.append((beta * (0.5 - tilde[placed[p - 1]] / n), ops[placed[p - 1]].conj().T))
-        left += [(beta * xi[u - 1], ops[placed[u - 1]].conj().T) for u in range(p - 1, 0, -1)]
+    for u in range(p - 1, 0, -1):
+        xi = (tilde[placed[u]] - tilde[placed[u - 1]]) / n
+        left.append((beta * xi, ops[placed[u - 1]].conj().T))
     right = []
     if p < 2 * N:
         right.append((beta * (tilde[placed[p]] / n - 0.5), ops[placed[p]]))
-        right += [(beta * xi[u - 1], ops[placed[u]]) for u in range(p + 1, 2 * N)]
-    return order.rep_sign * complex(
+    for u in range(p + 1, 2 * N):
+        xi = (tilde[placed[u]] - tilde[placed[u - 1]]) / n
+        right.append((beta * xi, ops[placed[u]]))
+    return (-1) ** inversions * complex(
         np.vdot(correlation_vector(state, left), correlation_vector(state, right))
     )
 

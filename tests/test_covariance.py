@@ -70,6 +70,15 @@ def test_kernel_finite_eta_at_singularity_solves_only_in_limit():
     assert residuals[0] > residuals[1] > residuals[2]  # and converges in eta
 
 
+def test_kernel_rejects_non_finite_lambda_and_eta():
+    torus = DiscreteTorus(1.0, 4)  # lam = 4.0 sits on n/beta, where eta enters
+    for eta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta"):
+            kernel_g(4.0, torus, eta=eta)
+    with pytest.raises(ValueError, match="finite"):
+        kernel_g(np.nan, torus)
+
+
 def test_kernel_extreme_lambda_stays_bounded():
     torus = DiscreteTorus(beta=1.0, n=16)
     for lam in (-1e6, -1e3, 1e3, 1e6, torus.rate * (1.0 - 1e-9), torus.rate * (1.0 + 1e-9)):

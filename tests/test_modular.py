@@ -5,12 +5,20 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from fermicov.car_fock import FockChain, FockSpace, quasifree_log_weights, quasifree_modes
+from fermicov.car_fock import (
+    FockChain,
+    FockSpace,
+    permutation_sign,
+    quasifree_log_weights,
+    quasifree_modes,
+)
 from fermicov.covariance import BoundInstance, covariance_det
 from fermicov.modular import (
+    _rep_sign,
     determinant_representation,
     modular_power,
     schatten_norm,
+    time_order,
     tube_chain,
 )
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
@@ -23,6 +31,7 @@ from oracles import (
     dense_chain,
     dense_representation,
     expm_density,
+    ordering_brute_force,
     quasifree_density,
     second_quantize,
 )
@@ -58,6 +67,79 @@ def random_instance(rng, d=2, m=2, N=2, n=4, beta=1.0, avoid_singular=True):
         H=HermitianMatrix(H), torus=torus, chi=CutoffSpec.gaussian(0.0, 3.0),
         M=B @ B.T, points=points,
     )
+
+
+def positions(placement):
+    """The inverse of placement: pi[q] is the position of point q."""
+    pi = [0] * len(placement)
+    for pos, q in enumerate(placement):
+        pi[q] = pos
+    return tuple(pi)
+
+
+def test_ordering_trivial_pair():
+    tilde, placement, split, gaps = time_order([0, 0], 1, 4)
+    assert placement.tolist() == [0, 1]
+    assert positions(placement) == (0, 1)
+    assert permutation_sign(positions(placement)) == 1
+    assert _rep_sign(tuple(placement), 1) == 1
+    assert tilde.tolist() == [0, 1]
+    assert split == 2  # both shifted times lie before beta/2
+    assert gaps.tolist() == [1 / 4, 1 / 4]  # to the next point, then to beta/2
+
+
+def test_ordering_reference_example():
+    a = [2, 0, 0, 2]  # alphas 0.5, 0, 0, 0.5 at beta = 1, n = 4
+    tilde, placement, split, gaps = time_order(a, 2, 4)
+    assert placement.tolist() == [1, 2, 0, 3]  # shifted times 0.5, 0, 0.25, 0.75
+    assert permutation_sign(positions(placement)) == 1
+    assert split == 2
+    assert gaps.tolist() == [1 / 4, 1 / 4, 0.0, 1 / 4]
+    # the brute-force search over all 24 permutations finds exactly this one
+    valid = ordering_brute_force(a, 2)
+    assert valid == [(1, 2, 0, 3)]
+
+
+def test_ordering_tie_break_by_index():
+    _, placement, _, _ = time_order([1, 1, 2, 2], 2, 4)
+    assert placement.tolist() == [0, 1, 2, 3]
+
+
+def test_ordering_satisfies_conditions_at_random(rng):
+    n = 8
+    for _ in range(50):
+        N = int(rng.integers(1, 4))
+        a = [int(rng.integers(0, n)) for _ in range(2 * N)]
+        tilde, placement, split, gaps = time_order(a, N, n)
+        pi = positions(placement)
+        # both footnote conditions, re-inspected on the output
+        for k in range(2 * N):
+            for l in range(2 * N):
+                if a[k] < a[l]:
+                    assert pi[k] < pi[l]
+        for k in range(N):
+            for l in range(N, 2 * N):
+                if a[k] == a[l]:
+                    assert pi[k] < pi[l]
+        assert all(x >= 0 for x in gaps)
+        total = sum(int(tilde[placement[u]] - tilde[placement[u - 1]]) for u in range(1, 2 * N))
+        assert total == max(tilde) - min(tilde)  # exact integer telescoping
+        assert all(2 * tilde[q] < n for q in placement[:split])
+        assert all(2 * tilde[q] >= n for q in placement[split:])
+        assert tuple(placement) in ordering_brute_force(a, N)
+        # canonical CAR tuple: creators ascending, then annihilators descending
+        slots = list(range(N)) + list(range(2 * N - 1, N - 1, -1))
+        sign = permutation_sign([slots.index(q) for q in placement])
+        assert _rep_sign(tuple(placement), N) == sign
+
+
+def test_ordering_rejects_bad_points():
+    with pytest.raises(ValueError):
+        time_order([0, -1], 1, 4)  # alpha < 0
+    with pytest.raises(ValueError):
+        time_order([0, 4], 1, 4)  # alpha = beta excluded
+    with pytest.raises(ValueError):
+        time_order([0, 1, 2], 1, 4)
 
 
 def test_eta_is_fixed_point(rng):
@@ -303,6 +385,21 @@ def test_representation_matches_dense_oracle(rng):
         assert abs(rep - oracle) <= 1e-12 * abs(oracle), (d, m, N)
 
 
+def test_dense_representation_same_for_every_valid_placement(rng):
+    # at n = 2 points often share a shifted time; tied points may go in any order,
+    # since the gap between them is 0 and the placement's parity absorbs their swap
+    tied = 0
+    for trial in range(25):
+        N = 2 + trial % 2
+        inst = random_instance(rng, d=2, m=1, N=N, n=2)
+        det = covariance_det(inst)
+        placements = ordering_brute_force([i - inst.torus.zero_index for i, _, _ in inst.points], N)
+        tied += len(placements) > 1
+        values = [dense_representation(inst, eta=3.0, placement=p) for p in placements]
+        assert max(abs(v - values[0]) for v in values) <= 1e-12 * max(1.0, abs(det)), trial
+    assert tied >= 10
+
+
 def test_representation_at_ten_modes(rng):
     inst = random_instance(rng, d=5, m=2, N=2, n=4)
     while abs(covariance_det(inst)) < 1e-6:
@@ -408,5 +505,6 @@ def test_representation_respects_mode_cap(rng):
 
 def test_representation_rejects_bad_eta(rng):
     inst = random_instance(rng, d=1, m=1, N=1)
-    with pytest.raises(ValueError):
-        determinant_representation(inst, eta=-1.0)
+    for eta in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="eta"):
+            determinant_representation(inst, eta=eta)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fermicov.car_fock import permutation_sign
 from fermicov.covariance import BoundInstance, covariance_det
 from fermicov.spectral import CutoffSpec, rate_terms
 from fermicov.torus import DiscreteTorus
@@ -11,82 +10,10 @@ from fermicov.verify import (
     _pick,
     bound_check_suite,
     instance_seed,
-    ordering_from_grid,
     random_instance,
     sharpness_sweep,
     universal_bound_estimate,
 )
-
-from oracles import ordering_brute_force
-
-
-def positions(placement):
-    """The inverse of placement: pi[q] is the position of point q."""
-    pi = [0] * len(placement)
-    for pos, q in enumerate(placement):
-        pi[q] = pos
-    return tuple(pi)
-
-
-def test_ordering_trivial_pair():
-    order = ordering_from_grid([0, 0], 1, 4)
-    assert order.placement == (0, 1)
-    assert positions(order.placement) == (0, 1)
-    assert permutation_sign(positions(order.placement)) == 1
-    assert order.rep_sign == 1
-    assert order.alpha_tilde == (0, 1)
-    assert order.xi == (1 / 4,)
-
-
-def test_ordering_reference_example():
-    a = [2, 0, 0, 2]  # alphas 0.5, 0, 0, 0.5 at beta = 1, n = 4
-    order = ordering_from_grid(a, 2, 4)
-    assert order.placement == (1, 2, 0, 3)  # shifted times 0.5, 0, 0.25, 0.75
-    assert permutation_sign(positions(order.placement)) == 1
-    # the brute-force search over all 24 permutations finds exactly this one
-    valid = ordering_brute_force(a, 2)
-    assert valid == [(1, 2, 0, 3)]
-
-
-def test_ordering_tie_break_by_index():
-    order = ordering_from_grid([1, 1, 2, 2], 2, 4)
-    assert order.placement == (0, 1, 2, 3)
-
-
-def test_ordering_satisfies_conditions_at_random(rng):
-    n = 8
-    for _ in range(50):
-        N = int(rng.integers(1, 4))
-        a = [int(rng.integers(0, n)) for _ in range(2 * N)]
-        order = ordering_from_grid(a, N, n)
-        tilde = order.alpha_tilde
-        pi = positions(order.placement)
-        # both footnote conditions, re-inspected on the output
-        for k in range(2 * N):
-            for l in range(2 * N):
-                if a[k] < a[l]:
-                    assert pi[k] < pi[l]
-        for k in range(N):
-            for l in range(N, 2 * N):
-                if a[k] == a[l]:
-                    assert pi[k] < pi[l]
-        assert all(x >= 0 for x in order.xi)
-        total = sum(tilde[order.placement[u]] - tilde[order.placement[u - 1]]
-                    for u in range(1, 2 * N))
-        assert total == max(tilde) - min(tilde)  # exact integer telescoping
-        assert order.placement in ordering_brute_force(a, N)
-        # canonical CAR tuple: creators ascending, then annihilators descending
-        slots = list(range(N)) + list(range(2 * N - 1, N - 1, -1))
-        assert order.rep_sign == permutation_sign([slots.index(q) for q in order.placement])
-
-
-def test_ordering_rejects_bad_points():
-    with pytest.raises(ValueError):
-        ordering_from_grid([0, -1], 1, 4)  # alpha < 0
-    with pytest.raises(ValueError):
-        ordering_from_grid([0, 4], 1, 4)  # alpha = beta excluded
-    with pytest.raises(ValueError):
-        ordering_from_grid([0, 1, 2], 1, 4)
 
 
 def test_bound_suite_no_failures(rng):
@@ -176,13 +103,11 @@ def test_sharpness_search_fails_for_impossible_epsilon():
 
 def test_universal_bracket_and_monotonicity():
     bounds = bound_check_suite(50, GeneratorConfig(), seed=1)
+    assert all(r.passed for r in bounds)  # no violation of the upper edge 1
     sharp_01 = sharpness_sweep(0.1, beta=1.0, N_list=(1, 2))
-    bracket = universal_bound_estimate(bounds, sharp_01)
-    assert bracket.upper == 1.0
-    assert bracket.violations == 0
-    assert bracket.lower >= 0.9 - 1e-6
+    lower = universal_bound_estimate(sharp_01)
+    assert 0.9 - 1e-6 <= lower <= 1.0
     sharp_001 = sharpness_sweep(0.01, beta=1.0, N_list=(1, 2))
-    tighter = universal_bound_estimate(bounds, sharp_001)
-    assert tighter.lower >= bracket.lower - 1e-12
+    assert universal_bound_estimate(sharp_001) >= lower - 1e-12
     with pytest.raises(ValueError):
-        universal_bound_estimate([], sharp_01)
+        universal_bound_estimate([])
