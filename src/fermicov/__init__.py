@@ -20,11 +20,9 @@ from fermicov.covariance import (
     BoundInstance,
     KernelEval,
     covariance_det,
-    covariance_entry,
+    covariance_matrix,
     decay_parameter,
-    gram_norm_demo,
     kernel_g,
-    kernel_g_continuum,
 )
 from fermicov.mspace import QuotientSpace, TreeGraph, bk_matrix, quotient_space
 from fermicov.car_fock import (

@@ -25,22 +25,17 @@ from fermicov.spectral import (
     eig_hermitian,
     rate_terms,
 )
-from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
+from fermicov.torus import DiscreteTorus, delta_ap
 
 __all__ = [
     "KernelEval",
     "BoundInstance",
     "kernel_g",
-    "kernel_g_continuum",
     "kernel_values_at",
-    "covariance_entry",
+    "covariance_matrix",
     "covariance_det",
     "instance_bound",
-    "GramNormRow",
-    "gram_norm_demo",
-    "fit_growth_exponent",
     "decay_parameter",
-    "covariance_matrix_reduced",
 ]
 
 
@@ -103,16 +98,6 @@ def kernel_g(lam: float, torus: DiscreteTorus, eta: float | None = None) -> Kern
     return KernelEval(lam, torus, values)
 
 
-def kernel_g_continuum(lam: float, beta: float, alpha: float) -> float:
-    """Continuum kernel exp(-alpha lam) / (1 + exp(beta lam)) for alpha in (-beta, 0]."""
-    if not (-beta < alpha <= 0):
-        raise ValueError(f"alpha must lie in (-beta, 0], got {alpha}")
-    # shift the larger exponential into the denominator so nothing overflows
-    if beta * lam > 0:
-        return float(np.exp(-(alpha + beta) * lam) / (1.0 + np.exp(-beta * lam)))
-    return float(np.exp(-alpha * lam) / (1.0 + np.exp(beta * lam)))
-
-
 def _coefficients(S: SpectralData, phis) -> np.ndarray:
     """Eigenbasis coefficients U* phi, one row per vector."""
     Uh = S.vectors.conj().T
@@ -122,27 +107,6 @@ def _coefficients(S: SpectralData, phis) -> np.ndarray:
 def _entries(g: np.ndarray, weights: np.ndarray, c1: np.ndarray, c2: np.ndarray):
     """sum_j g_j chi_j conj(c2_j) c1_j over the last (eigenvalue) axis."""
     return np.sum(g * weights * np.conj(c2) * c1, axis=-1)
-
-
-def covariance_entry(
-    S: SpectralData,
-    chi: CutoffSpec,
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    alpha_index: int,
-    torus: DiscreteTorus,
-    eta: float | None = None,
-) -> complex:
-    """<phi2, (C chi(H^) phi1^)(alpha)> through the spectral representation.
-
-    Equals sum_j g_{lam_j}(alpha) chi(lam_j) <phi2, v_j> <v_j, phi1> with the
-    first slot of every inner product conjugated.
-    """
-    if np.size(phi1) != S.dim or np.size(phi2) != S.dim:
-        raise ValueError("vector dimensions do not match the Hamiltonian")
-    c1, c2 = _coefficients(S, (phi1, phi2))
-    g = kernel_values_at(S.values, torus, alpha_index, eta)
-    return complex(_entries(g, chi(S.values), c1, c2))
 
 
 @dataclass
@@ -204,12 +168,15 @@ class BoundInstance:
         return self.M.shape[0]
 
 
-def covariance_det(
+def covariance_matrix(
     inst: BoundInstance,
     eta: float | None = None,
     spectral: SpectralData | None = None,
-) -> complex:
-    """det over k,l of M[j_k, j_{N+l}] <phi_{N+l}, (C chi phi_k^)(alpha_k - alpha_{N+l})>.
+) -> np.ndarray:
+    """The N x N matrix M[j_k, j_{N+l}] <phi_{N+l}, (C chi phi_k^)(alpha_k - alpha_{N+l})>.
+
+    The inner product conjugates its first slot; an entry is
+    sum_j g_{lam_j}(alpha) chi(lam_j) <phi_{N+l}, v_j> <v_j, phi_k>.
 
     Each of the 2N vectors is projected once and the kernel is tabulated once
     over the distinct time differences, so the matrix is built in one pass.
@@ -223,7 +190,16 @@ def covariance_det(
     taus = np.flatnonzero(np.bincount(diff.ravel()))  # the distinct differences
     g = kernel_values_at(S.values, inst.torus, taus, eta)[np.searchsorted(taus, diff)]
     entries = _entries(g, inst.chi(S.values), c[:N, None], c[None, N:])
-    return complex(np.linalg.det(inst.M[color[:N, None], color[None, N:]] * entries))
+    return inst.M[color[:N, None], color[None, N:]] * entries
+
+
+def covariance_det(
+    inst: BoundInstance,
+    eta: float | None = None,
+    spectral: SpectralData | None = None,
+) -> complex:
+    """The determinant of covariance_matrix, the quantity the bound is checked on."""
+    return complex(np.linalg.det(covariance_matrix(inst, eta, spectral)))
 
 
 def instance_bound(inst: BoundInstance, spectral: SpectralData | None = None) -> float:
@@ -234,60 +210,6 @@ def instance_bound(inst: BoundInstance, spectral: SpectralData | None = None) ->
     norms = np.sqrt(np.sum(inst.chi(S.values) * np.abs(c) ** 2, axis=-1))
     diag = np.diag(inst.M)[list(color)]
     return float(np.prod(norms * np.sqrt(np.maximum(diag, 0.0))))
-
-
-@dataclass
-class GramNormRow:
-    """One torus row of the naive-Gram degeneration table."""
-
-    n: int
-    beta: float
-    cov_norm: float
-    embed_norm: float
-    gram_factor: float
-
-
-def covariance_matrix_reduced(H: np.ndarray, torus: DiscreteTorus) -> np.ndarray:
-    """Dense -2 (del + H^)^{-1} on the reduced antiperiodic representation."""
-    H = np.asarray(H, dtype=complex)
-    d = H.shape[0]
-    A = np.kron(derivative_matrix(torus).astype(complex), np.eye(d)) + np.kron(
-        np.eye(torus.n), H
-    )
-    return -2.0 * np.linalg.inv(A)
-
-
-def gram_norm_demo(H: HermitianMatrix, torus_list: list) -> tuple[list, bool]:
-    """Tabulate ||C_H|| and the embedding norm ||e1^|| over a list of tori.
-
-    Returns (rows, zero_mode_present).  The embedding norm sqrt(n/(2 beta))
-    grows like sqrt(n); gram_factor = ||C_H||^(1/2) * ||e1^|| is the
-    per-determinant-factor weight the naive Gram estimate would charge.  The
-    zero-mode precondition (0 in spec(H) within 1e-9) is reported but the
-    computation runs either way.
-    """
-    S = eig_hermitian(H)
-    zero_mode = bool(np.any(np.abs(S.values) <= 1e-9))
-    rows = []
-    for torus in torus_list:
-        C = covariance_matrix_reduced(H.matrix, torus)
-        cov_norm = float(np.linalg.norm(C, 2))
-        embed_norm = float(np.sqrt(torus.rate / 2.0))
-        rows.append(
-            GramNormRow(
-                n=torus.n,
-                beta=torus.beta,
-                cov_norm=cov_norm,
-                embed_norm=embed_norm,
-                gram_factor=float(np.sqrt(cov_norm) * embed_norm),
-            )
-        )
-    return rows, zero_mode
-
-
-def fit_growth_exponent(ns, vals) -> float:
-    """Least-squares slope of log(vals) against log(ns)."""
-    return float(np.polyfit(np.log(np.asarray(ns, float)), np.log(np.asarray(vals, float)), 1)[0])
 
 
 def decay_parameter(

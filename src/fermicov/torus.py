@@ -1,10 +1,9 @@
-"""Discrete imaginary-time torus, its antiperiodic delta and derivative.
+"""Discrete imaginary-time torus and its antiperiodic delta.
 
 The time grid is T_n = {-beta + k*beta/n : k = 1..2n}, a discrete torus of
 length 2*beta with the identification -beta == beta.  Functions on it carry
 the fermionic boundary condition f(alpha + beta) = -f(alpha) and are plain
-arrays: all 2n values (kernel tables, the delta), or the n values on
-(-beta, 0] that the reduced derivative matrix acts on.
+arrays of all 2n values (kernel tables, the delta).
 
 All grid arithmetic is done on the integer label k (mod 2n), never on
 floating-point alpha values, so antiperiodicity and grid identities hold
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscreteTorus", "delta_ap", "derivative_matrix"]
+__all__ = ["DiscreteTorus", "delta_ap"]
 
 
 @dataclass(frozen=True)
@@ -81,20 +80,3 @@ def delta_ap(torus: DiscreteTorus) -> np.ndarray:
     values[torus.beta_index] = -torus.rate / 2
     return values
 
-
-def derivative_matrix(torus: DiscreteTorus) -> np.ndarray:
-    """Dense matrix of the discrete derivative on the reduced representation.
-
-    Coordinates are the n values on alpha in (-beta, 0], with the
-    antiperiodic seam f(beta/n) = -f(beta/n - beta) built in.  The matrix is
-    invertible for every n; its eigenvalues stay away from the imaginary
-    axis' zero (inf spec |Im del| > 0).
-    """
-    n, c = torus.n, torus.rate
-    M = np.zeros((n, n))
-    for i in range(n - 1):
-        M[i, i + 1] += c
-        M[i, i] -= c
-    M[n - 1, 0] -= c
-    M[n - 1, n - 1] -= c
-    return M

@@ -7,6 +7,7 @@ instance-id order.
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 SLACK_TOL = 1e-10  # a check passes when bound - |det| >= -SLACK_TOL * max(1, bound)
+SHARPNESS_N_CAP = 8192  # sharpness_sweep doubles n from 4 up to this grid order
 
 
 @dataclass
@@ -170,6 +172,10 @@ def _check_one(instance_id: int, seed: int, config: GeneratorConfig) -> BoundRep
     t3 = time.perf_counter()
     bound = instance_bound(inst, spectral=spectral)
     t4 = time.perf_counter()
+    if not cmath.isfinite(det):
+        raise FloatingPointError(
+            f"instance {instance_id} (seed {seed}): determinant {det} is not finite"
+        )
     slack = bound - abs(det)
     return BoundReport(
         instance_id=instance_id,
@@ -191,8 +197,9 @@ def _check_one(instance_id: int, seed: int, config: GeneratorConfig) -> BoundRep
 
 
 def bound_check_suite(count: int, config: GeneratorConfig | None = None, seed: int = 0) -> list:
-    """Run count seeded random determinant-bound checks; failures are reported,
-    never raised.  Results come back ordered by instance id."""
+    """Run count seeded random determinant-bound checks; bound violations are
+    reported, never raised, and a non-finite determinant raises
+    FloatingPointError.  Results come back ordered by instance id."""
     config = config or GeneratorConfig()
     return [_check_one(i, instance_seed(seed, i), config) for i in range(count)]
 
@@ -205,7 +212,6 @@ def sharpness_sweep(
     epsilon: float,
     beta: float,
     N_list: tuple = (1, 2, 4, 8),
-    n_cap: int = 8192,
 ) -> list:
     """Find (lam < 0, n) with kernel value at zero >= 1 - epsilon, then verify
     the closed-form determinant family against covariance_det.
@@ -220,7 +226,7 @@ def sharpness_sweep(
     n = 4
     torus = None
     lam_star = None
-    while n <= n_cap:
+    while n <= SHARPNESS_N_CAP:
         torus = DiscreteTorus(beta=beta, n=n)
         x_star = (n - 1) ** (1.0 / n)
         lam_star = -(x_star - 1.0) * torus.rate
@@ -234,7 +240,7 @@ def sharpness_sweep(
         n *= 2
     else:
         raise RuntimeError(
-            f"no n <= {n_cap} reaches a kernel value of {1 - epsilon}; "
+            f"no n <= {SHARPNESS_N_CAP} reaches a kernel value of {1 - epsilon}; "
             f"epsilon={epsilon} is too small for this cap"
         )
 

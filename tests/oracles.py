@@ -3,7 +3,9 @@
 Everything here recomputes quantities through a different route than the
 package (dense linear solves on explicit matrices, dense Jordan-Wigner
 operators in the site modes, fine-grid integration, exhaustive search) so
-that agreement is evidence, not tautology.  Only numpy and scipy are needed
+that agreement is evidence, not tautology.  The reduced derivative and
+covariance matrices also feed the Gram-degeneration table of criterion 08
+and scripts/run_gram_divergence.py.  Only numpy and scipy are needed
 besides the package itself.
 """
 
@@ -16,7 +18,50 @@ import scipy.linalg
 from fermicov.modular import OVERFLOW_LOG
 from fermicov.mspace import quotient_space
 from fermicov.spectral import SpectralData, eig_hermitian
-from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
+from fermicov.torus import DiscreteTorus, delta_ap
+
+
+def derivative_matrix(torus: DiscreteTorus) -> np.ndarray:
+    """Dense matrix of the discrete derivative on the reduced representation.
+
+    Coordinates are the n values on alpha in (-beta, 0], with the
+    antiperiodic seam f(beta/n) = -f(beta/n - beta) built in.  The matrix is
+    invertible for every n; its eigenvalues stay away from the imaginary
+    axis' zero (inf spec |Im del| > 0).
+    """
+    n, c = torus.n, torus.rate
+    M = np.zeros((n, n))
+    for i in range(n - 1):
+        M[i, i + 1] += c
+        M[i, i] -= c
+    M[n - 1, 0] -= c
+    M[n - 1, n - 1] -= c
+    return M
+
+
+def covariance_matrix_reduced(H: np.ndarray, torus: DiscreteTorus) -> np.ndarray:
+    """Dense -2 (del + H^)^{-1} on the reduced antiperiodic representation."""
+    H = np.asarray(H, dtype=complex)
+    d = H.shape[0]
+    A = np.kron(derivative_matrix(torus).astype(complex), np.eye(d)) + np.kron(
+        np.eye(torus.n), H
+    )
+    return -2.0 * np.linalg.inv(A)
+
+
+def kernel_g_continuum(lam: float, beta: float, alpha: float) -> float:
+    """Continuum kernel exp(-alpha lam) / (1 + exp(beta lam)) for alpha in (-beta, 0]."""
+    if not (-beta < alpha <= 0):
+        raise ValueError(f"alpha must lie in (-beta, 0], got {alpha}")
+    # shift the larger exponential into the denominator so nothing overflows
+    if beta * lam > 0:
+        return float(np.exp(-(alpha + beta) * lam) / (1.0 + np.exp(-beta * lam)))
+    return float(np.exp(-alpha * lam) / (1.0 + np.exp(beta * lam)))
+
+
+def fit_growth_exponent(ns, vals) -> float:
+    """Least-squares slope of log(vals) against log(ns)."""
+    return float(np.polyfit(np.log(np.asarray(ns, float)), np.log(np.asarray(vals, float)), 1)[0])
 
 
 def dense_solve_kernel(lam: float, torus: DiscreteTorus) -> np.ndarray:
@@ -53,6 +98,17 @@ def dense_inversion_entry(H, chi, phi1, phi2, alpha_index, torus) -> complex:
     A = full_redundant_operator(H, torus)
     u = np.linalg.solve(A, rhs).reshape(torus.size, d)
     return complex(np.vdot(np.asarray(phi2, dtype=complex), -2.0 * u[torus.wrap(alpha_index)]))
+
+
+def dense_covariance_matrix(inst) -> np.ndarray:
+    """The matrix of covariance_matrix, entry by entry through dense_inversion_entry."""
+    N, torus = inst.pair_count, inst.torus
+    return np.array([
+        [inst.M[jk, jl] * dense_inversion_entry(inst.H.matrix, inst.chi, phik, phil,
+                                                torus.index_diff(ik, il), torus)
+         for il, phil, jl in inst.points[N:]]
+        for ik, phik, jk in inst.points[:N]
+    ])
 
 
 def matrix_function(f, S: SpectralData) -> np.ndarray:

@@ -12,14 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fermicov.car_fock import FockSpace, expect_monomial, quasifree_modes, wick_determinant
-from fermicov.covariance import (
-    BoundInstance,
-    covariance_det,
-    covariance_entry,
-    fit_growth_exponent,
-    gram_norm_demo,
-    kernel_g,
-)
+from fermicov.covariance import BoundInstance, covariance_det, covariance_matrix, kernel_g
 from fermicov.cli import main as cli_main
 from fermicov.modular import (
     determinant_representation,
@@ -28,11 +21,17 @@ from fermicov.modular import (
     tube_chain,
 )
 from fermicov.mspace import bk_matrix, random_tree
-from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
+from fermicov.spectral import CutoffSpec, HermitianMatrix
 from fermicov.torus import DiscreteTorus
 from fermicov.verify import GeneratorConfig, bound_check_suite, sharpness_sweep
 
-from oracles import dense_inversion_entry, dense_solve_kernel, fine_grid_bk
+from oracles import (
+    covariance_matrix_reduced,
+    dense_covariance_matrix,
+    dense_solve_kernel,
+    fine_grid_bk,
+    fit_growth_exponent,
+)
 
 
 class Budget:
@@ -70,14 +69,14 @@ def test_criterion_02_covariance_oracle_equivalence():
         beta = float(rng.choice([0.5, 1.0, 2.0]))
         torus = DiscreteTorus(beta=beta, n=n)
         A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        H = (A + A.conj().T) / 2 * rng.uniform(0.2, 2.0) * torus.rate
+        H = HermitianMatrix((A + A.conj().T) / 2 * rng.uniform(0.2, 2.0) * torus.rate)
         chi = CutoffSpec.gaussian(float(rng.normal()), float(torus.rate * rng.uniform(0.5, 2.0)))
-        phi1 = rng.normal(size=d) + 1j * rng.normal(size=d)
-        phi2 = rng.normal(size=d) + 1j * rng.normal(size=d)
-        alpha_index = int(rng.integers(0, torus.size))
-        fast = covariance_entry(eig_hermitian(H), chi, phi1, phi2, alpha_index, torus)
-        slow = dense_inversion_entry(H, chi, phi1, phi2, alpha_index, torus)
-        assert abs(fast - slow) <= 1e-9 * max(abs(slow), 1e-12)
+        # N = 3 pairs: nine entries whose time differences span (-beta, beta)
+        points = [(torus.zero_index + int(rng.integers(0, n)),
+                   rng.normal(size=d) + 1j * rng.normal(size=d), 0) for _ in range(6)]
+        inst = BoundInstance(H=H, torus=torus, chi=chi, M=np.array([[1.0]]), points=points)
+        fast, slow = covariance_matrix(inst), dense_covariance_matrix(inst)
+        assert np.all(np.abs(fast - slow) <= 1e-9 * np.maximum(np.abs(slow), 1e-12))
     budget.check()
 
 
@@ -267,22 +266,20 @@ def test_criterion_07_sharpness_and_universal_bracket():
 
 def test_criterion_08_gram_divergence_demonstrator():
     budget = Budget(10.0)
-    ns = [4, 8, 16, 32, 64]
-    rows, zero_mode = gram_norm_demo(
-        HermitianMatrix(np.zeros((1, 1))), [DiscreteTorus(beta=1.0, n=n) for n in ns]
-    )
-    assert zero_mode
-    for row in rows:
-        assert row.embed_norm == np.sqrt(row.n / 2.0)
-    exponent = fit_growth_exponent(ns, [row.cov_norm for row in rows])
+    ns = [4, 8, 16, 32, 64]  # H = 0 has a zero mode; beta = 1
+    cov_norms = [float(np.linalg.norm(covariance_matrix_reduced(np.zeros((1, 1)),
+                                                                DiscreteTorus(1.0, n)), 2))
+                 for n in ns]
+    gram_factors = [float(np.sqrt(c) * np.sqrt(n / 2.0)) for c, n in zip(cov_norms, ns)]
+    exponent = fit_growth_exponent(ns, cov_norms)
     budget.check()
     assert abs(exponent - 0.5) <= 0.1, (
         f"fitted growth exponent of the covariance operator norm is {exponent:.4f}; "
         f"the norm saturates near 2/pi = {2 / np.pi:.4f} "
-        f"(values: {[round(r.cov_norm, 6) for r in rows]}) while the embedding norms "
+        f"(values: {[round(c, 6) for c in cov_norms]}) while the embedding norms "
         f"sqrt(n/2) and the per-factor products "
-        f"{[round(r.gram_factor, 4) for r in rows]} carry the sqrt(n) growth "
-        f"(exponent {fit_growth_exponent(ns, [r.gram_factor for r in rows]):.4f})"
+        f"{[round(g, 4) for g in gram_factors]} carry the sqrt(n) growth "
+        f"(exponent {fit_growth_exponent(ns, gram_factors):.4f})"
     )
 
 

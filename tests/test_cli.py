@@ -330,6 +330,18 @@ def test_memory_error_exits_1(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_non_finite_determinant_exits_1(tmp_path, capsys):
+    # instance 100 (seed 2000106) has subnormal kernel entries, and
+    # np.linalg.det returns nan for its matrix with a RuntimeWarning
+    with pytest.warns(RuntimeWarning):
+        code = run(tmp_path, "bound-check", "--count", "101", "--n-choices", "64",
+                   "--scale-max", "1e30", "--seed", "2", "--out", "b.csv")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance 100 (seed 2000106)") and "not finite" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_decay_snapshot(tmp_path):
     code = run(tmp_path, "decay", "--beta", "1.0", "--n", "8", "--H-diag", "0.0",
                "--out", "dec.csv")

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,22 +10,27 @@ from numpy.testing import assert_allclose
 
 from fermicov.covariance import (
     BoundInstance,
+    _coefficients,
+    _entries,
     covariance_det,
-    covariance_entry,
-    covariance_matrix_reduced,
+    covariance_matrix,
     decay_parameter,
-    fit_growth_exponent,
-    gram_norm_demo,
     instance_bound,
     kernel_g,
-    kernel_g_continuum,
     kernel_values_at,
 )
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
-from fermicov.torus import DiscreteTorus, derivative_matrix
+from fermicov.torus import DiscreteTorus, delta_ap
 from fermicov.verify import GeneratorConfig, instance_seed, random_instance
 
-from oracles import dense_inversion_entry, dense_solve_kernel
+from oracles import (
+    covariance_matrix_reduced,
+    dense_covariance_matrix,
+    dense_solve_kernel,
+    derivative_matrix,
+    fit_growth_exponent,
+    kernel_g_continuum,
+)
 
 
 def test_kernel_singular_closed_limit():
@@ -111,37 +120,42 @@ def test_discrete_kernel_approaches_continuum():
     assert 0.7 <= order <= 1.3  # O(1/n) convergence
 
 
+def _one_pair(H, torus, phi) -> BoundInstance:
+    """One pair of points at alpha = 0 with the same vector: a 1 x 1 matrix."""
+    return BoundInstance(H=HermitianMatrix(H), torus=torus, chi=CutoffSpec.one(),
+                         M=np.array([[1.0]]), points=[(torus.zero_index, phi, 0)] * 2)
+
+
 def test_covariance_entry_free_case():
     torus = DiscreteTorus(beta=1.0, n=4)
-    S = eig_hermitian(np.zeros((1, 1)))
-    val = covariance_entry(S, CutoffSpec.one(), [1.0], [1.0], torus.zero_index, torus)
-    assert_allclose(val, 0.5, rtol=1e-14)
+    val = covariance_matrix(_one_pair(np.zeros((1, 1)), torus, [1.0]))
+    assert_allclose(val, [[0.5]], rtol=1e-14)
 
 
 @pytest.mark.parametrize("lam", [-4.0, -0.5, 0.9, 2.7])
 def test_covariance_entry_scalar_hamiltonian(lam):
     torus = DiscreteTorus(beta=1.0, n=8)
-    S = eig_hermitian(lam * np.eye(3))
-    val = covariance_entry(S, CutoffSpec.one(), np.eye(3)[1], np.eye(3)[1],
-                           torus.zero_index, torus)
+    val = covariance_matrix(_one_pair(lam * np.eye(3), torus, np.eye(3)[1]))
     x = 1.0 - lam / torus.rate
-    assert_allclose(val, 1.0 / x / (1.0 + abs(x) ** (-torus.n)), rtol=1e-13)
+    assert_allclose(val, [[1.0 / x / (1.0 + abs(x) ** (-torus.n))]], rtol=1e-13)
 
 
 def test_covariance_entry_matches_dense_inversion(rng):
+    # the entries' time differences alpha_k - alpha_l range over (-beta, beta)
     for trial in range(12):
-        d = int(rng.integers(1, 5))
+        d, m, N = (int(k) for k in rng.integers(1, [5, 4, 4]))
         n = int(rng.choice([2, 4, 8, 16]))
         torus = DiscreteTorus(beta=float(rng.uniform(0.5, 2.0)), n=n)
         A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        H = (A + A.conj().T) / 2 * rng.uniform(0.2, 3.0)
+        H = HermitianMatrix((A + A.conj().T) / 2 * rng.uniform(0.2, 3.0))
         chi = CutoffSpec.gaussian(float(rng.normal()), float(rng.uniform(0.5, 2.0)))
-        phi1 = rng.normal(size=d) + 1j * rng.normal(size=d)
-        phi2 = rng.normal(size=d) + 1j * rng.normal(size=d)
-        alpha_index = int(rng.integers(0, torus.size))
-        fast = covariance_entry(eig_hermitian(H), chi, phi1, phi2, alpha_index, torus)
-        slow = dense_inversion_entry(H, chi, phi1, phi2, alpha_index, torus)
-        assert abs(fast - slow) <= 1e-9 * max(1e-12, abs(slow))
+        B = rng.normal(size=(m, m))
+        points = [(torus.zero_index + int(rng.integers(0, n)),
+                   rng.normal(size=d) + 1j * rng.normal(size=d), int(rng.integers(0, m)))
+                  for _ in range(2 * N)]
+        inst = BoundInstance(H=H, torus=torus, chi=chi, M=B @ B.T, points=points)
+        fast, slow = covariance_matrix(inst), dense_covariance_matrix(inst)
+        assert np.all(np.abs(fast - slow) <= 1e-9 * np.maximum(1e-12, np.abs(slow)))
 
 
 def test_covariance_det_trivial_and_sharp():
@@ -185,14 +199,7 @@ def test_covariance_det_matches_entry_oracle(rng):
     ]
     chi = CutoffSpec.gaussian(0.0, 2.5)
     inst = BoundInstance(H=H, torus=torus, chi=chi, M=M, points=points)
-    mat = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        ik, phik, jk = inst.points[k]
-        for l in range(N):
-            il, phil, jl = inst.points[N + l]
-            mat[k, l] = M[jk, jl] * dense_inversion_entry(
-                H.matrix, chi, phik, phil, torus.index_diff(ik, il), torus
-            )
+    mat = dense_covariance_matrix(inst)
     oracle = np.linalg.det(mat)
     scale = max(np.max(np.abs(mat)) ** N, 1e-12)
     assert abs(covariance_det(inst) - oracle) <= 1e-9 * max(abs(oracle), scale * 1e-3)
@@ -202,18 +209,18 @@ def _bits(x) -> bytes:
     return np.asarray(x).tobytes()
 
 
-def _per_entry_det(inst, S, eta=None) -> complex:
-    """The determinant built entry by entry, one covariance_entry call each."""
-    N = inst.pair_count
+def _per_entry_matrix(inst, S, eta=None) -> np.ndarray:
+    """The matrix built entry by entry, the kernel evaluated at one index each."""
+    N, weights = inst.pair_count, inst.chi(S.values)
     mat = np.zeros((N, N), dtype=complex)
     for k in range(N):
         ik, phik, jk = inst.points[k]
         for l in range(N):
             il, phil, jl = inst.points[N + l]
-            mat[k, l] = inst.M[jk, jl] * covariance_entry(
-                S, inst.chi, phik, phil, inst.torus.index_diff(ik, il), inst.torus, eta
-            )
-    return complex(np.linalg.det(mat))
+            c1, c2 = _coefficients(S, (phik, phil))
+            g = kernel_values_at(S.values, inst.torus, inst.torus.index_diff(ik, il), eta)
+            mat[k, l] = inst.M[jk, jl] * _entries(g, weights, c1, c2)
+    return mat
 
 
 def _per_vector_bound(inst, S) -> float:
@@ -245,7 +252,9 @@ def test_one_pass_det_and_bound_equal_per_entry_loop():
     for inst, eta in cases:
         S = eig_hermitian(inst.H)
         det = covariance_det(inst, eta=eta, spectral=S)
-        assert _bits(det) == _bits(_per_entry_det(inst, S, eta))
+        loop = _per_entry_matrix(inst, S, eta)
+        assert _bits(covariance_matrix(inst, eta, S)) == _bits(loop)
+        assert _bits(det) == _bits(complex(np.linalg.det(loop)))
         assert _bits(instance_bound(inst, S)) == _bits(_per_vector_bound(inst, S))
         hits += bool(np.any(rate_terms(S.values, inst.torus)[0]))
         zeros += det == 0
@@ -267,12 +276,9 @@ def test_covariance_det_matches_dense_oracle_up_to_n16(rng):
         ]
         chi = CutoffSpec.gaussian(0.0, torus.rate * rng.uniform(0.5, 3.0))
         inst = BoundInstance(H=H, torus=torus, chi=chi, M=B @ B.T, points=points)
-        mat = np.array([
-            [inst.M[jk, jl] * dense_inversion_entry(H.matrix, chi, phik, phil,
-                                                    torus.index_diff(ik, il), torus)
-             for il, phil, jl in inst.points[N:]]
-            for ik, phik, jk in inst.points[:N]
-        ])
+        mat = dense_covariance_matrix(inst)
+        assert np.all(np.abs(covariance_matrix(inst) - mat)
+                      <= 1e-9 * np.maximum(np.abs(mat), 1e-12))
         assert abs(covariance_det(inst) - np.linalg.det(mat)) <= 1e-9 * instance_bound(inst)
 
 
@@ -312,35 +318,46 @@ def test_embedding_norm_exact_and_cov_norm_saturates():
     # the naive Gram estimate degenerates through the embedding norms
     # sqrt(n/2); the covariance operator norm itself stays bounded (~2/pi),
     # so the per-factor product grows like sqrt(n)
-    H = HermitianMatrix(np.zeros((1, 1)))
     ns = [4, 8, 16, 32]
-    rows, zero_mode = gram_norm_demo(H, [DiscreteTorus(beta=1.0, n=n) for n in ns])
-    assert zero_mode
-    for row in rows:
-        assert row.embed_norm == np.sqrt(row.n / 2.0)
-        assert 0.63 <= row.cov_norm <= 0.71
-    ratio = rows[-1].cov_norm / rows[-2].cov_norm
-    assert abs(ratio - 1.0) <= 0.05  # doubling n leaves the norm flat
-    factor_exponent = fit_growth_exponent(ns, [r.gram_factor for r in rows])
+    cov_norms, embed_norms = [], []
+    for n in ns:
+        torus = DiscreteTorus(beta=1.0, n=n)
+        embed_norms.append(np.sqrt(torus.step * np.sum(delta_ap(torus) ** 2)))  # ||e1^||
+        cov_norms.append(np.linalg.norm(covariance_matrix_reduced(np.zeros((1, 1)), torus), 2))
+    assert embed_norms == [np.sqrt(n / 2.0) for n in ns]
+    assert all(0.63 <= c <= 0.71 for c in cov_norms)
+    assert abs(cov_norms[-1] / cov_norms[-2] - 1.0) <= 0.05  # doubling n leaves the norm flat
+    factor_exponent = fit_growth_exponent(ns, np.sqrt(cov_norms) * embed_norms)
     assert abs(factor_exponent - 0.5) <= 0.1
 
 
 def test_gram_demo_resolvent_comparison():
-    H = HermitianMatrix(np.diag([0.0, 5.0]))
+    H = np.diag([0.0, 5.0])
     torus = DiscreteTorus(beta=1.0, n=16)
-    rows, zero_mode = gram_norm_demo(H, [torus])
-    assert zero_mode
     # ||C_H|| is the largest resolvent norm 2 ||(del + lam)^-1|| over the spectrum
     dmat = derivative_matrix(torus).astype(complex)
     res = np.array([2.0 * np.linalg.norm(np.linalg.inv(dmat + lam * np.eye(torus.n)), 2)
                     for lam in eig_hermitian(H).values])
     assert res[0] > res[1]  # the zero mode dominates the norm
-    assert_allclose(rows[0].cov_norm, res.max(), rtol=1e-10)
-    C = covariance_matrix_reduced(H.matrix, torus)
-    assert_allclose(np.linalg.norm(C, 2), rows[0].cov_norm, rtol=1e-12)
-    # no zero mode: reported as such, computation still performed
-    rows2, zero_mode2 = gram_norm_demo(HermitianMatrix(np.diag([5.0])), [torus])
-    assert not zero_mode2 and np.isfinite(rows2[0].cov_norm)
+    assert_allclose(np.linalg.norm(covariance_matrix_reduced(H, torus), 2), res.max(),
+                    rtol=1e-10)
+    # without a zero mode the norm is finite too
+    assert np.isfinite(np.linalg.norm(covariance_matrix_reduced(np.diag([5.0]), torus), 2))
+
+
+def test_gram_divergence_script_runs(tmp_path):
+    # the script reaches tests/oracles.py through sys.path, from any directory
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_gram_divergence.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "zero mode present: True" in lines
+    rows = [ln.split() for ln in lines[2:]]
+    assert [row[0] for row in rows[:5]] == ["4", "8", "16", "32", "64"]
+    assert all(len(row) == 4 for row in rows[:5]) and rows[5][0] == "fitted"
 
 
 def test_decay_parameter_free_value():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fermicov.torus import DiscreteTorus, delta_ap, derivative_matrix
+from fermicov.torus import DiscreteTorus, delta_ap
 
-from oracles import full_redundant_operator
+from oracles import derivative_matrix, full_redundant_operator
 
 
 def test_torus_validation():

@@ -97,8 +97,8 @@ def test_sharpness_sweep_epsilon_01():
 
 
 def test_sharpness_search_fails_for_impossible_epsilon():
-    with pytest.raises(RuntimeError):
-        sharpness_sweep(1e-12, beta=1.0, N_list=(1,), n_cap=64)
+    with pytest.raises(RuntimeError, match="no n <= 8192"):
+        sharpness_sweep(1e-12, beta=1.0, N_list=(1,))
 
 
 def test_universal_bracket_and_monotonicity():
