@@ -24,7 +24,7 @@ from fermicov.covariance import (
     decay_parameter,
     kernel_g,
 )
-from fermicov.mspace import QuotientSpace, TreeGraph, bk_matrix, quotient_space
+from fermicov.mspace import TreeGraph, bk_matrix, quotient_space
 from fermicov.car_fock import (
     FockChain,
     FockSpace,

@@ -44,6 +44,7 @@ from fermicov.verify import (
     bound_check_suite,
     sharpness_sweep,
     universal_bound_estimate,
+    within_bound,
 )
 
 SCHEMA_LINE = "# fermicov-schema v1"
@@ -330,7 +331,8 @@ def cmd_sharpness(args) -> Outcome:
          r.lower_bound, r.kernel_at_zero)
         for r in reports
     ]
-    failures = [r.N for r in reports if abs(r.det) < r.lower_bound - 1e-12]
+    failures = [r.N for r in reports
+                if abs(r.det) < r.lower_bound - 1e-12 or not within_bound(r.det, r.bound)]
     return Outcome(
         ["epsilon", "beta", "lam", "n", "N", "det_abs", "closed_form",
          "lower_bound", "kernel_at_zero"],
@@ -375,8 +377,7 @@ def cmd_decay(args) -> Outcome:
         chi = CutoffSpec(args.chi, **params.get(args.chi, {}))
     except ValueError as exc:
         raise ConfigError(f"--chi {args.chi}: {exc}") from None
-    basis = list(np.eye(len(diag)))
-    value = decay_parameter(S, chi, basis, torus)
+    value = decay_parameter(S, chi, torus)
     return Outcome(
         ["beta", "n", "d", "decay_snapshot"], [(args.beta, args.n, len(diag), value)],
         1, [], 0.0, f"decay snapshot (n={args.n}, no limit taken): {value:.12g}",

@@ -14,6 +14,7 @@ thousands of times larger than n/beta neither overflow nor lose the bound
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from fermicov.spectral import (
     eig_hermitian,
     rate_terms,
 )
+from fermicov.mspace import psd_eigh
 from fermicov.torus import DiscreteTorus, delta_ap
 
 __all__ = [
@@ -98,12 +100,6 @@ def kernel_g(lam: float, torus: DiscreteTorus, eta: float | None = None) -> Kern
     return KernelEval(lam, torus, values)
 
 
-def _coefficients(S: SpectralData, phis) -> np.ndarray:
-    """Eigenbasis coefficients U* phi, one row per vector."""
-    Uh = S.vectors.conj().T
-    return np.array([Uh @ np.asarray(phi, dtype=complex).reshape(-1) for phi in phis])
-
-
 def _entries(g: np.ndarray, weights: np.ndarray, c1: np.ndarray, c2: np.ndarray):
     """sum_j g_j chi_j conj(c2_j) c1_j over the last (eigenvalue) axis."""
     return np.sum(g * weights * np.conj(c2) * c1, axis=-1)
@@ -115,6 +111,9 @@ class BoundInstance:
 
     points holds 2N triples (alpha_index, phi, j): a grid index with
     alpha in [0, beta), a fiber vector, and a 0-based color index into M.
+
+    The spectrum of H and the projections U* phi_q are cached on first use, as
+    nothing reassigns H, M or points; chi may be reassigned, as nothing cached uses it.
     """
 
     H: HermitianMatrix
@@ -124,16 +123,7 @@ class BoundInstance:
     points: list
 
     def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
-        if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
-            raise ValueError("M must be a square matrix")
-        if not np.allclose(self.M, self.M.T, atol=1e-10 * max(1.0, np.abs(self.M).max())):
-            raise ValueError("M must be symmetric")
-        if np.abs(self.M).max() == 0:
-            raise ValueError("M must be nonzero")
-        scale = np.abs(self.M).max()
-        if np.linalg.eigvalsh(self.M).min() < -1e-10 * scale:
-            raise ValueError("M must be positive semidefinite")
+        self.M = psd_eigh(self.M)[0]
         if len(self.points) % 2 != 0 or not self.points:
             raise ValueError("points must hold 2N triples with N >= 1")
         norm_points = []
@@ -167,25 +157,33 @@ class BoundInstance:
     def m(self) -> int:
         return self.M.shape[0]
 
+    @functools.cached_property
+    def spectral(self) -> SpectralData:
+        """The eigendecomposition of H."""
+        return eig_hermitian(self.H)
 
-def covariance_matrix(
-    inst: BoundInstance,
-    eta: float | None = None,
-    spectral: SpectralData | None = None,
-) -> np.ndarray:
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        """Eigenbasis coefficients U* phi_q, one row per point; read-only, as callers share it."""
+        Uh = self.spectral.vectors.conj().T
+        c = np.array([Uh @ phi for _, phi, _ in self.points])
+        c.flags.writeable = False
+        return c
+
+
+def covariance_matrix(inst: BoundInstance, eta: float | None = None) -> np.ndarray:
     """The N x N matrix M[j_k, j_{N+l}] <phi_{N+l}, (C chi phi_k^)(alpha_k - alpha_{N+l})>.
 
     The inner product conjugates its first slot; an entry is
     sum_j g_{lam_j}(alpha) chi(lam_j) <phi_{N+l}, v_j> <v_j, phi_k>.
 
-    Each of the 2N vectors is projected once and the kernel is tabulated once
-    over the distinct time differences, so the matrix is built in one pass.
+    The 2N projections come from the instance, and the kernel is tabulated
+    once over the distinct time differences, so the matrix is built in one pass.
     """
-    S = spectral if spectral is not None else eig_hermitian(inst.H)
+    S, c = inst.spectral, inst.coefficients
     N = inst.pair_count
-    index, phis, color = zip(*inst.points)
+    index, _, color = zip(*inst.points)
     index, color = np.array(index), np.array(color)
-    c = _coefficients(S, phis)
     diff = inst.torus.index_diff(index[:N, None], index[None, N:])
     taus = np.flatnonzero(np.bincount(diff.ravel()))  # the distinct differences
     g = kernel_values_at(S.values, inst.torus, taus, eta)[np.searchsorted(taus, diff)]
@@ -193,47 +191,31 @@ def covariance_matrix(
     return inst.M[color[:N, None], color[None, N:]] * entries
 
 
-def covariance_det(
-    inst: BoundInstance,
-    eta: float | None = None,
-    spectral: SpectralData | None = None,
-) -> complex:
+def covariance_det(inst: BoundInstance, eta: float | None = None) -> complex:
     """The determinant of covariance_matrix, the quantity the bound is checked on."""
-    return complex(np.linalg.det(covariance_matrix(inst, eta, spectral)))
+    return complex(np.linalg.det(covariance_matrix(inst, eta)))
 
 
-def instance_bound(inst: BoundInstance, spectral: SpectralData | None = None) -> float:
+def instance_bound(inst: BoundInstance) -> float:
     """The claimed bound prod_q ||sqrt(chi(H)) phi_q|| * M[j_q, j_q]^(1/2)."""
-    S = spectral if spectral is not None else eig_hermitian(inst.H)
-    _, phis, color = zip(*inst.points)
-    c = _coefficients(S, phis)
-    norms = np.sqrt(np.sum(inst.chi(S.values) * np.abs(c) ** 2, axis=-1))
-    diag = np.diag(inst.M)[list(color)]
+    weights = inst.chi(inst.spectral.values)
+    norms = np.sqrt(np.sum(weights * np.abs(inst.coefficients) ** 2, axis=-1))
+    diag = np.diag(inst.M)[[j for _, _, j in inst.points]]
     return float(np.prod(norms * np.sqrt(np.maximum(diag, 0.0))))
 
 
-def decay_parameter(
-    S: SpectralData,
-    chi: CutoffSpec,
-    basis: list,
-    torus: DiscreteTorus,
-    eta: float | None = None,
-) -> float:
+def decay_parameter(S: SpectralData, chi: CutoffSpec, torus: DiscreteTorus) -> float:
     """Finite-n snapshot of the covariance summability parameter.
 
-    max over basis index i of (beta/n) sum_tau sum_q |<phi_q, (C chi phi_i^)(tau)>|
-    with both i and q running over the supplied orthonormal family.  No limit
-    over n is attempted; callers report the n used.
+    max over i of (beta/n) sum_tau sum_q |<e_q, (C chi e_i^)(tau)>| with both
+    i and q running over the standard basis.  No limit over n is attempted;
+    callers report the n used.
     """
-    B = np.array([np.asarray(v, dtype=complex).reshape(-1) for v in basis]).T
-    gram = B.conj().T @ B
-    if np.max(np.abs(gram - np.eye(B.shape[1]))) > 1e-10:
-        raise ValueError("basis is not orthonormal to 1e-10")
-    C = S.vectors.conj().T @ B  # column i = eigenbasis coefficients of phi_i
+    C = S.vectors.conj().T  # column i = eigenbasis coefficients of e_i
     weights = chi(S.values)
-    G = kernel_values_at(S.values, torus, np.arange(torus.size), eta)  # shape (2n, d)
+    G = kernel_values_at(S.values, torus, np.arange(torus.size))  # shape (2n, d)
     best = 0.0
-    for i in range(B.shape[1]):
+    for i in range(S.dim):
         # entries[tau, q] = sum_j g_j(tau) chi_j conj(C[j,q]) C[j,i]
         entries = (G * weights) @ (np.conj(C) * C[:, i][:, None])
         best = max(best, float(torus.step * np.sum(np.abs(entries))))

@@ -34,9 +34,9 @@ import warnings
 import numpy as np
 
 from fermicov.car_fock import FockChain, FockSpace, permutation_sign, quasifree_log_weights
-from fermicov.covariance import BoundInstance, _coefficients
+from fermicov.covariance import BoundInstance
 from fermicov.mspace import quotient_space
-from fermicov.spectral import eig_hermitian, rate_terms
+from fermicov.spectral import rate_terms
 
 __all__ = [
     "modular_power",
@@ -184,10 +184,9 @@ def determinant_representation(inst: BoundInstance, eta: float) -> complex:
     torus = inst.torus
     beta = torus.beta
     N = inst.pair_count
-    S = eig_hermitian(inst.H)
-    qs = quotient_space(inst.M)
-    d, r = S.dim, qs.rank
-    fock = FockSpace(d * r)  # raises if the cap is exceeded
+    S = inst.spectral
+    coords = quotient_space(inst.M)  # m x rank
+    fock = FockSpace(S.dim * coords.shape[1])  # raises if the cap is exceeded
 
     _, rates, signs = rate_terms(S.values, torus, eta)  # signs do not depend on eta
     cap = OVERFLOW_LOG / beta
@@ -199,13 +198,13 @@ def determinant_representation(inst: BoundInstance, eta: float) -> complex:
             stacklevel=2,
         )
         rates = np.clip(rates, -cap, cap)
-    logp = quasifree_log_weights(np.repeat(rates, r), beta)
+    logp = quasifree_log_weights(np.repeat(rates, coords.shape[1]), beta)
 
-    index, phis, color = zip(*inst.points)
+    index, _, color = zip(*inst.points)
     tilde, placement, split, gaps = time_order(np.array(index) - torus.zero_index, N, torus.n)
-    dressed = np.sqrt(inst.chi(S.values)) * _coefficients(S, phis)
+    dressed = np.sqrt(inst.chi(S.values)) * inst.coefficients
     dressed[tilde % 2 == 1] *= signs  # involution: only the parity acts
-    psis = [np.outer(row, qs.coords[j]).ravel() for row, j in zip(dressed, color)]
+    psis = [np.outer(row, coords[j]).ravel() for row, j in zip(dressed, color)]
 
     # (z, (psi, is_creator)); the adjoint of a left point swaps creator and annihilator
     left = [(beta * gaps[u], (psis[placement[u]], placement[u] >= N))

@@ -14,46 +14,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QuotientSpace", "TreeGraph", "quotient_space", "bk_matrix", "random_tree"]
+__all__ = ["TreeGraph", "psd_eigh", "quotient_space", "bk_matrix", "random_tree"]
+
+PSD_TOL = 1e-10  # asymmetry and negative eigenvalues allowed, relative to max |M|
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
-    """Coordinates of the canonical vectors e_k in an orthonormal basis.
-
-    coords has shape (m, r) with coords @ coords^* == M entrywise, so row
-    inner products reproduce the defining Gram matrix.
-    """
-
-    m: int
-    rank: int
-    coords: np.ndarray = field(repr=False)
-
-
-def quotient_space(M: np.ndarray) -> QuotientSpace:
-    """Factor a real PSD matrix M into e_k coordinates with Gram matrix M.
-
-    Deterministic: eigenvalues ascending, eigenvector phases fixed, and
-    eigenvalues below 1e-10 * ||M|| treated as null directions.
-    """
+def psd_eigh(M) -> tuple:
+    """The one rule for a color matrix: square, finite, nonzero, and symmetric and
+    PSD up to PSD_TOL * max |M|.  Returns (M, w, V): M symmetrized and its eigh."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be a square matrix")
+    if not np.isfinite(M).all():
+        raise ValueError("M must have finite entries")
     scale = np.abs(M).max()
     if scale == 0:
         raise ValueError("M must be nonzero")
-    if not np.allclose(M, M.T, atol=1e-10 * scale):
+    if np.abs(M - M.T).max() > PSD_TOL * scale:
         raise ValueError("M must be symmetric")
-    w, V = np.linalg.eigh((M + M.T) / 2)
-    if w.min() < -1e-8 * scale:
+    M = (M + M.T) / 2
+    w, V = np.linalg.eigh(M)
+    if w.min() < -PSD_TOL * scale:
         raise ValueError(f"M is not positive semidefinite: min eigenvalue {w.min():g}")
-    for j in range(V.shape[1]):
-        k = int(np.argmax(np.abs(V[:, j])))
-        if V[k, j] < 0:
-            V[:, j] = -V[:, j]
+    return M, w, V
+
+
+def quotient_space(M: np.ndarray) -> np.ndarray:
+    """Factor a real PSD matrix M into the coordinates of the canonical e_k.
+
+    Returns the m x r array coords, r the rank of M, with coords @ coords^* == M
+    entrywise.  Deterministic: eigenvalues ascending, the largest-magnitude entry of
+    each eigenvector positive, eigenvalues below 1e-10 * ||M|| treated as null.
+    """
+    M, w, V = psd_eigh(M)
+    V *= np.where(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0, -1.0, 1.0)
     keep = w > 1e-10 * np.linalg.norm(M, 2)
-    coords = V[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
-    return QuotientSpace(m=M.shape[0], rank=int(keep.sum()), coords=coords)
+    return V[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "SharpnessReport",
     "random_instance",
     "instance_seed",
+    "within_bound",
     "bound_check_suite",
     "sharpness_sweep",
     "universal_bound_estimate",
@@ -162,21 +163,25 @@ def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
     return BoundInstance._trusted(HermitianMatrix(H), torus, chi, M, points)
 
 
+def within_bound(det: complex, bound: float) -> bool:
+    """The pass rule of a bound check: bound - |det| >= -SLACK_TOL * max(1, bound)."""
+    return bool(bound - abs(det) >= -SLACK_TOL * max(1.0, bound))
+
+
 def _check_one(instance_id: int, seed: int, config: GeneratorConfig) -> BoundReport:
     t0 = time.perf_counter()
     inst = random_instance(seed, config)
     t1 = time.perf_counter()
-    spectral = eig_hermitian(inst.H)
+    inst.spectral  # computes and caches the eigendecomposition
     t2 = time.perf_counter()
-    det = covariance_det(inst, spectral=spectral)
+    det = covariance_det(inst)
     t3 = time.perf_counter()
-    bound = instance_bound(inst, spectral=spectral)
+    bound = instance_bound(inst)
     t4 = time.perf_counter()
     if not cmath.isfinite(det):
         raise FloatingPointError(
             f"instance {instance_id} (seed {seed}): determinant {det} is not finite"
         )
-    slack = bound - abs(det)
     return BoundReport(
         instance_id=instance_id,
         seed=seed,
@@ -187,8 +192,8 @@ def _check_one(instance_id: int, seed: int, config: GeneratorConfig) -> BoundRep
         beta=inst.torus.beta,
         det=det,
         bound=bound,
-        slack=slack,
-        passed=bool(slack >= -SLACK_TOL * max(1.0, bound)),
+        slack=bound - abs(det),
+        passed=within_bound(det, bound),
         generate_s=t1 - t0,
         eig_s=t2 - t1,
         det_s=t3 - t2,
@@ -256,14 +261,10 @@ def sharpness_sweep(
 
     reports = []
     for N in N_list:
-        d = N
-        H = HermitianMatrix(lam * np.eye(d))
-        basis = np.eye(d)
-        points = [(torus.zero_index, basis[k], 0) for k in range(N)]
-        points += [(torus.zero_index, basis[l], 0) for l in range(N)]
-        inst = BoundInstance(
-            H=H, torus=torus, chi=CutoffSpec.one(), M=np.array([[1.0]]), points=points
-        )
+        basis = np.eye(N)
+        points = [(torus.zero_index, basis[k], 0) for k in range(N)] * 2
+        inst = BoundInstance(H=HermitianMatrix(lam * basis), torus=torus, chi=CutoffSpec.one(),
+                             M=np.array([[1.0]]), points=points)
         det = covariance_det(inst)
         x = 1.0 - lam / torus.rate
         closed = x ** (-N) * (1.0 + abs(x) ** (-n)) ** (-N)

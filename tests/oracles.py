@@ -265,7 +265,7 @@ def dense_representation(inst, eta: float, placement=None) -> complex:
     """
     torus, N, beta, n = inst.torus, inst.pair_count, inst.torus.beta, inst.torus.n
     S = eig_hermitian(inst.H)
-    qs = quotient_space(inst.M)
+    coords = quotient_space(inst.M)
     cap = OVERFLOW_LOG / beta
     # -(n/beta) ln|1 - (beta/n) lam|, eta within 1e-12 n/beta of the singular n/beta
     ratio = 1.0 - S.values / torus.rate
@@ -273,7 +273,7 @@ def dense_representation(inst, eta: float, placement=None) -> complex:
         log_rates = -torus.rate * np.log(np.abs(ratio))
     singular = np.abs(S.values - torus.rate) <= 1e-12 * torus.rate
     rates = np.clip(np.where(singular, eta, log_rates), -cap, cap)
-    h = np.kron(matrix_function(lambda lam: rates, S), np.eye(qs.rank))
+    h = np.kron(matrix_function(lambda lam: rates, S), np.eye(coords.shape[1]))
     state = quasifree_density(h, beta)
 
     a = [i - torus.zero_index for i, _, _ in inst.points]
@@ -286,7 +286,7 @@ def dense_representation(inst, eta: float, placement=None) -> complex:
         dressed = sqrt_chi * (S.vectors.conj().T @ np.asarray(phi, dtype=complex))
         if tilde[q] % 2 == 1:
             dressed = signs * dressed
-        psi = np.kron(S.vectors @ dressed, qs.coords[j])
+        psi = np.kron(S.vectors @ dressed, coords[j])
         ops.append(creator(psi) if q < N else annihilator(psi))
 
     # canonical CAR tuple: creator q in slot q, annihilator q in slot 3N - 1 - q

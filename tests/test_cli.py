@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fermicov import verify
 from fermicov.cli import main
 from fermicov.verify import bound_check_suite
 
@@ -246,6 +247,13 @@ def test_sharpness_and_universal(tmp_path):
     summary = json.loads((tmp_path / "u.json").read_text())
     assert summary["bracket_upper"] == 1.0
     assert summary["bracket_lower"] >= 0.9 - 1e-6
+
+
+def test_sharpness_fails_a_witness_above_its_bound(tmp_path, monkeypatch):
+    # |det| is 0.9 at N = 1 and 0.81 at N = 2; a bound of 0.5 is violated by both
+    monkeypatch.setattr(verify, "instance_bound", lambda inst: 0.5)
+    assert run(tmp_path, "sharpness", "--N-list", "1,2", "--out", "s.csv") == 1
+    assert json.loads((tmp_path / "s.json").read_text())["failures"] == [1, 2]
 
 
 def test_wick_and_modular_verify(tmp_path):

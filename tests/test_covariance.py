@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fermicov
 from fermicov.covariance import (
     BoundInstance,
-    _coefficients,
     _entries,
     covariance_det,
     covariance_matrix,
@@ -19,6 +21,7 @@ from fermicov.covariance import (
     kernel_g,
     kernel_values_at,
 )
+from fermicov.modular import determinant_representation
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
 from fermicov.torus import DiscreteTorus, delta_ap
 from fermicov.verify import GeneratorConfig, instance_seed, random_instance
@@ -217,7 +220,7 @@ def _per_entry_matrix(inst, S, eta=None) -> np.ndarray:
         ik, phik, jk = inst.points[k]
         for l in range(N):
             il, phil, jl = inst.points[N + l]
-            c1, c2 = _coefficients(S, (phik, phil))
+            c1, c2 = S.vectors.conj().T @ phik, S.vectors.conj().T @ phil
             g = kernel_values_at(S.values, inst.torus, inst.torus.index_diff(ik, il), eta)
             mat[k, l] = inst.M[jk, jl] * _entries(g, weights, c1, c2)
     return mat
@@ -250,12 +253,12 @@ def test_one_pass_det_and_bound_equal_per_entry_loop():
         cases.append((inst, None))
     hits = zeros = 0
     for inst, eta in cases:
-        S = eig_hermitian(inst.H)
-        det = covariance_det(inst, eta=eta, spectral=S)
+        S = inst.spectral
+        det = covariance_det(inst, eta=eta)
         loop = _per_entry_matrix(inst, S, eta)
-        assert _bits(covariance_matrix(inst, eta, S)) == _bits(loop)
+        assert _bits(covariance_matrix(inst, eta)) == _bits(loop)
         assert _bits(det) == _bits(complex(np.linalg.det(loop)))
-        assert _bits(instance_bound(inst, S)) == _bits(_per_vector_bound(inst, S))
+        assert _bits(instance_bound(inst)) == _bits(_per_vector_bound(inst, S))
         hits += bool(np.any(rate_terms(S.values, inst.torus)[0]))
         zeros += det == 0
     assert hits >= 60 and zeros >= 40  # pinned eigenvalues and zero cutoffs were covered
@@ -314,6 +317,50 @@ def test_bound_instance_validation():
                       points=[(torus.zero_index, np.ones(3), 0)] * 2)
 
 
+def test_bound_instance_applies_one_rule_for_m():
+    torus = DiscreteTorus(beta=1.0, n=4)
+    H = HermitianMatrix(np.array([[0.3]]))
+    points = [(torus.zero_index, [1.0], 0), (torus.zero_index, [1.0], 1)]
+
+    def make(M):
+        return BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(), M=np.array(M),
+                             points=points)
+
+    # an asymmetry of 4e-6 is far above 1e-10 max|M|; accepted, it would let the
+    # direct and the modular determinant read different matrices
+    with pytest.raises(ValueError, match="symmetric"):
+        make([[1.0, 0.5 + 4e-6], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        make([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        make([[1.0, 0.0], [0.0, -5e-9]])
+    inst = make([[1.0, 0.5 + 1e-12], [0.5, 1.0]])  # within 1e-10 max|M|: symmetrized
+    assert np.array_equal(inst.M, inst.M.T)
+
+
+def test_one_eigendecomposition_per_instance(monkeypatch):
+    calls = []
+
+    def counting(H):
+        calls.append(H)
+        return eig_hermitian(H)
+
+    modules = [fermicov] + [importlib.import_module(f"fermicov.{info.name}")
+                            for info in pkgutil.iter_modules(fermicov.__path__)]
+    for module in modules:  # every module that holds a reference to it
+        if getattr(module, "eig_hermitian", None) is eig_hermitian:
+            monkeypatch.setattr(module, "eig_hermitian", counting)
+    torus = DiscreteTorus(beta=1.0, n=4)
+    points = [(torus.zero_index + a, [1.0, 0.5j], j) for a, j in ((0, 0), (1, 1))]
+    inst = BoundInstance(H=HermitianMatrix(np.array([[0.3, 0.2], [0.2, -1.0]])), torus=torus,
+                         chi=CutoffSpec.one(), M=np.array([[1.0, 0.4], [0.4, 1.0]]),
+                         points=points)
+    covariance_det(inst)
+    instance_bound(inst)
+    determinant_representation(inst, 3.0)
+    assert len(calls) == 1
+
+
 def test_embedding_norm_exact_and_cov_norm_saturates():
     # the naive Gram estimate degenerates through the embedding norms
     # sqrt(n/2); the covariance operator norm itself stays bounded (~2/pi),
@@ -365,7 +412,7 @@ def test_decay_parameter_free_value():
     for beta, n in [(1.0, 8), (2.0, 4)]:
         torus = DiscreteTorus(beta=beta, n=n)
         S = eig_hermitian(np.zeros((1, 1)))
-        val = decay_parameter(S, CutoffSpec.one(), [np.array([1.0])], torus)
+        val = decay_parameter(S, CutoffSpec.one(), torus)
         assert_allclose(val, beta, rtol=1e-13)
 
 
@@ -373,13 +420,10 @@ def test_decay_parameter_zero_cutoff_and_stability():
     torus = DiscreteTorus(beta=1.0, n=8)
     S = eig_hermitian(np.diag([0.3, -1.2]))
     zero = CutoffSpec.indicator(1e300, 1e300)
-    basis = list(np.eye(2))
-    assert decay_parameter(S, zero, basis, torus) == 0.0
-    v1 = decay_parameter(S, CutoffSpec.one(), basis, torus)
-    v2 = decay_parameter(S, CutoffSpec.one(), basis, DiscreteTorus(beta=1.0, n=16))
+    assert decay_parameter(S, zero, torus) == 0.0
+    v1 = decay_parameter(S, CutoffSpec.one(), torus)
+    v2 = decay_parameter(S, CutoffSpec.one(), DiscreteTorus(beta=1.0, n=16))
     assert abs(v2 - v1) <= 0.1 * v1
-    with pytest.raises(ValueError):
-        decay_parameter(S, zero, [np.array([1.0, 1.0])], torus)
 
 
 def test_instance_bound_positive(rng):

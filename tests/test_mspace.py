@@ -8,31 +8,30 @@ from fermicov.mspace import TreeGraph, bk_matrix, quotient_space, random_tree
 from oracles import fine_grid_bk
 
 
-def gram(qs):
+def gram(coords):
     """The Gram matrix of the e_k coordinates, which reproduces M."""
-    return qs.coords @ qs.coords.conj().T
+    return coords @ coords.conj().T
 
 
 def test_quotient_identity():
-    qs = quotient_space(np.eye(3))
-    assert qs.rank == 3
-    assert_allclose(qs.coords @ qs.coords.conj().T, np.eye(3), atol=1e-12)
+    coords = quotient_space(np.eye(3))
+    assert coords.shape == (3, 3)
+    assert_allclose(gram(coords), np.eye(3), atol=1e-12)
 
 
 def test_quotient_all_ones():
-    qs = quotient_space(np.ones((2, 2)))
-    assert qs.rank == 1
-    assert qs.coords.shape == (2, 1)
-    assert_allclose(qs.coords, [[1.0], [1.0]], atol=1e-12)
+    coords = quotient_space(np.ones((2, 2)))
+    assert coords.shape == (2, 1)
+    assert_allclose(coords, [[1.0], [1.0]], atol=1e-12)
 
 
 def test_quotient_reconstructs_random_gram(rng):
     for m, r in [(4, 2), (5, 5), (3, 1)]:
         B = rng.normal(size=(m, r))
         M = B @ B.T
-        qs = quotient_space(M)
-        assert qs.rank == np.linalg.matrix_rank(M, tol=1e-9)
-        assert np.max(np.abs(gram(qs) - M)) <= 1e-10 * max(1.0, np.abs(M).max())
+        coords = quotient_space(M)
+        assert coords.shape == (m, np.linalg.matrix_rank(M, tol=1e-9))
+        assert np.max(np.abs(gram(coords) - M)) <= 1e-10 * max(1.0, np.abs(M).max())
 
 
 def test_quotient_idempotent(rng):
@@ -49,6 +48,16 @@ def test_quotient_rejects_bad_input():
         quotient_space(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         quotient_space(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_quotient_applies_the_instance_rule_for_m():
+    # -5e-9 max|M| is below the PSD limit of -1e-10 max|M|, not a null direction
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        quotient_space(np.diag([1.0, -5e-9]))
+    with pytest.raises(ValueError, match="finite"):
+        quotient_space(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        quotient_space(np.array([[1.0, 0.5 + 4e-6], [0.5, 1.0]]))
 
 
 def test_tree_validation():
