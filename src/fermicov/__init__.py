@@ -18,6 +18,7 @@ from fermicov.spectral import (
 )
 from fermicov.covariance import (
     BoundInstance,
+    InstanceStack,
     KernelEval,
     covariance_det,
     covariance_matrix,
@@ -40,6 +41,7 @@ from fermicov.modular import (
 )
 from fermicov.verify import (
     BoundReport,
+    BoundSuiteResult,
     SharpnessReport,
     bound_check_suite,
     sharpness_sweep,

@@ -44,7 +44,6 @@ from fermicov.verify import (
     bound_check_suite,
     sharpness_sweep,
     universal_bound_estimate,
-    within_bound,
 )
 
 SCHEMA_LINE = "# fermicov-schema v1"
@@ -98,14 +97,6 @@ def write_csv(path: str, header: list, rows: list):
     lines = [SCHEMA_LINE, ",".join(header)]
     lines += [",".join(fmt(cell) for cell in row) for row in rows]
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _stage_totals(reports) -> dict:
-    """Summed per-stage wall times of a bound suite, in seconds."""
-    return {
-        stage: sum(getattr(r, f"{stage}_s") for r in reports)
-        for stage in ("generate", "eig", "det", "bound")
-    }
 
 
 # ------------------------------------------------------------- flag types
@@ -200,7 +191,8 @@ def cmd_bound_check(args) -> Outcome:
         n_choices=args.n_choices, beta_choices=args.beta_choices,
         scale_max=args.scale_max,
     )
-    reports = bound_check_suite(args.count, config, seed=args.seed)
+    result = bound_check_suite(args.count, config, seed=args.seed)
+    reports = result.reports
     rows = [
         (
             r.instance_id, r.seed, r.d, r.m, r.N, r.n, r.beta,
@@ -216,7 +208,7 @@ def cmd_bound_check(args) -> Outcome:
         rows, args.count, failures, min_slack,
         f"bound-check: {args.count} instances, {len(failures)} failures, "
         f"min slack {min_slack:.3e}",
-        {"stage_s": _stage_totals(reports)},
+        result.summary(),
     )
 
 
@@ -331,8 +323,7 @@ def cmd_sharpness(args) -> Outcome:
          r.lower_bound, r.kernel_at_zero)
         for r in reports
     ]
-    failures = [r.N for r in reports
-                if abs(r.det) < r.lower_bound - 1e-12 or not within_bound(r.det, r.bound)]
+    failures = [r.N for r in reports if not r.passed]
     return Outcome(
         ["epsilon", "beta", "lam", "n", "N", "det_abs", "closed_form",
          "lower_bound", "kernel_at_zero"],
@@ -343,7 +334,7 @@ def cmd_sharpness(args) -> Outcome:
 
 
 def cmd_universal(args) -> Outcome:
-    reports = bound_check_suite(args.count, GeneratorConfig(), seed=args.seed)
+    result = bound_check_suite(args.count, GeneratorConfig(), seed=args.seed)
     sharp = []
     for eps in args.epsilon_list:
         sharp += sharpness_sweep(eps, args.beta)
@@ -352,17 +343,21 @@ def cmd_universal(args) -> Outcome:
         (r.epsilon, r.N, r.n, r.lam, abs(r.det), r.det_abs ** (1.0 / (2 * r.N)))
         for r in sharp
     ]
-    failures = [r.seed for r in reports if not r.passed]
+    violations = [r.seed for r in result.reports if not r.passed]
+    # a witness is named by its epsilon and N, as sharpness names it by N
+    witnesses = [f"witness epsilon={r.epsilon:g} N={r.N}" for r in sharp if not r.passed]
     return Outcome(
         ["epsilon", "N", "n", "lam", "det_abs", "per_factor_estimate"], rows,
-        args.count, failures, 0.0,
+        args.count, violations + witnesses, 0.0,
         f"universal bracket: [{lower:.6f}, 1.0] "
-        f"({len(failures)} bound violations in {args.count} instances)",
+        f"({len(violations)} bound violations in {args.count} instances, "
+        f"{len(witnesses)} witness failures)",
         {
             "bracket_lower": lower,
             "bracket_upper": 1.0,
-            "violations": len(failures),
-            "stage_s": _stage_totals(reports),
+            "violations": len(violations),
+            "witness_failures": len(witnesses),
+            **result.summary(),
         },
     )
 

@@ -24,6 +24,7 @@ from fermicov.spectral import (
     HermitianMatrix,
     SpectralData,
     eig_hermitian,
+    eigenbasis_coefficients,
     rate_terms,
 )
 from fermicov.mspace import psd_eigh
@@ -32,6 +33,7 @@ from fermicov.torus import DiscreteTorus, delta_ap
 __all__ = [
     "KernelEval",
     "BoundInstance",
+    "InstanceStack",
     "kernel_g",
     "kernel_values_at",
     "covariance_matrix",
@@ -50,18 +52,19 @@ def kernel_values_at(
     """Evaluate g_lam(alpha) for an array of lam at one grid index or an array of them.
 
     A single index gives one value per lam; an array of indices gives one row
-    of values per index, from one rate_terms call.  With eta absent, values
-    inside the singular band around n/beta use the closed
-    infinite-regularization limit (a -1/+1 spike at alpha = beta/n and
+    of values per index, from one rate_terms call.  With a stack of tori, lams
+    holds one row of eigenvalues per index, and torus entry i serves row i.
+    With eta absent, values inside the singular band around n/beta use the
+    closed infinite-regularization limit (a -1/+1 spike at alpha = beta/n and
     beta/n - beta); with eta given, the finite-regularization formula is used
     everywhere.  Off the band the result is eta-independent.
     """
     n, beta = torus.n, torus.beta
-    index = np.asarray(alpha_index)
+    index = np.asarray(alpha_index)[..., None]  # against the eigenvalue axis
     # alpha in (0, beta]: antiperiodic extension g(a) = -g(a - beta)
-    flip = np.where(torus.wrap(index) >= n, -1.0, 1.0)[..., None]
+    flip = np.where(torus.wrap(index) >= n, -1.0, 1.0)
     # n - i, with i in [0, n) the index of alpha shifted into (-beta, 0]
-    steps = (n - index % n)[..., None]
+    steps = n - index % n
 
     singular, log_rates, signs = rate_terms(lams, torus, 1.0 if eta is None else eta)
     t = beta * log_rates / n  # per-step log magnitude
@@ -165,10 +168,75 @@ class BoundInstance:
     @functools.cached_property
     def coefficients(self) -> np.ndarray:
         """Eigenbasis coefficients U* phi_q, one row per point; read-only, as callers share it."""
-        Uh = self.spectral.vectors.conj().T
-        c = np.array([Uh @ phi for _, phi, _ in self.points])
+        phis = np.array([phi for _, phi, _ in self.points])
+        c = eigenbasis_coefficients(self.spectral.vectors, phis)
         c.flags.writeable = False
         return c
+
+
+class InstanceStack:
+    """Bound instances of one shape (d, N), stacked along a leading axis.
+
+    The bound suite checks each (d, N) group of its instances as one stack;
+    covariance_matrix and instance_bound check one instance as a stack of one,
+    so every determinant and bound comes from the same code, with the same
+    bits.  The instances may differ in n, beta, m, chi and M.
+    """
+
+    def __init__(self, insts: list, values: np.ndarray, coefficients: np.ndarray):
+        self.values, self.coefficients = values, coefficients  # (B, d) and (B, 2N, d)
+        self.rows = np.arange(len(insts))[:, None]  # (B, 1): each instance's place
+        self.beta = np.array([inst.torus.beta for inst in insts])
+        self.n = np.array([inst.torus.n for inst in insts])
+        self.weights = np.array([inst.chi(lams) for inst, lams in zip(insts, values)])
+        points = np.array([[(i, j) for i, _, j in inst.points] for inst in insts])
+        self.index, self.color = points[..., 0], points[..., 1]  # (B, 2N) each
+        m = max(inst.m for inst in insts)
+        self.M = np.zeros((len(insts), m, m))  # each M in the top left of its slot
+        for slot, inst in zip(self.M, insts):
+            slot[:inst.m, :inst.m] = inst.M
+
+    @classmethod
+    def of(cls, insts: list, spectral: SpectralData) -> "InstanceStack":
+        """The stack of insts, given their eigendecompositions stacked."""
+        phis = np.array([[phi for _, phi, _ in inst.points] for inst in insts])
+        return cls(insts, spectral.values, eigenbasis_coefficients(spectral.vectors, phis))
+
+    @classmethod
+    def single(cls, inst: BoundInstance) -> "InstanceStack":
+        """One instance as a stack of one, from its cached spectrum and projections."""
+        return cls([inst], inst.spectral.values[None], inst.coefficients[None])
+
+    def _torus(self, rows) -> DiscreteTorus:
+        return DiscreteTorus._stack(self.beta[rows], self.n[rows])
+
+    def matrices(self, eta: float | None = None) -> np.ndarray:
+        """The (B, N, N) stack of covariance matrices (see covariance_matrix).
+
+        The kernel is tabulated once per distinct (instance, time difference)
+        pair, so the stack is built in one pass.
+        """
+        N = self.index.shape[1] // 2
+        rows = self.rows[..., None]
+        diff = self._torus(rows).index_diff(self.index[:, :N, None], self.index[:, None, N:])
+        size = 2 * int(self.n.max())
+        distinct, inverse = np.unique(rows * size + diff, return_inverse=True)
+        row, tau = np.divmod(distinct, size)
+        table = kernel_values_at(self.values[row], self._torus(row[:, None]), tau, eta)
+        c = self.coefficients
+        entries = _entries(table[inverse.reshape(diff.shape)], self.weights[rows],
+                           c[:, :N, None], c[:, None, N:])
+        return self.M[rows, self.color[:, :N, None], self.color[:, None, N:]] * entries
+
+    def bounds(self) -> np.ndarray:
+        """The (B,) claimed bounds (see instance_bound)."""
+        norms = np.sqrt(np.sum(self.weights[:, None] * np.abs(self.coefficients) ** 2, axis=-1))
+        diag = self.M[self.rows, self.color, self.color]
+        return np.prod(norms * np.sqrt(np.maximum(diag, 0.0)), axis=-1)
+
+    def singular_hits(self) -> int:
+        """The number of eigenvalues in the singular band around n/beta."""
+        return int(np.sum(rate_terms(self.values, self._torus(self.rows))[0]))
 
 
 def covariance_matrix(inst: BoundInstance, eta: float | None = None) -> np.ndarray:
@@ -176,19 +244,8 @@ def covariance_matrix(inst: BoundInstance, eta: float | None = None) -> np.ndarr
 
     The inner product conjugates its first slot; an entry is
     sum_j g_{lam_j}(alpha) chi(lam_j) <phi_{N+l}, v_j> <v_j, phi_k>.
-
-    The 2N projections come from the instance, and the kernel is tabulated
-    once over the distinct time differences, so the matrix is built in one pass.
     """
-    S, c = inst.spectral, inst.coefficients
-    N = inst.pair_count
-    index, _, color = zip(*inst.points)
-    index, color = np.array(index), np.array(color)
-    diff = inst.torus.index_diff(index[:N, None], index[None, N:])
-    taus = np.flatnonzero(np.bincount(diff.ravel()))  # the distinct differences
-    g = kernel_values_at(S.values, inst.torus, taus, eta)[np.searchsorted(taus, diff)]
-    entries = _entries(g, inst.chi(S.values), c[:N, None], c[None, N:])
-    return inst.M[color[:N, None], color[None, N:]] * entries
+    return InstanceStack.single(inst).matrices(eta)[0]
 
 
 def covariance_det(inst: BoundInstance, eta: float | None = None) -> complex:
@@ -198,10 +255,7 @@ def covariance_det(inst: BoundInstance, eta: float | None = None) -> complex:
 
 def instance_bound(inst: BoundInstance) -> float:
     """The claimed bound prod_q ||sqrt(chi(H)) phi_q|| * M[j_q, j_q]^(1/2)."""
-    weights = inst.chi(inst.spectral.values)
-    norms = np.sqrt(np.sum(weights * np.abs(inst.coefficients) ** 2, axis=-1))
-    diag = np.diag(inst.M)[[j for _, _, j in inst.points]]
-    return float(np.prod(norms * np.sqrt(np.maximum(diag, 0.0))))
+    return float(InstanceStack.single(inst).bounds()[0])
 
 
 def decay_parameter(S: SpectralData, chi: CutoffSpec, torus: DiscreteTorus) -> float:

@@ -21,6 +21,7 @@ __all__ = [
     "SpectralData",
     "CutoffSpec",
     "eig_hermitian",
+    "eigenbasis_coefficients",
     "rate_terms",
     "singular_rate_band",
 ]
@@ -30,53 +31,70 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """A dense Hermitian matrix, symmetrized on construction."""
+    """A dense Hermitian matrix, or a stack (..., d, d) of them, symmetrized on construction."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():  # before m - m*, where inf - inf warns
             raise ValueError("matrix has non-finite entries")
-        defect = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        if defect > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian: max |A - A*| = {defect:g}")
-        object.__setattr__(self, "matrix", (m + m.conj().T) / 2)
+        adjoint = m.conj().swapaxes(-1, -2)
+        if m.size:  # each matrix against its own scale
+            defect = np.abs(m - adjoint).max(axis=(-2, -1))
+            scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+            if (defect > HERMITICITY_TOL * scale).any():
+                raise ValueError(f"matrix is not Hermitian: max |A - A*| = {defect.max():g}")
+        object.__setattr__(self, "matrix", (m + adjoint) / 2)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition H = U diag(values) U*, ascending and phase-fixed."""
+    """Eigendecomposition H = U diag(values) U*, ascending and phase-fixed.
+
+    A stack of matrices gives values (..., d) and vectors (..., d, d)."""
 
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def eig_hermitian(H: HermitianMatrix | np.ndarray) -> SpectralData:
-    """Eigendecompose a Hermitian matrix deterministically.
+    """Eigendecompose a Hermitian matrix, or a stack (..., d, d) of them, deterministically.
 
     Eigenvalues come out ascending; each eigenvector's largest-magnitude
     component is rotated to be real positive so repeated runs (and different
-    LAPACK builds) agree on the phase convention.
+    LAPACK builds) agree on the phase convention.  A stack takes one
+    np.linalg.eigh call, and each matrix gets the bits it gets alone.
     """
     if not isinstance(H, HermitianMatrix):
         H = HermitianMatrix(np.asarray(H))
     values, vectors = np.linalg.eigh(H.matrix)
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    pivot_rows = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    pivots = np.take_along_axis(vectors, pivot_rows, axis=-2)  # one per column
     sizes = np.hypot(pivots.real, pivots.imag)  # abs() of each pivot, bit for bit
     vectors *= np.divide(np.conj(pivots), sizes, out=np.ones_like(pivots), where=sizes != 0)
     return SpectralData(values, vectors)
+
+
+def eigenbasis_coefficients(vectors: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The coefficients U* v of each row v of vecs (..., P, d) in the eigenbasis U
+    of vectors (..., d, d), as (..., P, d).
+
+    Each row is one matrix-vector product, so a stack gets the bits of its
+    members alone.
+    """
+    adjoint = np.conj(vectors).swapaxes(-1, -2)
+    return (adjoint[..., None, :, :] @ vecs[..., None])[..., 0]
 
 
 def singular_rate_band(torus: DiscreteTorus) -> float:
@@ -91,8 +109,9 @@ def rate_terms(lams, torus: DiscreteTorus, eta: float = 1.0) -> tuple:
     |lam - n/beta| <= singular_rate_band, the Bernoulli-Euler log-rate
     -(n/beta) ln|1 - (beta/n) lam| (eta on the band), and sgn(1 - (beta/n) lam)
     with sgn(0) = +1.  Off the band the log-rate is eta-independent and
-    satisfies exp(-+beta*rate) = (1 - (beta/n) lam)^(+-n) for even n.  Raises
-    ValueError unless 0 < eta < inf and every lam is finite.
+    satisfies exp(-+beta*rate) = (1 - (beta/n) lam)^(+-n) for even n.  A stack
+    of tori broadcasts against lams, one torus per row.  Raises ValueError
+    unless 0 < eta < inf and every lam is finite.
     """
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")

@@ -23,7 +23,12 @@ __all__ = ["DiscreteTorus", "delta_ap"]
 
 @dataclass(frozen=True)
 class DiscreteTorus:
-    """Inverse temperature beta and even half-order n of the time grid."""
+    """Inverse temperature beta and even half-order n of the time grid.
+
+    A stack of tori, one per entry of two arrays beta and n, comes from
+    `_stack`; every property and method below then broadcasts against the
+    arrays it meets.
+    """
 
     beta: float
     n: int
@@ -33,6 +38,14 @@ class DiscreteTorus:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
+
+    @classmethod
+    def _stack(cls, beta: np.ndarray, n: np.ndarray) -> "DiscreteTorus":
+        """The tori (beta[i], n[i]), gathered from valid tori, so unchecked."""
+        torus = object.__new__(cls)
+        object.__setattr__(torus, "beta", beta)
+        object.__setattr__(torus, "n", n)
+        return torus
 
     @property
     def size(self) -> int:

@@ -7,14 +7,14 @@ instance-id order.
 
 from __future__ import annotations
 
-import cmath
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from fermicov.covariance import (
     BoundInstance,
+    InstanceStack,
     covariance_det,
     instance_bound,
     kernel_values_at,
@@ -26,6 +26,7 @@ from fermicov.torus import DiscreteTorus
 __all__ = [
     "GeneratorConfig",
     "BoundReport",
+    "BoundSuiteResult",
     "SharpnessReport",
     "random_instance",
     "instance_seed",
@@ -37,6 +38,10 @@ __all__ = [
 
 SLACK_TOL = 1e-10  # a check passes when bound - |det| >= -SLACK_TOL * max(1, bound)
 SHARPNESS_N_CAP = 8192  # sharpness_sweep doubles n from 4 up to this grid order
+# the bound suite generates this many instances, then checks them as stacks;
+# a fixed chunk keeps its memory flat in the count
+CHUNK = 256
+STAGES = ("generate", "eig", "det", "bound")  # the bound suite's timed stages
 
 
 @dataclass
@@ -66,10 +71,25 @@ class BoundReport:
     bound: float
     slack: float
     passed: bool
-    generate_s: float = 0.0  # per-stage wall times of this check
-    eig_s: float = 0.0
-    det_s: float = 0.0
-    bound_s: float = 0.0
+
+
+@dataclass
+class BoundSuiteResult:
+    """The checks of one bound suite, in instance-id order, and what the run saw."""
+
+    reports: list = field(default_factory=list)
+    # wall seconds per stage, summed over the run
+    stage_s: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    zero_bound: int = 0  # checks whose bound is exactly 0.0
+    zero_det: int = 0  # checks whose det is exactly 0.0 under a positive bound
+    singular_band_hits: int = 0  # eigenvalues in the singular band, over all checks
+    # the check with the largest per-factor ratio (|det|/bound)^(1/2N), as
+    # {seed, slack, ratio}; None while no bound is positive
+    tightest: dict | None = None
+
+    def summary(self) -> dict:
+        """Every field but the reports: JSON summary keys, which the CSV never carries."""
+        return {key: value for key, value in vars(self).items() if key != "reports"}
 
 
 @dataclass
@@ -90,6 +110,11 @@ class SharpnessReport:
     @property
     def det_abs(self) -> float:
         return abs(self.det)
+
+    @property
+    def passed(self) -> bool:
+        """|det| reaches (1 - eps)^(2N) and stays within the bound (within_bound)."""
+        return self.det_abs >= self.lower_bound - 1e-12 and within_bound(self.det, self.bound)
 
 
 def instance_seed(root_seed: int, instance_id: int) -> int:
@@ -168,45 +193,70 @@ def within_bound(det: complex, bound: float) -> bool:
     return bool(bound - abs(det) >= -SLACK_TOL * max(1.0, bound))
 
 
-def _check_one(instance_id: int, seed: int, config: GeneratorConfig) -> BoundReport:
+def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSuiteResult):
+    """Generate and check the instances ids, appending to result."""
+    stage = result.stage_s
     t0 = time.perf_counter()
-    inst = random_instance(seed, config)
-    t1 = time.perf_counter()
-    inst.spectral  # computes and caches the eigendecomposition
-    t2 = time.perf_counter()
-    det = covariance_det(inst)
-    t3 = time.perf_counter()
-    bound = instance_bound(inst)
-    t4 = time.perf_counter()
-    if not cmath.isfinite(det):
-        raise FloatingPointError(
-            f"instance {instance_id} (seed {seed}): determinant {det} is not finite"
-        )
-    return BoundReport(
-        instance_id=instance_id,
-        seed=seed,
-        d=inst.H.dim,
-        m=inst.m,
-        N=inst.pair_count,
-        n=inst.torus.n,
-        beta=inst.torus.beta,
-        det=det,
-        bound=bound,
-        slack=bound - abs(det),
-        passed=within_bound(det, bound),
-        generate_s=t1 - t0,
-        eig_s=t2 - t1,
-        det_s=t3 - t2,
-        bound_s=t4 - t3,
-    )
+    insts = [random_instance(instance_seed(seed, i), config) for i in ids]
+    stage["generate"] += time.perf_counter() - t0
+    groups = {}
+    for k, inst in enumerate(insts):
+        groups.setdefault((inst.H.dim, inst.pair_count), []).append(k)
+    dets = np.empty(len(insts), dtype=complex)
+    bounds = np.empty(len(insts))
+    for members in groups.values():
+        group = [insts[k] for k in members]
+        t0 = time.perf_counter()
+        spectral = eig_hermitian(np.stack([inst.H.matrix for inst in group]))
+        t1 = time.perf_counter()
+        stack = InstanceStack.of(group, spectral)
+        dets[members] = np.linalg.det(stack.matrices())
+        t2 = time.perf_counter()
+        bounds[members] = stack.bounds()
+        stage["eig"] += t1 - t0
+        stage["det"] += t2 - t1
+        stage["bound"] += time.perf_counter() - t2
+        result.singular_band_hits += stack.singular_hits()
+
+    bad = np.flatnonzero(~np.isfinite(dets))
+    if bad.size:
+        k = int(bad[0])
+        raise FloatingPointError(f"instance {ids[k]} (seed {instance_seed(seed, ids[k])}): "
+                                 f"determinant {complex(dets[k])} is not finite")
+    result.zero_bound += int(np.count_nonzero(bounds == 0.0))
+    result.zero_det += int(np.count_nonzero((dets == 0.0) & (bounds > 0.0)))
+    for k, i in enumerate(ids):
+        inst, det, bound = insts[k], complex(dets[k]), float(bounds[k])
+        result.reports.append(BoundReport(
+            instance_id=i, seed=instance_seed(seed, i), d=inst.H.dim, m=inst.m,
+            N=inst.pair_count, n=inst.torus.n, beta=inst.torus.beta, det=det, bound=bound,
+            slack=bound - abs(det), passed=within_bound(det, bound),
+        ))
+
+    power = 1.0 / (2 * np.array([inst.pair_count for inst in insts]))
+    ratio = np.full(len(insts), -np.inf)
+    np.divide(np.abs(dets) ** power, bounds ** power, out=ratio, where=bounds > 0.0)
+    k = int(np.argmax(ratio))  # the first of equals, in instance-id order
+    if ratio[k] > (result.tightest["ratio"] if result.tightest else -np.inf):
+        best = result.reports[ids[k]]
+        result.tightest = {"seed": best.seed, "slack": best.slack, "ratio": float(ratio[k])}
 
 
-def bound_check_suite(count: int, config: GeneratorConfig | None = None, seed: int = 0) -> list:
+def bound_check_suite(count: int, config: GeneratorConfig | None = None,
+                      seed: int = 0) -> BoundSuiteResult:
     """Run count seeded random determinant-bound checks; bound violations are
     reported, never raised, and a non-finite determinant raises
-    FloatingPointError.  Results come back ordered by instance id."""
+    FloatingPointError naming the first such instance.
+
+    Instances are generated CHUNK at a time; each chunk's instances of one
+    shape (d, N) are checked as one InstanceStack, which gives every check the
+    bits it gets alone (covariance_det, instance_bound).  Reports come back
+    ordered by instance id."""
     config = config or GeneratorConfig()
-    return [_check_one(i, instance_seed(seed, i), config) for i in range(count)]
+    result = BoundSuiteResult()
+    for start in range(0, count, CHUNK):
+        _check_chunk(range(start, min(start + CHUNK, count)), seed, config, result)
+    return result
 
 
 def _kernel_at_zero(lam: float, torus: DiscreteTorus) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import tracemalloc
@@ -7,7 +8,8 @@ import pytest
 
 from fermicov import verify
 from fermicov.cli import main
-from fermicov.verify import bound_check_suite
+from fermicov.spectral import rate_terms
+from fermicov.verify import GeneratorConfig, bound_check_suite, random_instance
 
 
 def run(tmp_path, *argv):
@@ -58,9 +60,35 @@ def test_suite_summaries_carry_stage_totals(tmp_path):
         assert sorted(stages) == ["bound", "det", "eig", "generate"]
         assert all(t >= 0.0 for t in stages.values())
         assert 0.0 < sum(stages.values()) <= summary["wall_time_s"]
+        assert {"zero_bound", "zero_det", "singular_band_hits", "tightest"} <= set(summary)
     header = (tmp_path / "b.csv").read_text().splitlines()[1]
     assert header == ("instance_id,seed,d,m,N,n,beta,det_re,det_im,det_abs,"
                       "bound,slack,pass")
+
+
+def test_summary_counts_match_the_csv(tmp_path):
+    # 300 rows span two chunks of the suite; each count is recomputed per row
+    assert run(tmp_path, "bound-check", "--count", "300", "--seed", "4", "--out", "b.csv") == 0
+    summary = json.loads((tmp_path / "b.json").read_text())
+    with open(tmp_path / "b.csv", newline="") as handle:
+        rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+    det_abs = [float(r["det_abs"]) for r in rows]
+    bound = [float(r["bound"]) for r in rows]
+    hits = 0
+    for r in rows:
+        inst = random_instance(int(r["seed"]), GeneratorConfig())
+        hits += int(np.sum(rate_terms(inst.spectral.values, inst.torus)[0]))
+    assert summary["zero_bound"] == sum(b == 0.0 for b in bound) > 0
+    assert summary["zero_det"] == sum(a == 0.0 and b > 0.0 for a, b in zip(det_abs, bound)) > 0
+    assert summary["singular_band_hits"] == hits > 0
+    ratios = [a ** (1 / (2 * int(r["N"]))) / b ** (1 / (2 * int(r["N"]))) if b > 0.0 else -1.0
+              for a, b, r in zip(det_abs, bound, rows)]
+    best = rows[int(np.argmax(ratios))]
+    tightest = summary["tightest"]
+    assert tightest["seed"] == int(best["seed"])
+    assert tightest["slack"] == float(best["slack"])
+    assert tightest["ratio"] == pytest.approx(max(ratios), rel=1e-14)
+    assert 0.0 < tightest["ratio"] <= 1.0
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -256,6 +284,16 @@ def test_sharpness_fails_a_witness_above_its_bound(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "s.json").read_text())["failures"] == [1, 2]
 
 
+def test_universal_fails_a_witness_above_its_bound(tmp_path, monkeypatch):
+    # |det| = 0.9^N: the witnesses N = 1, 2, 4 exceed a bound of 0.5, and N = 8 does not
+    monkeypatch.setattr(verify, "instance_bound", lambda inst: 0.5)
+    assert run(tmp_path, "universal", "--count", "10", "--epsilon-list", "0.1",
+               "--out", "u.csv") == 1
+    summary = json.loads((tmp_path / "u.json").read_text())
+    assert summary["failures"] == [f"witness epsilon=0.1 N={N}" for N in (1, 2, 4)]
+    assert summary["witness_failures"] == 3 and summary["violations"] == 0
+
+
 def test_wick_and_modular_verify(tmp_path):
     assert run(tmp_path, "wick-verify", "--N-max", "2", "--draws", "2",
                "--modes", "3", "--out", "w.csv") == 0
@@ -313,10 +351,10 @@ def test_universal_lists_violating_seeds(tmp_path, monkeypatch):
     failed = []
 
     def suite(count, config, seed):
-        reports = bound_check_suite(count, config, seed=seed)
-        reports[1].passed = False
-        failed.append(reports[1].seed)
-        return reports
+        result = bound_check_suite(count, config, seed=seed)
+        result.reports[1].passed = False
+        failed.append(result.reports[1].seed)
+        return result
 
     monkeypatch.setattr(cli, "bound_check_suite", suite)
     assert run(tmp_path, "universal", "--count", "3", "--epsilon-list", "0.1",

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fermicov.covariance import BoundInstance, covariance_det
-from fermicov.spectral import CutoffSpec, rate_terms
+from fermicov.covariance import BoundInstance, InstanceStack, covariance_det, instance_bound
+from fermicov.spectral import CutoffSpec, eig_hermitian, rate_terms
 from fermicov.torus import DiscreteTorus
 from fermicov.verify import (
+    CHUNK,
     GeneratorConfig,
     _pick,
     bound_check_suite,
@@ -16,20 +17,67 @@ from fermicov.verify import (
 )
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
 def test_bound_suite_no_failures(rng):
-    reports = bound_check_suite(150, GeneratorConfig(), seed=7)
+    reports = bound_check_suite(150, GeneratorConfig(), seed=7).reports
     assert len(reports) == 150
     assert all(r.passed for r in reports)
     assert all(np.isfinite(r.bound) and np.isfinite(abs(r.det)) for r in reports)
 
 
 def test_bound_suite_deterministic():
-    a = bound_check_suite(25, GeneratorConfig(), seed=3)
-    b = bound_check_suite(25, GeneratorConfig(), seed=3)
+    a = bound_check_suite(25, GeneratorConfig(), seed=3).reports
+    b = bound_check_suite(25, GeneratorConfig(), seed=3).reports
     for ra, rb in zip(a, b):
         assert ra.seed == rb.seed
         assert ra.det == rb.det
         assert ra.bound == rb.bound
+
+
+def test_stacked_suite_matches_each_instance_alone():
+    count = CHUNK + 44  # one full chunk and a partial one
+    reports = bound_check_suite(count, GeneratorConfig(), seed=13).reports
+    assert [r.instance_id for r in reports] == list(range(count))
+    for r in reports:
+        inst = random_instance(r.seed, GeneratorConfig())
+        assert _bits(r.det) == _bits(covariance_det(inst))
+        assert _bits(r.bound) == _bits(instance_bound(inst))
+    assert {(r.d, r.N) for r in reports} == {(d, N) for d in (1, 2, 3) for N in (1, 2, 3)}
+    assert any(r.bound == 0.0 for r in reports)  # zero cutoff norms are among them
+    assert any(r.det == 0.0 and r.bound > 0.0 for r in reports)
+
+
+def _stacks(insts: list) -> list:
+    """insts grouped by (d, N), each group as an InstanceStack of one eigendecomposition."""
+    groups = {}
+    for inst in insts:
+        groups.setdefault((inst.H.dim, inst.pair_count), []).append(inst)
+    return [(group, InstanceStack.of(group, eig_hermitian(np.stack([i.H.matrix for i in group]))))
+            for group in groups.values()]
+
+
+def test_instance_stack_matches_each_instance_alone_on_pinned_and_zero_cutoff():
+    config = GeneratorConfig()
+    seeds = (instance_seed(3, i) for i in range(1500))
+    pinned = [inst for inst in map(lambda s: random_instance(s, config), seeds)
+              if rate_terms(inst.spectral.values, inst.torus)[0].any()]
+    stacks = _stacks(pinned)
+    assert len(stacks) == 9 and all(len(group) >= 2 for group, _ in stacks)
+    for group, stack in stacks:
+        for eta in (None, 2.5):  # the singular band's limit and its regularization
+            dets = np.linalg.det(stack.matrices(eta))
+            assert [_bits(det) for det in dets] == [
+                _bits(covariance_det(inst, eta)) for inst in group]
+        assert _bits(stack.bounds()) == _bits([instance_bound(inst) for inst in group])
+        assert stack.singular_hits() >= len(group)
+    for inst in pinned:
+        inst.chi = CutoffSpec.indicator(1e300, 1e300)  # 0 on every generated spectrum
+    for group, stack in _stacks(pinned):
+        assert not np.linalg.det(stack.matrices()).any() and not stack.bounds().any()
+        assert all(covariance_det(inst) == 0.0 == instance_bound(inst) for inst in group)
 
 
 def test_generated_instances_pass_full_validator():
@@ -102,7 +150,7 @@ def test_sharpness_search_fails_for_impossible_epsilon():
 
 
 def test_universal_bracket_and_monotonicity():
-    bounds = bound_check_suite(50, GeneratorConfig(), seed=1)
+    bounds = bound_check_suite(50, GeneratorConfig(), seed=1).reports
     assert all(r.passed for r in bounds)  # no violation of the upper edge 1
     sharp_01 = sharpness_sweep(0.1, beta=1.0, N_list=(1, 2))
     lower = universal_bound_estimate(sharp_01)
