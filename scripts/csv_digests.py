@@ -1,13 +1,15 @@
-"""Print the sha256 of the CSV that each README example command writes.
+"""Print the sha256 of the CSV that each README example and acceptance command writes.
 
-    PYTHONPATH=src python scripts/csv_digests.py ["bound-check --count 3000 --seed 7" ...]
+    PYTHONPATH=src python scripts/csv_digests.py ["bound-check --count 50 --seed 1" ...]
 
 Runs every line of README.md's code blocks that starts with `fermicov ` and
-names an `--out` file, then each extra command given as one argument, through
-`fermicov.cli.main` in a temporary directory (an extra command without
-`--out` writes digest.csv). Prints one line per command:
-the CSV's sha256, the file name and the command. Two checkouts that print the
-same lines wrote byte-identical CSVs. Exits 1 if a command does not exit 0.
+names an `--out` file, then the ACCEPTANCE commands, then each extra command
+given as one argument, through `fermicov.cli.main` in a temporary directory
+(a command without `--out` writes digest.csv). Prints one line per command:
+the CSV's sha256, the file name and the command, or `exit CODE` and the
+command for a run that exits non-zero. Two checkouts that print the same
+lines (stderr included) wrote byte-identical CSVs. Exits 1 if a command's
+exit code is not the expected one: 0, except where ACCEPTANCE says otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +26,20 @@ from pathlib import Path
 from fermicov.cli import main as fermicov_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# (command, expected exit code): the default suite, larger and wider generator
+# ranges, the spectral edge whose determinant is not finite, and every other
+# suite once
+ACCEPTANCE = (
+    ("bound-check", 0),
+    ("bound-check --count 3000 --seed 7", 0),
+    ("bound-check --count 700 --seed 3 --d-max 6 --N-max 6 --n-choices 2,4,8,16", 0),
+    ("bound-check --count 101 --n-choices 64 --scale-max 1e30 --seed 2", 1),
+    ("universal --count 10000 --epsilon-list 0.1,0.01 --seed 606", 0),
+    ("wick-verify --N-max 3 --modes 4", 0),
+    ("modular-verify --seed 2 --modes 6", 0),
+    ("decay --H-diag 0.3,-1.2,5 --chi gaussian --n 8", 0),
+    ("bk-matrix", 0),
+)
 
 
 def readme_commands(text: str) -> list:
@@ -38,21 +54,24 @@ def readme_commands(text: str) -> list:
 
 
 def main(argv: list) -> int:
-    commands = readme_commands(README.read_text()) + [shlex.split(cmd) for cmd in argv]
+    commands = ([(args, 0) for args in readme_commands(README.read_text())]
+                + [(shlex.split(cmd), code) for cmd, code in ACCEPTANCE]
+                + [(shlex.split(cmd), 0) for cmd in argv])
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for args in commands:
+            for args, expected in commands:
                 if "--out" not in args:
                     args = args + ["--out", "digest.csv"]
                 out = args[args.index("--out") + 1]
                 with contextlib.redirect_stdout(io.StringIO()):  # each suite's message
                     code = fermicov_main(args)
-                if code != 0:
-                    print(f"exit {code}  {shlex.join(args)}")
+                if code != expected:
                     status = 1
+                if code != 0:
+                    print(f"exit {code}  {shlex.join(args)}", flush=True)
                     continue
                 digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
                 print(f"{digest}  {out}  {shlex.join(args)}", flush=True)

@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N-max", dest="N_max", type=_at_least(1), default=3)
     s.add_argument("--n-choices", type=_list_of(EVEN_N), default="2,4,8")
     s.add_argument("--beta-choices", type=_list_of(POSITIVE), default="0.5,1,2")
-    s.add_argument("--scale-max", type=POSITIVE, default=1e3)
+    s.add_argument("--scale-max", type=_number(float, "a number >= 0.1",
+                                                lambda v: 0.1 <= v < math.inf), default=1e3)
     _add_common(s, "bound-check.csv", seeded=True)
     s.set_defaults(func=cmd_bound_check)
 

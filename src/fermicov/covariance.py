@@ -24,7 +24,6 @@ from fermicov.spectral import (
     HermitianMatrix,
     SpectralData,
     eig_hermitian,
-    eigenbasis_coefficients,
     rate_terms,
 )
 from fermicov.mspace import psd_eigh
@@ -108,15 +107,12 @@ def _entries(g: np.ndarray, weights: np.ndarray, c1: np.ndarray, c2: np.ndarray)
     return np.sum(g * weights * np.conj(c2) * c1, axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundInstance:
     """One determinant-bound test case.
 
     points holds 2N triples (alpha_index, phi, j): a grid index with
     alpha in [0, beta), a fiber vector, and a 0-based color index into M.
-
-    The spectrum of H and the projections U* phi_q are cached on first use, as
-    nothing reassigns H, M or points; chi may be reassigned, as nothing cached uses it.
     """
 
     H: HermitianMatrix
@@ -126,7 +122,7 @@ class BoundInstance:
     points: list
 
     def __post_init__(self):
-        self.M = psd_eigh(self.M)[0]
+        M = psd_eigh(self.M)[0]
         if len(self.points) % 2 != 0 or not self.points:
             raise ValueError("points must hold 2N triples with N >= 1")
         norm_points = []
@@ -138,18 +134,18 @@ class BoundInstance:
             phi = np.asarray(phi, dtype=complex).reshape(-1)
             if phi.shape[0] != self.H.dim:
                 raise ValueError("fiber vector dimension does not match H")
-            if not 0 <= int(j) < self.M.shape[0]:
+            if not 0 <= int(j) < M.shape[0]:
                 raise ValueError("color index out of range")
             norm_points.append((i, phi, int(j)))
-        self.points = norm_points
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "points", norm_points)
 
     @classmethod
     def _trusted(cls, H, torus, chi, M, points) -> "BoundInstance":
         """An instance built from fields that are valid and normalized by
         construction, without re-running __post_init__'s checks."""
         inst = object.__new__(cls)
-        inst.H, inst.torus, inst.chi, inst.points = H, torus, chi, points
-        inst.M = np.asarray(M, dtype=float)
+        vars(inst).update(H=H, torus=torus, chi=chi, M=np.asarray(M, dtype=float), points=points)
         return inst
 
     @property
@@ -161,51 +157,41 @@ class BoundInstance:
         return self.M.shape[0]
 
     @functools.cached_property
-    def spectral(self) -> SpectralData:
-        """The eigendecomposition of H."""
-        return eig_hermitian(self.H)
-
-    @functools.cached_property
-    def coefficients(self) -> np.ndarray:
-        """Eigenbasis coefficients U* phi_q, one row per point; read-only, as callers share it."""
-        phis = np.array([phi for _, phi, _ in self.points])
-        c = eigenbasis_coefficients(self.spectral.vectors, phis)
-        c.flags.writeable = False
-        return c
+    def stack(self) -> "InstanceStack":
+        """The instance as a stack of one, built on first use; its spectrum,
+        projections and chi weights are read-only, as callers share them."""
+        return InstanceStack([self])
 
 
 class InstanceStack:
     """Bound instances of one shape (d, N), stacked along a leading axis.
 
-    The bound suite checks each (d, N) group of its instances as one stack;
-    covariance_matrix and instance_bound check one instance as a stack of one,
-    so every determinant and bound comes from the same code, with the same
-    bits.  The instances may differ in n, beta, m, chi and M.
+    It owns, read-only, one eigendecomposition of the stacked H, the
+    projections U* phi_q and chi on the spectrum.  The bound suite checks each
+    (d, N) group of its instances as one stack and one instance is checked as
+    its cached stack of one, so every determinant and bound comes from the same
+    code, with the same bits.  The instances may differ in n, beta, m, chi and M.
     """
 
-    def __init__(self, insts: list, values: np.ndarray, coefficients: np.ndarray):
-        self.values, self.coefficients = values, coefficients  # (B, d) and (B, 2N, d)
+    def __init__(self, insts: list):
+        spectral = eig_hermitian(np.stack([inst.H.matrix for inst in insts]))
+        phis = np.array([[phi for _, phi, _ in inst.points] for inst in insts])
+        adjoint = np.conj(spectral.vectors).swapaxes(-1, -2)
+        self.values = spectral.values  # (B, d)
+        # (B, 2N, d): one matrix-vector product per row, the bits of each member alone
+        self.coefficients = (adjoint[:, None] @ phis[..., None])[..., 0]
         self.rows = np.arange(len(insts))[:, None]  # (B, 1): each instance's place
         self.beta = np.array([inst.torus.beta for inst in insts])
         self.n = np.array([inst.torus.n for inst in insts])
-        self.weights = np.array([inst.chi(lams) for inst, lams in zip(insts, values)])
+        self.weights = np.array([inst.chi(lams) for inst, lams in zip(insts, self.values)])
         points = np.array([[(i, j) for i, _, j in inst.points] for inst in insts])
         self.index, self.color = points[..., 0], points[..., 1]  # (B, 2N) each
         m = max(inst.m for inst in insts)
         self.M = np.zeros((len(insts), m, m))  # each M in the top left of its slot
         for slot, inst in zip(self.M, insts):
             slot[:inst.m, :inst.m] = inst.M
-
-    @classmethod
-    def of(cls, insts: list, spectral: SpectralData) -> "InstanceStack":
-        """The stack of insts, given their eigendecompositions stacked."""
-        phis = np.array([[phi for _, phi, _ in inst.points] for inst in insts])
-        return cls(insts, spectral.values, eigenbasis_coefficients(spectral.vectors, phis))
-
-    @classmethod
-    def single(cls, inst: BoundInstance) -> "InstanceStack":
-        """One instance as a stack of one, from its cached spectrum and projections."""
-        return cls([inst], inst.spectral.values[None], inst.coefficients[None])
+        for array in vars(self).values():
+            array.flags.writeable = False
 
     def _torus(self, rows) -> DiscreteTorus:
         return DiscreteTorus._stack(self.beta[rows], self.n[rows])
@@ -245,7 +231,7 @@ def covariance_matrix(inst: BoundInstance, eta: float | None = None) -> np.ndarr
     The inner product conjugates its first slot; an entry is
     sum_j g_{lam_j}(alpha) chi(lam_j) <phi_{N+l}, v_j> <v_j, phi_k>.
     """
-    return InstanceStack.single(inst).matrices(eta)[0]
+    return inst.stack.matrices(eta)[0]
 
 
 def covariance_det(inst: BoundInstance, eta: float | None = None) -> complex:
@@ -255,7 +241,7 @@ def covariance_det(inst: BoundInstance, eta: float | None = None) -> complex:
 
 def instance_bound(inst: BoundInstance) -> float:
     """The claimed bound prod_q ||sqrt(chi(H)) phi_q|| * M[j_q, j_q]^(1/2)."""
-    return float(InstanceStack.single(inst).bounds()[0])
+    return float(inst.stack.bounds()[0])
 
 
 def decay_parameter(S: SpectralData, chi: CutoffSpec, torus: DiscreteTorus) -> float:

@@ -184,11 +184,11 @@ def determinant_representation(inst: BoundInstance, eta: float) -> complex:
     torus = inst.torus
     beta = torus.beta
     N = inst.pair_count
-    S = inst.spectral
+    stack = inst.stack  # the spectrum, projections and chi weights, as a stack of one
     coords = quotient_space(inst.M)  # m x rank
-    fock = FockSpace(S.dim * coords.shape[1])  # raises if the cap is exceeded
+    fock = FockSpace(inst.H.dim * coords.shape[1])  # raises if the cap is exceeded
 
-    _, rates, signs = rate_terms(S.values, torus, eta)  # signs do not depend on eta
+    _, rates, signs = rate_terms(stack.values[0], torus, eta)  # signs do not depend on eta
     cap = OVERFLOW_LOG / beta
     if np.max(np.abs(rates)) > cap:
         warnings.warn(
@@ -202,7 +202,7 @@ def determinant_representation(inst: BoundInstance, eta: float) -> complex:
 
     index, _, color = zip(*inst.points)
     tilde, placement, split, gaps = time_order(np.array(index) - torus.zero_index, N, torus.n)
-    dressed = np.sqrt(inst.chi(S.values)) * inst.coefficients
+    dressed = np.sqrt(stack.weights[0]) * stack.coefficients[0]
     dressed[tilde % 2 == 1] *= signs  # involution: only the parity acts
     psis = [np.outer(row, coords[j]).ravel() for row, j in zip(dressed, color)]
 

@@ -21,7 +21,6 @@ __all__ = [
     "SpectralData",
     "CutoffSpec",
     "eig_hermitian",
-    "eigenbasis_coefficients",
     "rate_terms",
     "singular_rate_band",
 ]
@@ -47,7 +46,8 @@ class HermitianMatrix:
             scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
             if (defect > HERMITICITY_TOL * scale).any():
                 raise ValueError(f"matrix is not Hermitian: max |A - A*| = {defect.max():g}")
-        object.__setattr__(self, "matrix", (m + adjoint) / 2)
+        # halves first, exactly, so entries near the float maximum do not overflow
+        object.__setattr__(self, "matrix", m / 2 + adjoint / 2)
 
     @property
     def dim(self) -> int:
@@ -84,17 +84,6 @@ def eig_hermitian(H: HermitianMatrix | np.ndarray) -> SpectralData:
     sizes = np.hypot(pivots.real, pivots.imag)  # abs() of each pivot, bit for bit
     vectors *= np.divide(np.conj(pivots), sizes, out=np.ones_like(pivots), where=sizes != 0)
     return SpectralData(values, vectors)
-
-
-def eigenbasis_coefficients(vectors: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The coefficients U* v of each row v of vecs (..., P, d) in the eigenbasis U
-    of vectors (..., d, d), as (..., P, d).
-
-    Each row is one matrix-vector product, so a stack gets the bits of its
-    members alone.
-    """
-    adjoint = np.conj(vectors).swapaxes(-1, -2)
-    return (adjoint[..., None, :, :] @ vecs[..., None])[..., 0]
 
 
 def singular_rate_band(torus: DiscreteTorus) -> float:

@@ -53,7 +53,7 @@ class GeneratorConfig:
     N_max: int = 3
     n_choices: tuple = (2, 4, 8)
     beta_choices: tuple = (0.5, 1.0, 2.0)
-    scale_max: float = 1e3  # eigenvalue magnitude sweep, in units of n/beta
+    scale_max: float = 1e3  # eigenvalue magnitudes sweep 0.1 to this, in units of n/beta
 
 
 @dataclass
@@ -205,11 +205,9 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
     dets = np.empty(len(insts), dtype=complex)
     bounds = np.empty(len(insts))
     for members in groups.values():
-        group = [insts[k] for k in members]
         t0 = time.perf_counter()
-        spectral = eig_hermitian(np.stack([inst.H.matrix for inst in group]))
+        stack = InstanceStack([insts[k] for k in members])
         t1 = time.perf_counter()
-        stack = InstanceStack.of(group, spectral)
         dets[members] = np.linalg.det(stack.matrices())
         t2 = time.perf_counter()
         bounds[members] = stack.bounds()

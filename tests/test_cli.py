@@ -77,7 +77,7 @@ def test_summary_counts_match_the_csv(tmp_path):
     hits = 0
     for r in rows:
         inst = random_instance(int(r["seed"]), GeneratorConfig())
-        hits += int(np.sum(rate_terms(inst.spectral.values, inst.torus)[0]))
+        hits += int(np.sum(rate_terms(inst.stack.values[0], inst.torus)[0]))
     assert summary["zero_bound"] == sum(b == 0.0 for b in bound) > 0
     assert summary["zero_det"] == sum(a == 0.0 and b > 0.0 for a, b in zip(det_abs, bound)) > 0
     assert summary["singular_band_hits"] == hits > 0
@@ -394,6 +394,25 @@ def test_decay_snapshot(tmp_path):
     assert code == 0
     row = (tmp_path / "dec.csv").read_text().splitlines()[2].split(",")
     assert float(row[3]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_scale_max_below_the_generator_floor_exits_2(tmp_path, capsys):
+    # random_instance draws scales from 10^-1 up to --scale-max, in units of n/beta
+    assert run(tmp_path, "bound-check", "--count", "20", "--scale-max", "0.05",
+               "--out", "b.csv") == 2
+    assert "argument --scale-max: must be a number >= 0.1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert run(tmp_path, "bound-check", "--count", "20", "--scale-max", "0.1",
+               "--out", "b.csv") == 0
+
+
+def test_decay_takes_entries_near_the_float_maximum(tmp_path):
+    # RuntimeWarnings are errors under the test configuration, so an overflow
+    # while symmetrizing H would exit 1
+    for diag in ("1e308", "1e308,-1e308"):
+        assert run(tmp_path, "decay", "--H-diag", diag, "--out", "dec.csv") == 0
+        row = (tmp_path / "dec.csv").read_text().splitlines()[2].split(",")
+        assert np.isfinite(float(row[3]))
 
 
 def test_kernel_float17_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import os
@@ -24,7 +25,13 @@ from fermicov.covariance import (
 from fermicov.modular import determinant_representation
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
 from fermicov.torus import DiscreteTorus, delta_ap
-from fermicov.verify import GeneratorConfig, instance_seed, random_instance
+from fermicov.verify import (
+    CHUNK,
+    GeneratorConfig,
+    bound_check_suite,
+    instance_seed,
+    random_instance,
+)
 
 from oracles import (
     covariance_matrix_reduced,
@@ -249,11 +256,10 @@ def test_one_pass_det_and_bound_equal_per_entry_loop():
     cases += [(inst, eta) for inst in pinned for eta in (None, 2.5)]
     for i in range(40):
         inst = random_instance(instance_seed(15, i), GeneratorConfig())
-        inst.chi = zero
-        cases.append((inst, None))
+        cases.append((dataclasses.replace(inst, chi=zero), None))
     hits = zeros = 0
     for inst, eta in cases:
-        S = inst.spectral
+        S = eig_hermitian(inst.H)
         det = covariance_det(inst, eta=eta)
         loop = _per_entry_matrix(inst, S, eta)
         assert _bits(covariance_matrix(inst, eta)) == _bits(loop)
@@ -338,7 +344,8 @@ def test_bound_instance_applies_one_rule_for_m():
     assert np.array_equal(inst.M, inst.M.T)
 
 
-def test_one_eigendecomposition_per_instance(monkeypatch):
+def _count_eig_calls(monkeypatch) -> list:
+    """A list that records each eig_hermitian call from here on."""
     calls = []
 
     def counting(H):
@@ -350,6 +357,11 @@ def test_one_eigendecomposition_per_instance(monkeypatch):
     for module in modules:  # every module that holds a reference to it
         if getattr(module, "eig_hermitian", None) is eig_hermitian:
             monkeypatch.setattr(module, "eig_hermitian", counting)
+    return calls
+
+
+def test_one_eigendecomposition_per_instance(monkeypatch):
+    calls = _count_eig_calls(monkeypatch)
     torus = DiscreteTorus(beta=1.0, n=4)
     points = [(torus.zero_index + a, [1.0, 0.5j], j) for a, j in ((0, 0), (1, 1))]
     inst = BoundInstance(H=HermitianMatrix(np.array([[0.3, 0.2], [0.2, -1.0]])), torus=torus,
@@ -359,6 +371,26 @@ def test_one_eigendecomposition_per_instance(monkeypatch):
     instance_bound(inst)
     determinant_representation(inst, 3.0)
     assert len(calls) == 1
+
+
+def test_one_eigendecomposition_per_suite_group(monkeypatch):
+    calls = _count_eig_calls(monkeypatch)
+    insts = [random_instance(instance_seed(4, i), GeneratorConfig()) for i in range(300)]
+    pinning = len(calls)  # generation eigendecomposes each instance it pins
+    groups = sum(len({(inst.H.dim, inst.pair_count) for inst in insts[start:start + CHUNK]})
+                 for start in range(0, len(insts), CHUNK))
+    calls.clear()
+    bound_check_suite(len(insts), seed=4)
+    assert pinning > 0 and len(calls) == pinning + groups
+
+
+def test_instance_fields_and_its_stack_are_read_only():
+    inst = random_instance(instance_seed(4, 0), GeneratorConfig())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.chi = CutoffSpec.one()
+    with pytest.raises(ValueError, match="read-only"):
+        inst.stack.coefficients[0, 0, 0] = 0.0
+    assert not any(array.flags.writeable for array in vars(inst.stack).values())
 
 
 def test_embedding_norm_exact_and_cov_norm_saturates():

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fermicov.covariance import BoundInstance, InstanceStack, covariance_det, instance_bound
-from fermicov.spectral import CutoffSpec, eig_hermitian, rate_terms
+from fermicov.spectral import CutoffSpec, rate_terms
 from fermicov.torus import DiscreteTorus
 from fermicov.verify import (
     CHUNK,
@@ -51,19 +53,18 @@ def test_stacked_suite_matches_each_instance_alone():
 
 
 def _stacks(insts: list) -> list:
-    """insts grouped by (d, N), each group as an InstanceStack of one eigendecomposition."""
+    """insts grouped by (d, N), each group as one InstanceStack."""
     groups = {}
     for inst in insts:
         groups.setdefault((inst.H.dim, inst.pair_count), []).append(inst)
-    return [(group, InstanceStack.of(group, eig_hermitian(np.stack([i.H.matrix for i in group]))))
-            for group in groups.values()]
+    return [(group, InstanceStack(group)) for group in groups.values()]
 
 
 def test_instance_stack_matches_each_instance_alone_on_pinned_and_zero_cutoff():
     config = GeneratorConfig()
     seeds = (instance_seed(3, i) for i in range(1500))
     pinned = [inst for inst in map(lambda s: random_instance(s, config), seeds)
-              if rate_terms(inst.spectral.values, inst.torus)[0].any()]
+              if rate_terms(inst.stack.values[0], inst.torus)[0].any()]
     stacks = _stacks(pinned)
     assert len(stacks) == 9 and all(len(group) >= 2 for group, _ in stacks)
     for group, stack in stacks:
@@ -73,9 +74,8 @@ def test_instance_stack_matches_each_instance_alone_on_pinned_and_zero_cutoff():
                 _bits(covariance_det(inst, eta)) for inst in group]
         assert _bits(stack.bounds()) == _bits([instance_bound(inst) for inst in group])
         assert stack.singular_hits() >= len(group)
-    for inst in pinned:
-        inst.chi = CutoffSpec.indicator(1e300, 1e300)  # 0 on every generated spectrum
-    for group, stack in _stacks(pinned):
+    zero = CutoffSpec.indicator(1e300, 1e300)  # 0 on every generated spectrum
+    for group, stack in _stacks([dataclasses.replace(inst, chi=zero) for inst in pinned]):
         assert not np.linalg.det(stack.matrices()).any() and not stack.bounds().any()
         assert all(covariance_det(inst) == 0.0 == instance_bound(inst) for inst in group)
 
@@ -104,8 +104,8 @@ def test_pick_replays_rng_choice():
 
 
 def test_zero_cutoff_gives_zero_det():
-    inst = random_instance(instance_seed(5, 0), GeneratorConfig())
-    inst.chi = CutoffSpec.indicator(1e300, 1e300)  # 0 on every generated spectrum
+    inst = dataclasses.replace(random_instance(instance_seed(5, 0), GeneratorConfig()),
+                               chi=CutoffSpec.indicator(1e300, 1e300))  # 0 on every spectrum
     assert covariance_det(inst) == 0.0
 
 
