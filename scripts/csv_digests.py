@@ -27,12 +27,13 @@ from fermicov.cli import main as fermicov_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # (command, expected exit code): the default suite, larger and wider generator
-# ranges, the spectral edge whose determinant is not finite, and every other
-# suite once
+# ranges (BK matrices at m > 3 among them), the spectral edge whose determinant
+# is not finite, and every other suite once
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
     ("bound-check --count 700 --seed 3 --d-max 6 --N-max 6 --n-choices 2,4,8,16", 0),
+    ("bound-check --count 2000 --seed 31337 --d-max 5 --m-max 6", 0),
     ("bound-check --count 101 --n-choices 64 --scale-max 1e30 --seed 2", 1),
     ("universal --count 10000 --epsilon-list 0.1,0.01 --seed 606", 0),
     ("wick-verify --N-max 3 --modes 4", 0),

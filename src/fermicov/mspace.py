@@ -107,13 +107,13 @@ def bk_matrix(g: TreeGraph, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    breaks = np.unique(np.concatenate([[0.0, t], g.weights[g.weights < t]]))
+    # Python floats: sorting a few of them and comparing them beats numpy's per-call cost
+    weights = g.weights.tolist()
+    breaks = sorted({0.0, float(t), *(w for w in weights if w < t)})
     out = np.zeros((g.m, g.m))
-    for s0, s1 in zip(breaks[:-1], breaks[1:]):
-        if s1 <= s0:
-            continue
+    for s0, s1 in zip(breaks, breaks[1:]):
         uf = _UnionFind(g.m)
-        for (u, v), w in zip(g.edges, g.weights):
+        for (u, v), w in zip(g.edges, weights):
             if w <= s0:  # surviving for all s in (s0, s1): weight < s
                 uf.union(u, v)
         roots = np.array([uf.find(k) for k in range(g.m)])

@@ -49,6 +49,13 @@ class HermitianMatrix:
         # halves first, exactly, so entries near the float maximum do not overflow
         object.__setattr__(self, "matrix", m / 2 + adjoint / 2)
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "HermitianMatrix":
+        """A complex matrix that is Hermitian and symmetrized by construction, unchecked."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "matrix", matrix)
+        return H
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]

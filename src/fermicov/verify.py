@@ -7,8 +7,10 @@ instance-id order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "BoundSuiteResult",
     "SharpnessReport",
     "random_instance",
+    "random_instances",
     "instance_seed",
     "within_bound",
     "bound_check_suite",
@@ -54,6 +57,22 @@ class GeneratorConfig:
     n_choices: tuple = (2, 4, 8)
     beta_choices: tuple = (0.5, 1.0, 2.0)
     scale_max: float = 1e3  # eigenvalue magnitudes sweep 0.1 to this, in units of n/beta
+
+    def __post_init__(self):
+        for name in ("d_max", "m_max", "N_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("n_choices", "beta_choices"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
+        for n in self.n_choices:
+            if n < 2 or n % 2 != 0:
+                raise ValueError(f"n_choices must hold even integers >= 2, got {n}")
+        for beta in self.beta_choices:
+            if not (beta > 0 and math.isfinite(beta)):
+                raise ValueError(f"beta_choices must hold positive finite numbers, got {beta}")
+        if not 0.1 <= self.scale_max < math.inf:  # the floor of the scale draw
+            raise ValueError(f"scale_max must be a finite number >= 0.1, got {self.scale_max}")
 
 
 @dataclass
@@ -83,6 +102,7 @@ class BoundSuiteResult:
     zero_bound: int = 0  # checks whose bound is exactly 0.0
     zero_det: int = 0  # checks whose det is exactly 0.0 under a positive bound
     singular_band_hits: int = 0  # eigenvalues in the singular band, over all checks
+    pinned: int = 0  # instances generated with an eigenvalue pinned on n/beta
     # the check with the largest per-factor ratio (|det|/bound)^(1/2N), as
     # {seed, slack, ratio}; None while no bound is positive
     tightest: dict | None = None
@@ -122,40 +142,40 @@ def instance_seed(root_seed: int, instance_id: int) -> int:
     return (int(root_seed) * 1_000_003 + int(instance_id)) % (2**63 - 1)
 
 
-def _random_hermitian(rng: np.random.Generator, d: int, scale: float) -> np.ndarray:
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (A + A.conj().T) / 2
-
-
 def _pick(rng: np.random.Generator, options):
     """One uniform element; the same draw and value as rng.choice(options)."""
     return options[int(rng.integers(0, len(options)))]
 
 
-def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
-    """Generate one seeded random instance within the configured ranges.
+class _Draws(NamedTuple):
+    """One instance's rng draws, with the per-instance objects built from them."""
 
-    The cutoff kind (one, indicator, gaussian) and the matrix kind (PSD or
-    BK) are drawn uniformly, and one instance in twenty gets an eigenvalue
-    pinned on n/beta.
-    """
+    d: int
+    N: int
+    n: int
+    beta: float
+    scale: float  # eigenvalue magnitude: n/beta times 10^u, u uniform in [-1, log10(scale_max))
+    A: np.ndarray  # (2, d, d): the real and imaginary parts of A
+    pin: int | None  # the eigenvalue put on n/beta, or None
+    chi: CutoffSpec
+    M: np.ndarray
+    points: list  # 2N draws (alpha offset, (2, d) real and imaginary phi, |phi|, color index)
+
+
+def _draw(seed: int, config: GeneratorConfig) -> _Draws:
+    """Make one instance's rng calls, in the generator's order; the arithmetic
+    that a (d, N) group shares is left to _assemble."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, config.d_max + 1))
     m = int(rng.integers(1, config.m_max + 1))
     N = int(rng.integers(1, config.N_max + 1))
     n = int(_pick(rng, config.n_choices))
     beta = float(_pick(rng, config.beta_choices))
-    torus = DiscreteTorus(beta=beta, n=n)
-    rate = torus.rate
-
-    scale = rate * 10.0 ** rng.uniform(-1.0, np.log10(config.scale_max))
-    H = _random_hermitian(rng, d, scale / max(1.0, np.sqrt(d)))
-    if rng.uniform() < 0.05:
-        # pin one eigenvalue exactly on the singular value n/beta
-        S = eig_hermitian(HermitianMatrix(H))
-        vals = S.values.copy()
-        vals[int(rng.integers(0, d))] = rate
-        H = (S.vectors * vals) @ S.vectors.conj().T
+    # n/beta is torus.rate; a scalar expression, as an array pow may not give these bits
+    scale = n / beta * 10.0 ** rng.uniform(-1.0, np.log10(config.scale_max))
+    A = rng.normal(size=(2, d, d))
+    # random() is uniform(): 0 + 1 * the same double, exact on every platform
+    pin = int(rng.integers(0, d)) if rng.random() < 0.05 else None
 
     kind = _pick(rng, ("one", "indicator", "gaussian"))
     if kind == "one":
@@ -176,16 +196,72 @@ def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
         B = rng.normal(size=(m, r))
         M = B @ B.T
 
-    points = []
-    for _ in range(2 * N):
-        a = int(rng.integers(0, n))
-        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        phi *= rng.uniform(0.3, 1.5) / max(np.linalg.norm(phi), 1e-30)
-        j = int(rng.integers(0, m))
-        points.append((torus.zero_index + a, phi, j))
+    points = [(int(rng.integers(0, n)), rng.normal(size=(2, d)), rng.uniform(0.3, 1.5),
+               int(rng.integers(0, m))) for _ in range(2 * N)]
+    return _Draws(d, N, n, beta, scale, A, pin, chi, M, points)
 
-    # valid by construction: the checks of BoundInstance.__post_init__ are skipped
-    return BoundInstance._trusted(HermitianMatrix(H), torus, chi, M, points)
+
+def _assemble(draws: list) -> list:
+    """The instances of draws, in their order.
+
+    The arithmetic and checks that do not depend on the instance run once per
+    (d, N) group, on its stack, and give each member the bits it gets alone;
+    each pinned instance takes its own eigendecomposition.
+    """
+    insts = [None] * len(draws)
+    tori = {}
+    groups = {}
+    for k, dr in enumerate(draws):
+        groups.setdefault((dr.d, dr.N), []).append(k)
+    for (d, N), members in groups.items():
+        group = [draws[k] for k in members]
+        scale = np.array([dr.scale for dr in group]) / max(1.0, np.sqrt(d))
+        Z = np.array([dr.A for dr in group])
+        A = Z[:, 0] + 1j * Z[:, 1]
+        H = scale[:, None, None] * (A + A.conj().swapaxes(-1, -2)) / 2
+        pinned = [i for i, dr in enumerate(group) if dr.pin is not None]
+        if pinned:
+            for i, matrix in zip(pinned, HermitianMatrix(H[pinned]).matrix):
+                # pin one eigenvalue exactly on the singular value n/beta
+                S = eig_hermitian(HermitianMatrix._trusted(matrix))
+                vals = S.values.copy()
+                vals[group[i].pin] = group[i].n / group[i].beta
+                H[i] = (S.vectors * vals) @ S.vectors.conj().T
+        H = HermitianMatrix(H).matrix
+
+        Z = np.array([[phi for _, phi, _, _ in dr.points] for dr in group])
+        phi = Z[:, :, 0] + 1j * Z[:, :, 1]  # (B, 2N, d)
+        # each |phi|^2 as np.linalg.norm sums it: re . re + im . im, one dot product each
+        re, im = phi.real[..., None, :], phi.imag[..., None, :]
+        norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+        radius = np.array([[r for _, _, r, _ in dr.points] for dr in group])
+        phi *= (radius / np.maximum(norms, 1e-30))[..., None]
+
+        for i, (k, dr) in enumerate(zip(members, group)):
+            torus = tori.get((dr.beta, dr.n))
+            if torus is None:
+                torus = tori[dr.beta, dr.n] = DiscreteTorus(beta=dr.beta, n=dr.n)
+            points = [(torus.zero_index + a, phi[i, q], j)
+                      for q, (a, _, _, j) in enumerate(dr.points)]
+            # valid by construction: the checks of BoundInstance.__post_init__ are skipped
+            insts[k] = BoundInstance._trusted(HermitianMatrix._trusted(H[i]), torus, dr.chi,
+                                              dr.M, points)
+    return insts
+
+
+def random_instances(seeds, config: GeneratorConfig) -> list:
+    """Generate one seeded random instance per seed, in seeds order.
+
+    The cutoff kind (one, indicator, gaussian) and the matrix kind (PSD or
+    BK) are drawn uniformly, and one instance in twenty gets an eigenvalue
+    pinned on n/beta.  Each instance is what its seed alone gives, bit for bit.
+    """
+    return _assemble([_draw(seed, config) for seed in seeds])
+
+
+def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
+    """Generate one seeded random instance (see random_instances)."""
+    return random_instances([seed], config)[0]
 
 
 def within_bound(det: complex, bound: float) -> bool:
@@ -197,8 +273,10 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
     """Generate and check the instances ids, appending to result."""
     stage = result.stage_s
     t0 = time.perf_counter()
-    insts = [random_instance(instance_seed(seed, i), config) for i in ids]
+    draws = [_draw(instance_seed(seed, i), config) for i in ids]
+    insts = _assemble(draws)
     stage["generate"] += time.perf_counter() - t0
+    result.pinned += sum(dr.pin is not None for dr in draws)
     groups = {}
     for k, inst in enumerate(insts):
         groups.setdefault((inst.H.dim, inst.pair_count), []).append(k)

@@ -15,9 +15,10 @@ from functools import lru_cache, reduce
 import numpy as np
 import scipy.linalg
 
+from fermicov.covariance import BoundInstance
 from fermicov.modular import OVERFLOW_LOG
-from fermicov.mspace import quotient_space
-from fermicov.spectral import SpectralData, eig_hermitian
+from fermicov.mspace import quotient_space, random_tree
+from fermicov.spectral import CutoffSpec, HermitianMatrix, SpectralData, eig_hermitian
 from fermicov.torus import DiscreteTorus, delta_ap
 
 
@@ -334,6 +335,27 @@ def fine_grid_bk(edges, weights, m: int, t: float, samples: int = 10_000) -> np.
     return out
 
 
+def reference_bk_matrix(g, t: float) -> np.ndarray:
+    """mspace.bk_matrix summed the same way, interval by interval, but with
+    numpy's unique breakpoints and a union-find per interval written out."""
+    breaks = np.unique(np.concatenate([[0.0, t], g.weights[g.weights < t]]))
+    out = np.zeros((g.m, g.m))
+    for s0, s1 in zip(breaks[:-1], breaks[1:]):
+        parent = list(range(g.m))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for (u, v), w in zip(g.edges, g.weights):
+            if w <= s0:
+                parent[find(v)] = find(u)
+        roots = np.array([find(k) for k in range(g.m)])
+        out += (s1 - s0) * (roots[:, None] == roots[None, :])
+    return out
+
+
 def ordering_brute_force(a, N: int):
     """All placement orders satisfying both order conditions, by exhaustion.
 
@@ -353,3 +375,60 @@ def ordering_brute_force(a, N: int):
         if ok:
             valid.append(perm)
     return valid
+
+
+def reference_instance(seed: int, config) -> tuple:
+    """(instance, pinned): the bound suite's instance for seed, generated one rng
+    call and one piece of arithmetic at a time, and whether it took the branch
+    that pins an eigenvalue on n/beta.  The generator's per-instance form,
+    which verify.random_instances must match bit for bit."""
+    def pick(options):
+        return options[int(rng.integers(0, len(options)))]
+
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, config.d_max + 1))
+    m = int(rng.integers(1, config.m_max + 1))
+    N = int(rng.integers(1, config.N_max + 1))
+    n = int(pick(config.n_choices))
+    beta = float(pick(config.beta_choices))
+    torus = DiscreteTorus(beta=beta, n=n)
+    rate = torus.rate
+
+    scale = rate * 10.0 ** rng.uniform(-1.0, np.log10(config.scale_max))
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    H = scale / max(1.0, np.sqrt(d)) * (A + A.conj().T) / 2
+    pinned = rng.uniform() < 0.05
+    if pinned:
+        S = eig_hermitian(HermitianMatrix(H))
+        vals = S.values.copy()
+        vals[int(rng.integers(0, d))] = rate
+        H = (S.vectors * vals) @ S.vectors.conj().T
+
+    kind = pick(("one", "indicator", "gaussian"))
+    if kind == "one":
+        chi = CutoffSpec.one()
+    elif kind == "indicator":
+        half_width = scale * rng.uniform(0.1, 2.0)
+        center = rng.uniform(-scale, scale)
+        chi = CutoffSpec.indicator(center - half_width, center + half_width)
+    else:
+        chi = CutoffSpec.gaussian(
+            center=rng.uniform(-scale, scale), width=scale * rng.uniform(0.2, 2.0)
+        )
+
+    if pick(("psd", "bk")) == "bk":
+        M = reference_bk_matrix(random_tree(m, rng), t=float(rng.uniform(0.2, 1.0)))
+    else:
+        r = int(rng.integers(1, m + 1))
+        B = rng.normal(size=(m, r))
+        M = B @ B.T
+
+    points = []
+    for _ in range(2 * N):
+        a = int(rng.integers(0, n))
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi *= rng.uniform(0.3, 1.5) / max(np.linalg.norm(phi), 1e-30)
+        j = int(rng.integers(0, m))
+        points.append((torus.zero_index + a, phi, j))
+
+    return BoundInstance._trusted(HermitianMatrix(H), torus, chi, M, points), pinned

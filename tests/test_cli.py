@@ -10,6 +10,7 @@ from fermicov import verify
 from fermicov.cli import main
 from fermicov.spectral import rate_terms
 from fermicov.verify import GeneratorConfig, bound_check_suite, random_instance
+from oracles import reference_instance
 
 
 def run(tmp_path, *argv):
@@ -81,6 +82,8 @@ def test_summary_counts_match_the_csv(tmp_path):
     assert summary["zero_bound"] == sum(b == 0.0 for b in bound) > 0
     assert summary["zero_det"] == sum(a == 0.0 and b > 0.0 for a, b in zip(det_abs, bound)) > 0
     assert summary["singular_band_hits"] == hits > 0
+    pinned = sum(reference_instance(int(r["seed"]), GeneratorConfig())[1] for r in rows)
+    assert summary["pinned"] == pinned > 0
     ratios = [a ** (1 / (2 * int(r["N"]))) / b ** (1 / (2 * int(r["N"]))) if b > 0.0 else -1.0
               for a, b, r in zip(det_abs, bound, rows)]
     best = rows[int(np.argmax(ratios))]

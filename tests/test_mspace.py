@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from fermicov.mspace import TreeGraph, bk_matrix, quotient_space, random_tree
 
-from oracles import fine_grid_bk
+from oracles import fine_grid_bk, reference_bk_matrix
 
 
 def gram(coords):
@@ -120,3 +120,15 @@ def test_bk_psd_and_monotone(seed, m, t):
     assert_allclose(np.diag(M), t, atol=1e-14)
     later = bk_matrix(g, min(1.0, t + 0.25))
     assert np.all(later - M >= -1e-14)
+
+
+def test_bk_bits_match_the_interval_sum():
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        m = int(rng.integers(1, 9))
+        g = random_tree(m, rng)
+        t = float(rng.choice([0.0, 1.0, rng.uniform(), round(rng.uniform(), 1)]))
+        if m > 1 and rng.uniform() < 0.3:  # ties with each other and with t, and -0.0
+            weights = np.where(rng.uniform(size=m - 1) < 0.3, -0.0, np.round(g.weights, 1))
+            g = TreeGraph(m=m, edges=g.edges, weights=weights)
+        assert bk_matrix(g, t).tobytes() == reference_bk_matrix(g, t).tobytes()

@@ -14,9 +14,11 @@ from fermicov.verify import (
     bound_check_suite,
     instance_seed,
     random_instance,
+    random_instances,
     sharpness_sweep,
     universal_bound_estimate,
 )
+from oracles import reference_instance
 
 
 def _bits(x) -> bytes:
@@ -93,6 +95,55 @@ def test_generated_instances_pass_full_validator():
         eigs = np.linalg.eigvalsh(inst.H.matrix)
         pinned += bool(np.any(rate_terms(eigs, inst.torus)[0]))
     assert pinned >= 50  # pinned eigenvalues are among the validated instances
+
+
+def _assert_same_instance(a, b):
+    assert a.torus == b.torus
+    assert np.array_equal(a.H.matrix, b.H.matrix) and _bits(a.H.matrix) == _bits(b.H.matrix)
+    assert a.chi.kind == b.chi.kind and a.chi.params == b.chi.params
+    assert np.array_equal(a.M, b.M) and _bits(a.M) == _bits(b.M)
+    assert len(a.points) == len(b.points)
+    for (ia, pa, ja), (ib, pb, jb) in zip(a.points, b.points):
+        assert ia == ib and ja == jb
+        assert np.array_equal(pa, pb) and _bits(pa) == _bits(pb)
+
+
+@pytest.mark.parametrize("count, config", [
+    (2000, GeneratorConfig()),
+    (1000, GeneratorConfig(d_max=6, m_max=5, N_max=6, n_choices=(2, 4, 8, 16), scale_max=1e30)),
+])
+def test_random_instances_match_the_reference_generator(count, config):
+    seeds = [instance_seed(17, i) for i in range(count)]
+    pinned, kinds = 0, set()
+    for seed, inst in zip(seeds, random_instances(seeds, config)):
+        ref, ref_pinned = reference_instance(seed, config)
+        _assert_same_instance(inst, ref)
+        pinned += ref_pinned
+        if inst.m >= 2:  # a BK matrix has t on its diagonal and no entry above t
+            bk = np.all(np.diag(inst.M) == inst.M.max())
+            kinds.add((inst.chi.kind, "bk" if bk else "psd"))
+    assert pinned >= 20
+    assert kinds == {(chi, M) for chi in ("one", "indicator", "gaussian") for M in ("psd", "bk")}
+
+
+def test_random_instance_is_its_entry_in_a_chunk():
+    config = GeneratorConfig()
+    seeds = [instance_seed(29, i) for i in range(CHUNK)]
+    for seed, inst in zip(seeds, random_instances(seeds, config)):
+        _assert_same_instance(random_instance(seed, config), inst)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scale_max", 0.05), ("scale_max", float("inf")), ("scale_max", float("nan")),
+    ("d_max", 0), ("m_max", 0), ("N_max", -1),
+    ("n_choices", ()), ("beta_choices", ()),
+    ("n_choices", (2, 3)), ("n_choices", (0,)),
+    ("beta_choices", (1.0, 0.0)), ("beta_choices", (-1.0,)),
+    ("beta_choices", (float("inf"),)), ("beta_choices", (float("nan"),)),
+])
+def test_generator_config_rejects_each_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        GeneratorConfig(**{field: value})
 
 
 def test_pick_replays_rng_choice():
