@@ -28,7 +28,8 @@ from fermicov.cli import main as fermicov_main
 README = Path(__file__).resolve().parent.parent / "README.md"
 # (command, expected exit code): the default suite, larger and wider generator
 # ranges (BK matrices at m > 3 among them), the spectral edge whose determinant
-# is not finite, and every other suite once
+# is not finite, and every other suite once; wick-verify also at D = 5 and 6,
+# where more than four pairs land on one row of a gathered field
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -40,6 +41,8 @@ ACCEPTANCE = (
     ("modular-verify --seed 2 --modes 6", 0),
     ("decay --H-diag 0.3,-1.2,5 --chi gaussian --n 8", 0),
     ("bk-matrix", 0),
+    ("wick-verify --N-max 3 --modes 5", 0),
+    ("wick-verify --N-max 3 --modes 6 --draws 1", 0),
 )
 
 

@@ -52,18 +52,22 @@ __all__ = [
 FOCK_CAP = 14  # the largest mode count of any Fock space; no 2^D x 2^D array is formed
 
 
-# Below this many gathered entries a field is one vectorized gather over all
-# (row, mode) pairs; above it, a loop over modes moves half rows through views.
-# The loop costs about 6 us of interpreter time per mode, the gather touches
-# whole rows for every mode: on a 2-core Xeon VM the gather was 3x faster at
-# D = 4 and 4x slower at D = 10, and the two broke even near 4096 entries.
+# Below this many gathered entries a field is one gather per layer of (row,
+# mode) pairs; above it, a loop over modes moves half rows through views.  The
+# loop costs interpreter time per mode, the gather touches a whole row for
+# every pair: for one operator on a 2-core Xeon VM (one BLAS thread) the gather
+# took 0.25-0.9 of the loop's time up to 16384 entries, 1.1-3.8 times it from
+# 19712 on, and the two met between about 6000 and 20000 entries, by D.  A
+# larger value would change the bits of modular-verify's CSVs, whose fields
+# would move to the gather and its order of sums.
 SMALL_FIELD = 4096
 
 # A block of monomials for one stacked `expect_monomial` call gathers at most
 # this many entries in one field (`monomial_block`; a block holds at least one
 # monomial).  At D = 4 and N = 3, 448 entries a monomial, a wick-verify pass of
-# --N-max 3 --modes 4 took 0.103 / 0.080 / 0.076 s at 2^12 / 2^14 / 2^16
-# entries, with peak RSS 39.2 / 39.8 / 43.0 MB (2-core Xeon VM, one BLAS thread).
+# --N-max 3 --modes 4 took 0.33-0.39 / 0.15-0.16 / 0.13-0.17 s (medians of nine
+# passes, two runs) at 2^12 / 2^14 / 2^16 entries, with peak RSS 39.6 / 39.8 /
+# 41.2 MB (2-core Xeon VM, one BLAS thread).
 BLOCK_ENTRIES = 2**14
 
 
@@ -103,25 +107,71 @@ def _hops(modes: int) -> tuple:
     return tuple(map(_read_only, (r ^ bits[:, None], signs * ~occupied, signs * occupied)))
 
 
-class Shell(NamedTuple):
+class Layer(NamedTuple):
+    """The t-th pair (S, k), in mode order, of each destination row that has more than t.
+
+    src[i, r] = s * 2^D + flips[k, r], with s the row of S in its family,
+    indexes the flattened rows of the source chain; modes are the pairs'
+    modes k and rows their destination rows.
+    """
+
+    src: np.ndarray
+    modes: np.ndarray
+    rows: np.ndarray
+
+
+class Shell:
     """The moves of one field from the family F = (reach, parity) to F' = (next reach, 1 - parity).
 
     A family holds the sets S of at most `reach` modes with |S| = parity mod 2,
     as sorted bit masks (mode k in bit D-1-k).  The field moves row S of F by
     mode k to row S ^ bit_k of F'; pairs (S, k) whose destination lies outside
-    F' are dropped.  The kept pairs (pair_rows, pair_modes) are sorted by
-    destination, starts[j] is the first pair landing on row j of F', and
-    by_mode[k] holds the source rows of mode k's pairs (a full slice when
-    every row has one) and their destinations.  F' has `size` masks, of at
-    most `reach` modes.
+    F' are dropped, and `pairs` counts the rest.  by_mode[k] holds the source
+    rows of mode k's pairs (a full slice when every row has one) and their
+    destinations.  F' has `size` masks, of at most `reach` modes.
     """
 
-    pair_rows: np.ndarray
-    pair_modes: np.ndarray
-    starts: np.ndarray
-    by_mode: tuple
-    size: int
-    reach: int
+    def __init__(self, modes: int, reach: int, parity: int, next_reach: int):
+        masks = _family(modes, reach, parity)
+        landing = _family(modes, next_reach, 1 - parity)
+        bits = 1 << np.arange(modes - 1, -1, -1)
+        moved = masks ^ bits[:, None]
+        mode_of, row_of = np.nonzero(_weights(modes)[moved] <= next_reach)
+        dest = np.searchsorted(landing, moved[mode_of, row_of])
+        cuts = np.searchsorted(mode_of, np.arange(1, modes))
+        self.by_mode = tuple(
+            (slice(None) if len(rows) == len(masks) else rows, to)
+            for rows, to in zip(np.split(row_of, cuts), np.split(dest, cuts))
+        )
+        self.modes, self.pairs, self.size, self.reach = modes, len(dest), len(landing), next_reach
+        self._pairs = mode_of, row_of, dest
+
+    @functools.cached_property
+    def layers(self) -> tuple:
+        """The read-only `Layer`s of the gather path, built by its first field.
+
+        Layer t holds the t-th pair of every row with more than t.  The rows are
+        ranked by their pair count, most first, so each layer's rows are a
+        prefix of the layer before.  Built lazily, since a large shell's tables
+        would hold 2^D entries per pair.
+        """
+        mode_of, row_of, dest = self._pairs
+        fan_in = np.bincount(dest, minlength=self.size)
+        order = np.argsort(dest, kind="stable")  # by destination, then mode
+        first, rank = np.cumsum(fan_in) - fan_in, np.argsort(-fan_in, kind="stable")
+        flips = _hops(self.modes)[0]
+        layers = []
+        for t in range(fan_in.max(initial=0)):
+            to = rank[:np.count_nonzero(fan_in > t)]
+            pair = order[first[to] + t]
+            layers.append(Layer(*map(_read_only, (
+                row_of[pair, None] * 2**self.modes + flips[mode_of[pair]], mode_of[pair], to))))
+        return tuple(layers)
+
+    @functools.cached_property
+    def unrank(self) -> np.ndarray:
+        """The ranked row of each mask of F', in mask order."""
+        return _read_only(np.argsort(self.layers[0].rows))
 
 
 @functools.cache
@@ -134,20 +184,36 @@ def _shell(modes: int, reach: int, parity: int, next_reach: int | None) -> Shell
     wanted = reach + 1 if next_reach is None else min(next_reach, reach + 1)
     if next_reach != (top := _top(modes, wanted, 1 - parity)):
         return _shell(modes, reach, parity, top)  # one table per family pair
-    masks = _family(modes, reach, parity)
-    landing = _family(modes, next_reach, 1 - parity)
-    bits = 1 << np.arange(modes - 1, -1, -1)
-    moved = masks ^ bits[:, None]
-    mode_of, row_of = np.nonzero(_weights(modes)[moved] <= next_reach)
-    dest = np.searchsorted(landing, moved[mode_of, row_of])
-    order = np.argsort(dest, kind="stable")
-    cuts = np.searchsorted(mode_of, np.arange(1, modes))
-    by_mode = tuple(
-        (slice(None) if len(rows) == len(masks) else rows, to)
-        for rows, to in zip(np.split(row_of, cuts), np.split(dest, cuts))
-    )
-    return Shell(row_of[order], mode_of[order], np.flatnonzero(np.diff(dest[order], prepend=-1)),
-                 by_mode, len(landing), next_reach)
+    return Shell(modes, reach, parity, next_reach)
+
+
+def _sum_layers(layers: list) -> np.ndarray:
+    """x_0 + (x_1 + ... + x_(f-1)) for each ranked row with f pairs, in np.add.reduceat's order.
+
+    numpy sums the tail of a segment pairwise: fewer than four terms in
+    sequence; otherwise four accumulators over the whole blocks of four,
+    joined as (r0 + r1) + (r2 + r3), then the rest in sequence.  Keeping that
+    order keeps every bit of a field summed by one reduceat.  Sums in place
+    into the layers, which must be temporaries.
+    """
+    head, *tail = layers
+    if not tail:
+        return head
+    acc, ends = tail[0], [x.shape[-2] for x in tail] + [0] * 4  # ends[i]: rows with x_(i+1)
+    for b in range(len(tail) // 4 + 1):  # the rows whose tail has b whole blocks
+        lo, hi = ends[4 * b + 3], ends[4 * b - 1] if b else ends[0]
+        if lo == hi:
+            continue
+        if b:
+            r = [x[..., lo:hi, :] for x in tail[:4]]
+            for i in range(4, 4 * b, 4):
+                r = [a + x[..., lo:hi, :] for a, x in zip(r, tail[i:i + 4])]
+            acc[..., lo:hi, :] = (r[0] + r[1]) + (r[2] + r[3])
+        for i in range(max(4 * b, 1), 4 * b + 3):
+            if ends[i] > lo:
+                acc[..., lo:ends[i], :] += tail[i][..., lo:ends[i], :]
+    head[..., :ends[0], :] += acc
+    return head
 
 
 class FockSpace:
@@ -233,7 +299,7 @@ class FockChain:
         psi = np.asarray(psi, dtype=complex)
         if psi.shape[-1:] != (fock.modes,):
             raise ValueError(f"vector shape {psi.shape} does not match {fock.modes} modes")
-        flips, annihilate, create = fock.hops
+        _, annihilate, create = fock.hops
         creator = np.asarray(creator, dtype=bool)
         if creator.ndim:  # a table per operator
             coeffs = np.where(creator[..., None], psi, np.conj(psi))
@@ -242,11 +308,15 @@ class FockChain:
             coeffs, table = (psi, create) if creator else (np.conj(psi), annihilate)
         hop = coeffs[..., None] * table
         shell = _shell(fock.modes, self.reach, self.length % 2, reach)
-        if 0 < len(shell.pair_rows) * fock.dim <= SMALL_FIELD:
-            modes = shell.pair_modes
-            moved = self.rows[..., shell.pair_rows[:, None], flips[modes]] * hop[..., modes, :]
-            return FockChain(fock, self.length + 1,
-                             np.add.reduceat(moved, shell.starts, axis=-2), shell.reach)
+        if 0 < shell.pairs * fock.dim <= SMALL_FIELD:
+            flat = self.rows.reshape(*self.rows.shape[:-2], -1)
+            # np.multiply, not *: numpy may write a product into a large temporary
+            # right operand, which swaps the factors, and a complex product's FMA
+            # rounding is not symmetric in them
+            summed = _sum_layers([np.multiply(flat[..., layer.src],
+                                              np.take(hop, layer.modes, axis=-2))
+                                  for layer in shell.layers])
+            return FockChain(fock, self.length + 1, summed[..., shell.unrank, :], shell.reach)
         # A single operator skips the broadcasting below: about 20 us a field,
         # 12 % of a modular_rep pass at D = 8..10 (2-core Xeon VM).
         if self.rows.ndim == hop.ndim == 2:
@@ -381,7 +451,7 @@ def monomial_block(fock: FockSpace, fields: int) -> int:
     reach, entries = 0, 1
     for done in range(1, fields + 1):
         shell = _shell(fock.modes, reach, (done - 1) % 2, fields - done)
-        entries, reach = max(entries, len(shell.pair_rows) * fock.dim), shell.reach
+        entries, reach = max(entries, shell.pairs * fock.dim), shell.reach
     return max(1, BLOCK_ENTRIES // entries)
 
 
@@ -408,12 +478,12 @@ def expect_monomial(fock: FockSpace, logp: np.ndarray, vectors: np.ndarray, perm
     batch = np.broadcast_shapes(vectors.shape[:-2], perm.shape[:-1])
     vectors = np.broadcast_to(vectors, (*batch, *vectors.shape[-2:]))
     slots = np.argsort(np.broadcast_to(perm, (*batch, n)), axis=-1)  # the slot at each position
+    kinds = slots < creators
+    psis = np.take_along_axis(vectors, np.where(kinds, slots, creators + n - 1 - slots)[..., None],
+                              axis=-2)
     X = FockChain.diagonal(fock, np.exp(logp))
     for done in range(1, n + 1):
-        slot = slots[..., n - done]
-        index = np.where(slot < creators, slot, creators + n - 1 - slot)
-        psi = np.take_along_axis(vectors, index[..., None, None], axis=-2)[..., 0, :]
-        X = X.field(psi, creator=slot < creators, reach=n - done)
+        X = X.field(psis[..., n - done, :], creator=kinds[..., n - done], reach=n - done)
     return permutation_sign(perm) * X.trace()
 
 

@@ -183,7 +183,7 @@ class InstanceStack:
         self.rows = np.arange(len(insts))[:, None]  # (B, 1): each instance's place
         self.beta = np.array([inst.torus.beta for inst in insts])
         self.n = np.array([inst.torus.n for inst in insts])
-        self.weights = np.array([inst.chi(lams) for inst, lams in zip(insts, self.values)])
+        self.weights = CutoffSpec.stacked([inst.chi for inst in insts], self.values)
         points = np.array([[(i, j) for i, _, j in inst.points] for inst in insts])
         self.index, self.color = points[..., 0], points[..., 1]  # (B, 2N) each
         m = max(inst.m for inst in insts)

@@ -159,15 +159,33 @@ class CutoffSpec:
         return cls("gaussian", center=center, width=width)
 
     def __call__(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        if self.kind == "one":
-            return np.ones_like(lam)
-        if self.kind == "indicator":
-            a, b = self.params["a"], self.params["b"]
-            return np.where((lam >= a) & (lam <= b), 1.0, 0.0)
-        c, w = self.params["center"], self.params["width"]
-        return np.exp(-(((lam - c) / w) ** 2))
+        return _cutoff_values(self.kind, np.asarray(lam, dtype=float), self.params)
+
+    @staticmethod
+    def stacked(cutoffs: list, lams) -> np.ndarray:
+        """cutoffs[i](lams[i]) for each row i of lams, with one evaluation per kind.
+
+        Each cutoff's parameters enter as a column, so every row gets the bits
+        of its own call.
+        """
+        lams = np.asarray(lams, dtype=float)
+        out = np.empty_like(lams)
+        for kind in {chi.kind for chi in cutoffs}:
+            rows = [i for i, chi in enumerate(cutoffs) if chi.kind == kind]
+            params = {name: np.array([[cutoffs[i].params[name]] for i in rows])
+                      for name in cutoffs[rows[0]].params}
+            out[rows] = _cutoff_values(kind, lams[rows], params)
+        return out
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"CutoffSpec({self.kind}{', ' if inner else ''}{inner})"
+
+
+def _cutoff_values(kind: str, lam: np.ndarray, params: dict) -> np.ndarray:
+    """The cutoff of a kind on lam; params broadcast against lam."""
+    if kind == "one":
+        return np.ones_like(lam)
+    if kind == "indicator":
+        return np.where((lam >= params["a"]) & (lam <= params["b"]), 1.0, 0.0)
+    return np.exp(-(((lam - params["center"]) / params["width"]) ** 2))

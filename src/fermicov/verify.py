@@ -269,12 +269,27 @@ def within_bound(det: complex, bound: float) -> bool:
     return bool(bound - abs(det) >= -SLACK_TOL * max(1.0, bound))
 
 
+def _generate(ids: range, seed: int, config: GeneratorConfig) -> tuple:
+    """The draws and instances of ids.  A generator error, such as a scale too
+    large for the draws or the matrix, names the first instance that fails
+    alone and its seed."""
+    try:
+        draws = [_draw(instance_seed(seed, i), config) for i in ids]
+        return draws, _assemble(draws)
+    except (ValueError, OverflowError):
+        for i in ids:
+            try:
+                _assemble([_draw(instance_seed(seed, i), config)])
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"instance {i} (seed {instance_seed(seed, i)}): {exc}") from None
+        raise
+
+
 def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSuiteResult):
     """Generate and check the instances ids, appending to result."""
     stage = result.stage_s
     t0 = time.perf_counter()
-    draws = [_draw(instance_seed(seed, i), config) for i in ids]
-    insts = _assemble(draws)
+    draws, insts = _generate(ids, seed, config)
     stage["generate"] += time.perf_counter() - t0
     result.pinned += sum(dr.pin is not None for dr in draws)
     groups = {}

@@ -170,6 +170,31 @@ def dense_chain(chain) -> np.ndarray:
     return X
 
 
+def reference_field(chain, psi, creator=False, reach=None) -> np.ndarray:
+    """The rows of chain.field(psi, creator, reach) by one gather over all (row, mode) pairs.
+
+    The pairs (S, k) of the chain's masks whose S ^ bit_k is a mask the new
+    chain keeps, sorted by destination and then mode, are gathered at once and
+    each destination's pairs are summed by one np.add.reduceat.  np.multiply
+    fixes the operand order of the complex product; `*` lets numpy reuse a
+    large temporary right operand as the output, which swaps the factors.
+    """
+    fock = chain.fock
+    wanted = chain.reach + 1 if reach is None else min(reach, chain.reach + 1)
+    landing = fock.family(wanted, 1 - chain.length % 2)
+    flips, annihilate, create = fock.hops
+    moved = chain.masks ^ (1 << np.arange(fock.modes - 1, -1, -1))[:, None]
+    mode_of, row_of = np.nonzero(np.isin(moved, landing))
+    dest = np.searchsorted(landing, moved[mode_of, row_of])
+    order = np.argsort(dest, kind="stable")
+    rows, modes = row_of[order], mode_of[order]
+    psi, creator = np.asarray(psi, dtype=complex), np.asarray(creator, dtype=bool)
+    coeffs = np.where(creator[..., None], psi, np.conj(psi))
+    hop = coeffs[..., None] * np.where(creator[..., None, None], create, annihilate)
+    gathered = np.multiply(chain.rows[..., rows[:, None], flips[modes]], hop[..., modes, :])
+    return np.add.reduceat(gathered, np.flatnonzero(np.diff(dest[order], prepend=-1)), axis=-2)
+
+
 def annihilator(psi: np.ndarray) -> np.ndarray:
     """a(psi) = sum_i conj(psi_i) c_i as a dense matrix; antilinear in psi."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)

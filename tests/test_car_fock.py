@@ -24,6 +24,7 @@ from oracles import (
     expm_density,
     jordan_wigner,
     quasifree_density,
+    reference_field,
     second_quantize,
 )
 
@@ -48,6 +49,10 @@ def test_fock_tables_shared_and_cap_checked():
     assert first.family(3, 1) is second.family(4, 1)  # one table per (mode count, family)
     with pytest.raises(ValueError):  # shared, so read-only
         first.hops[0][0, 0] = 1
+    shell = car_fock._shell(10, 1, 1, None)  # the gather tables, built once per family pair
+    assert shell is car_fock._shell(10, 1, 1, 2) and shell.layers is shell.layers
+    for table in (shell.unrank, *(a for layer in shell.layers for a in layer)):
+        assert not table.flags.writeable
     assert FockSpace(car_fock.FOCK_CAP).modes == 14  # checked, not built
     for modes in (0, 15):
         with pytest.raises(ValueError):
@@ -215,6 +220,33 @@ def test_pruned_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
         for n1, n2 in [(1, 0), (0, 2), (2, 1), (1, 3), (3, 1), (4, 0)]:
             vecs, perm = random_vectors(rng, D, n1 + n2), rng.permutation(n1 + n2)
             assert expect_monomial(fock, logp, vecs, perm, n1) == 0.0, (D, n1, n2)
+
+
+def test_gather_field_matches_reference_bitwise(rng, monkeypatch):
+    # the layered gather against the one-reduceat formula, by bytes, with every field on
+    # the gather path: stacks of one and of several operators that mix creators and
+    # annihilators, every reach, zero psi entries and -0.0 diagonal entries; numpy's
+    # reduceat sums 1-4, 5-8 and 9-10 pairs landing on one row in three different orders
+    monkeypatch.setattr(car_fock, "SMALL_FIELD", 10**9)
+    fan_ins = set()
+    for D in range(1, 11):
+        fock = FockSpace(D)
+        for batch in ((), (3,), (2, 2)):
+            start = rng.normal(size=(*batch, fock.dim)) + 1j * rng.normal(size=(*batch, fock.dim))
+            start.real[rng.uniform(size=start.shape) < 0.2] = -0.0
+            X = FockChain.diagonal(fock, start)
+            for t in range(4 if D <= 6 else 2):
+                psi = rng.normal(size=(*batch, D)) + 1j * rng.normal(size=(*batch, D))
+                psi[rng.uniform(size=psi.shape) < 0.25] = 0.0
+                kinds = (np.arange(int(np.prod(batch))) + t).reshape(batch) % 2 == 0
+                for reach in (None, *range(X.reach + 2)):  # a larger reach keeps every row
+                    expected = reference_field(X, psi, kinds, reach)
+                    assert X.field(psi, kinds, reach).rows.tobytes() == expected.tobytes(), \
+                        (D, batch, t, reach)
+                    shell = car_fock._shell(D, X.reach, X.length % 2, reach)
+                    fan_ins.add(len(shell.layers))
+                X = X.field(psi, kinds)
+    assert set(range(1, 11)) <= fan_ins
 
 
 def test_annihilator_antilinear(rng):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,26 @@ def test_non_finite_determinant_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: instance 100 (seed 2000106)") and "not finite" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("root, instance, message", [
+    (31, 6, "high - low range exceeds valid bounds"),
+    (236, 1, "matrix has non-finite entries"),
+    (286, 220, "indicator cutoff needs a finite a, got -inf"),
+])
+def test_generator_errors_name_the_instance(tmp_path, capsys, root, instance, message):
+    # near the float maximum a drawn scale overflows the uniform draw of a cutoff
+    # center, the matrix or an indicator edge; the named seed replays the failure
+    seed = verify.instance_seed(root, instance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflows on the way
+        code = run(tmp_path, "bound-check", "--count", str(instance + 1), "--scale-max",
+                   "1e308", "--seed", str(root), "--out", "b.csv")
+        with pytest.raises((ValueError, OverflowError), match=message):
+            random_instance(seed, GeneratorConfig(scale_max=1e308))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: instance {instance} (seed {seed}): {message}\n"
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 import fermicov
 from fermicov.covariance import (
     BoundInstance,
+    InstanceStack,
     _entries,
     covariance_det,
     covariance_matrix,
@@ -382,6 +383,24 @@ def test_one_eigendecomposition_per_suite_group(monkeypatch):
     calls.clear()
     bound_check_suite(len(insts), seed=4)
     assert pinning > 0 and len(calls) == pinning + groups
+
+
+def test_stack_weights_match_each_cutoff_bitwise():
+    # a stack evaluates chi once per cutoff kind; each member keeps the bits of its own call
+    insts = [random_instance(instance_seed(7, i), GeneratorConfig(scale_max=1e6))
+             for i in range(300)]
+    groups = {}
+    for inst in insts:
+        groups.setdefault((inst.H.dim, inst.pair_count), []).append(inst)
+    weights = []
+    for members in groups.values():
+        stack = InstanceStack(members)
+        alone = np.array([inst.chi(lams) for inst, lams in zip(members, stack.values)])
+        assert stack.weights.tobytes() == alone.tobytes()
+        weights.append(stack.weights)
+    assert {"one", "indicator", "gaussian"} in [{inst.chi.kind for inst in members}
+                                                for members in groups.values()]
+    assert any(np.any((w > 0.0) & (w < 1.0)) for w in weights)  # Gaussian values in between
 
 
 def test_instance_fields_and_its_stack_are_read_only():
