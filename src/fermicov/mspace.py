@@ -3,9 +3,9 @@
 A positive semidefinite m x m matrix defines a (possibly degenerate)
 sesquilinear form on C^m; quotienting out the null space leaves an
 r-dimensional Hilbert space in which the canonical images e_k have Gram
-matrix exactly M.  The piecewise-constant interpolation matrices produced by
-tree expansions are integrated exactly here: connectivity only changes at
-edge weights, so the integral is a finite sum of interval lengths.
+matrix exactly M.  The interpolation matrices of tree expansions are
+integrated exactly here: a pair, once joined, stays joined as s grows, so its
+entry is the sum of the interval lengths from its joining weight to t.
 """
 
 from __future__ import annotations
@@ -77,48 +77,46 @@ class TreeGraph:
             raise ValueError("edge weights must lie in [0, 1]")
 
 
-class _UnionFind:
-    """Union-find with path compression; reflexivity is built in."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while x != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        self.parent[self.find(b)] = self.find(a)
-
-
 def bk_matrix(g: TreeGraph, t: float) -> np.ndarray:
     """Exact interpolation matrix M[k,l] = integral_0^t 1[k ~ l after dropping
     edges with weight >= s] ds.
 
-    Connectivity as a function of s is piecewise constant with breakpoints at
-    the edge weights, so the integral is summed interval by interval with a
-    union-find over the surviving edges (those of weight < s).  The diagonal
-    is t by reflexivity.  Removing an edge exactly at s equal to its weight
-    is a measure-zero convention and does not affect the result.
+    Connectivity in s is piecewise constant with breakpoints at 0, t and the
+    edge weights below t.  One pass visits the edges in increasing weight and
+    merges components; the edge that first joins k and l has the minimax
+    weight w of the paths between them, on trees and general graphs alike,
+    and sets M[k,l] to the sum of the interval lengths from w to t (0 when
+    w >= t).  The diagonal is the sum from 0.  Each sum is added left to
+    right from 0.0, so it can differ from t - w in the last bit: at t = 1
+    the diagonal can be 0.9999999999999999.  Removing an edge exactly at s
+    equal to its weight is a measure-zero convention.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     # Python floats: sorting a few of them and comparing them beats numpy's per-call cost
     weights = g.weights.tolist()
     breaks = sorted({0.0, float(t), *(w for w in weights if w < t)})
-    out = np.zeros((g.m, g.m))
-    for s0, s1 in zip(breaks, breaks[1:]):
-        uf = _UnionFind(g.m)
-        for (u, v), w in zip(g.edges, weights):
-            if w <= s0:  # surviving for all s in (s0, s1): weight < s
-                uf.union(u, v)
-        roots = np.array([uf.find(k) for k in range(g.m)])
-        out += (s1 - s0) * (roots[:, None] == roots[None, :])
-    return out
+    # breakpoint -> the interval lengths from it to t, added left to right in a loop
+    # (sum() rounds floats differently from Python 3.12 on); -0.0 finds 0.0
+    tail = {}
+    for i, s in enumerate(breaks):
+        total = 0.0
+        for s0, s1 in zip(breaks[i:], breaks[i + 1:]):
+            total += s1 - s0
+        tail[s] = total
+    out = [[tail[0.0] if k == l else 0.0 for l in range(g.m)] for k in range(g.m)]
+    component = [[k] for k in range(g.m)]
+    for w, (u, v) in sorted(zip(weights, g.edges)):
+        a, b = component[u], component[v]
+        if a is not b:
+            value = tail.get(w, 0.0)
+            for k in a:
+                for l in b:
+                    out[k][l] = out[l][k] = value
+            a += b
+            for l in b:
+                component[l] = a
+    return np.array(out, dtype=float).reshape(g.m, g.m)
 
 
 def random_tree(m: int, rng: np.random.Generator) -> TreeGraph:

@@ -361,8 +361,9 @@ def fine_grid_bk(edges, weights, m: int, t: float, samples: int = 10_000) -> np.
 
 
 def reference_bk_matrix(g, t: float) -> np.ndarray:
-    """mspace.bk_matrix summed the same way, interval by interval, but with
-    numpy's unique breakpoints and a union-find per interval written out."""
+    """The independent interval-by-interval reference for mspace.bk_matrix:
+    numpy's unique breakpoints, a fresh union-find over the surviving edges
+    for each interval, and the interval lengths added to M in order."""
     breaks = np.unique(np.concatenate([[0.0, t], g.weights[g.weights < t]]))
     out = np.zeros((g.m, g.m))
     for s0, s1 in zip(breaks[:-1], breaks[1:]):

@@ -132,3 +132,24 @@ def test_bk_bits_match_the_interval_sum():
             weights = np.where(rng.uniform(size=m - 1) < 0.3, -0.0, np.round(g.weights, 1))
             g = TreeGraph(m=m, edges=g.edges, weights=weights)
         assert bk_matrix(g, t).tobytes() == reference_bk_matrix(g, t).tobytes()
+    # general graphs: cycles, parallel edges, isolated vertices, disconnected parts
+    for _ in range(3000):
+        m = int(rng.integers(2, 9))
+        edges = [rng.choice(m, 2, replace=False) for _ in range(rng.integers(0, 2 * m))]
+        weights = rng.uniform(size=len(edges))
+        weights = np.where(rng.uniform(size=len(edges)) < 0.5, np.round(weights, 1), weights)
+        weights[rng.uniform(size=len(edges)) < 0.2] = -0.0
+        g = TreeGraph(m=m, edges=edges, weights=weights)
+        t = float(rng.choice([0.0, 1.0, rng.uniform(), round(rng.uniform(), 1)]))
+        assert bk_matrix(g, t).tobytes() == reference_bk_matrix(g, t).tobytes()
+    # a -0.0 edge parallel to a 0.0 edge and visited first (ties go by edge), a
+    # triangle, a second part, and vertex 5 alone
+    g = TreeGraph(m=6, edges=((1, 0), (0, 1), (1, 2), (2, 0), (3, 4)),
+                  weights=np.array([0.0, -0.0, 0.5, 0.5, 0.2]))
+    for t in (0.0, 0.2, 0.5, 0.7, 1.0):
+        assert bk_matrix(g, t).tobytes() == reference_bk_matrix(g, t).tobytes()
+    for m in (0, 3):  # no edges: still a float (m, m) array, which tobytes() cannot tell
+        g = TreeGraph(m=m, edges=(), weights=np.zeros(0))
+        M = bk_matrix(g, 0.7)
+        assert M.dtype == np.float64 and M.shape == (m, m)
+        assert M.tobytes() == reference_bk_matrix(g, 0.7).tobytes()
