@@ -29,8 +29,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # (command, expected exit code): the default suite, larger and wider generator
 # ranges (BK matrices at m > 3 among them), the spectral edge whose determinant
 # is not finite, and every other suite once; wick-verify also at D = 5 and 6,
-# where more than four pairs land on one row of a gathered field; bk-matrix
-# also at m = 8 and on a general graph with a cycle, parallel edges and -0.0
+# where a gathered field sums up to D pairs into one row, and at D = 7, where
+# the larger stacked fields take the per-mode loop; bk-matrix also at m = 8 and
+# on a general graph with a cycle, parallel edges and -0.0
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -46,6 +47,7 @@ ACCEPTANCE = (
     ("wick-verify --N-max 3 --modes 6 --draws 1", 0),
     ("bk-matrix --m 8 --seed 3 --t 0.7", 0),
     ("bk-matrix --m 5 --t 1 --edges 0-1:0.5,1-2:0.5,0-2:-0.0,3-4:0.2,2-3:0.9,0-1:0.1", 0),
+    ("wick-verify --N-max 2 --modes 7 --draws 2 --seed 3", 0),
 )
 
 

@@ -57,9 +57,8 @@ FOCK_CAP = 14  # the largest mode count of any Fock space; no 2^D x 2^D array is
 # loop costs interpreter time per mode, the gather touches a whole row for
 # every pair: for one operator on a 2-core Xeon VM (one BLAS thread) the gather
 # took 0.25-0.9 of the loop's time up to 16384 entries, 1.1-3.8 times it from
-# 19712 on, and the two met between about 6000 and 20000 entries, by D.  A
-# larger value would change the bits of modular-verify's CSVs, whose fields
-# would move to the gather and its order of sums.
+# 19712 on, and the two met between about 6000 and 20000 entries, by D.  Both
+# sum in one order, so the threshold picks only the speed, never the bits.
 SMALL_FIELD = 4096
 
 # A block of monomials for one stacked `expect_monomial` call gathers at most
@@ -187,35 +186,6 @@ def _shell(modes: int, reach: int, parity: int, next_reach: int | None) -> Shell
     return Shell(modes, reach, parity, next_reach)
 
 
-def _sum_layers(layers: list) -> np.ndarray:
-    """x_0 + (x_1 + ... + x_(f-1)) for each ranked row with f pairs, in np.add.reduceat's order.
-
-    numpy sums the tail of a segment pairwise: fewer than four terms in
-    sequence; otherwise four accumulators over the whole blocks of four,
-    joined as (r0 + r1) + (r2 + r3), then the rest in sequence.  Keeping that
-    order keeps every bit of a field summed by one reduceat.  Sums in place
-    into the layers, which must be temporaries.
-    """
-    head, *tail = layers
-    if not tail:
-        return head
-    acc, ends = tail[0], [x.shape[-2] for x in tail] + [0] * 4  # ends[i]: rows with x_(i+1)
-    for b in range(len(tail) // 4 + 1):  # the rows whose tail has b whole blocks
-        lo, hi = ends[4 * b + 3], ends[4 * b - 1] if b else ends[0]
-        if lo == hi:
-            continue
-        if b:
-            r = [x[..., lo:hi, :] for x in tail[:4]]
-            for i in range(4, 4 * b, 4):
-                r = [a + x[..., lo:hi, :] for a, x in zip(r, tail[i:i + 4])]
-            acc[..., lo:hi, :] = (r[0] + r[1]) + (r[2] + r[3])
-        for i in range(max(4 * b, 1), 4 * b + 3):
-            if ends[i] > lo:
-                acc[..., lo:ends[i], :] += tail[i][..., lo:ends[i], :]
-    head[..., :ends[0], :] += acc
-    return head
-
-
 class FockSpace:
     """Fermionic Fock space over D one-particle modes; total dimension 2^D.
 
@@ -308,23 +278,23 @@ class FockChain:
             coeffs, table = (psi, create) if creator else (np.conj(psi), annihilate)
         hop = coeffs[..., None] * table
         shell = _shell(fock.modes, self.reach, self.length % 2, reach)
+        batch = np.broadcast_shapes(self.rows.shape[:-2], hop.shape[:-2])
+        out = np.zeros((*batch, shell.size, fock.dim), dtype=complex)
+        # Both strategies add each destination entry's pairs onto zeros in mode order,
+        # as hop times source: np.multiply, not *, since numpy may write a product into
+        # a large temporary right operand, which swaps the factors, and a complex
+        # product's FMA rounding is not symmetric in them
         if 0 < shell.pairs * fock.dim <= SMALL_FIELD:
             flat = self.rows.reshape(*self.rows.shape[:-2], -1)
-            # np.multiply, not *: numpy may write a product into a large temporary
-            # right operand, which swaps the factors, and a complex product's FMA
-            # rounding is not symmetric in them
-            summed = _sum_layers([np.multiply(flat[..., layer.src],
-                                              np.take(hop, layer.modes, axis=-2))
-                                  for layer in shell.layers])
-            return FockChain(fock, self.length + 1, summed[..., shell.unrank, :], shell.reach)
+            for layer in shell.layers:
+                out[..., :len(layer.rows), :] += np.multiply(np.take(hop, layer.modes, axis=-2),
+                                                             flat[..., layer.src])
+            return FockChain(fock, self.length + 1, out[..., shell.unrank, :], shell.reach)
         # A single operator skips the broadcasting below: about 20 us a field,
         # 12 % of a modular_rep pass at D = 8..10 (2-core Xeon VM).
-        if self.rows.ndim == hop.ndim == 2:
-            out = np.zeros((shell.size, fock.dim), dtype=complex)
+        if not batch:
             _move_halves(self.rows, coeffs, hop, out, shell, creator)
         else:  # one operator at a time: each moves more than SMALL_FIELD entries
-            batch = np.broadcast_shapes(self.rows.shape[:-2], hop.shape[:-2])
-            out = np.zeros((*batch, shell.size, fock.dim), dtype=complex)
             rows = np.broadcast_to(self.rows, (*batch, *self.rows.shape[-2:]))
             coeffs = np.broadcast_to(coeffs, (*batch, fock.modes))
             hop = np.broadcast_to(hop, (*batch, *hop.shape[-2:]))
@@ -379,7 +349,7 @@ def _move_halves(rows, coeffs, hop, out, shell: Shell, creator: bool):
         sources, to = shell.by_mode[k]
         halves = (2**k, 2, dim >> (k + 1))
         block = rows.reshape(-1, *halves)[sources, :, src]
-        out.reshape(size, *halves)[to, :, dst] += hop[k].reshape(halves)[:, dst] * block
+        out.reshape(size, *halves)[to, :, dst] += np.multiply(hop[k].reshape(halves)[:, dst], block)
 
 
 def _fermi(x: np.ndarray) -> np.ndarray:

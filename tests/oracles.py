@@ -173,11 +173,12 @@ def dense_chain(chain) -> np.ndarray:
 def reference_field(chain, psi, creator=False, reach=None) -> np.ndarray:
     """The rows of chain.field(psi, creator, reach) by one gather over all (row, mode) pairs.
 
-    The pairs (S, k) of the chain's masks whose S ^ bit_k is a mask the new
-    chain keeps, sorted by destination and then mode, are gathered at once and
-    each destination's pairs are summed by one np.add.reduceat.  np.multiply
-    fixes the operand order of the complex product; `*` lets numpy reuse a
-    large temporary right operand as the output, which swaps the factors.
+    The products hop * source of the pairs (S, k) of the chain's masks whose
+    S ^ bit_k is a mask the new chain keeps are gathered at once, in mode order,
+    and added one pair at a time onto rows of zeros, so each destination sums
+    its pairs in mode order.  np.multiply fixes the operand order of the complex
+    product; `*` lets numpy reuse a large temporary right operand as the output,
+    which swaps the factors.
     """
     fock = chain.fock
     wanted = chain.reach + 1 if reach is None else min(reach, chain.reach + 1)
@@ -186,13 +187,14 @@ def reference_field(chain, psi, creator=False, reach=None) -> np.ndarray:
     moved = chain.masks ^ (1 << np.arange(fock.modes - 1, -1, -1))[:, None]
     mode_of, row_of = np.nonzero(np.isin(moved, landing))
     dest = np.searchsorted(landing, moved[mode_of, row_of])
-    order = np.argsort(dest, kind="stable")
-    rows, modes = row_of[order], mode_of[order]
     psi, creator = np.asarray(psi, dtype=complex), np.asarray(creator, dtype=bool)
     coeffs = np.where(creator[..., None], psi, np.conj(psi))
     hop = coeffs[..., None] * np.where(creator[..., None, None], create, annihilate)
-    gathered = np.multiply(chain.rows[..., rows[:, None], flips[modes]], hop[..., modes, :])
-    return np.add.reduceat(gathered, np.flatnonzero(np.diff(dest[order], prepend=-1)), axis=-2)
+    gathered = np.multiply(hop[..., mode_of, :], chain.rows[..., row_of[:, None], flips[mode_of]])
+    out = np.zeros((*gathered.shape[:-2], len(landing), fock.dim), dtype=complex)
+    for pair, to in enumerate(dest):
+        out[..., to, :] += gathered[..., pair, :]
+    return out
 
 
 def annihilator(psi: np.ndarray) -> np.ndarray:

@@ -222,14 +222,14 @@ def test_pruned_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
             assert expect_monomial(fock, logp, vecs, perm, n1) == 0.0, (D, n1, n2)
 
 
-def test_gather_field_matches_reference_bitwise(rng, monkeypatch):
-    # the layered gather against the one-reduceat formula, by bytes, with every field on
-    # the gather path: stacks of one and of several operators that mix creators and
-    # annihilators, every reach, zero psi entries and -0.0 diagonal entries; numpy's
-    # reduceat sums 1-4, 5-8 and 9-10 pairs landing on one row in three different orders
-    monkeypatch.setattr(car_fock, "SMALL_FIELD", 10**9)
-    fan_ins = set()
-    for D in range(1, 11):
+def _field_cases(rng, modes):
+    """(chain, psi, kinds, reach) for byte checks of one field, D in `modes`.
+
+    Stacks of one and of several operators that mix creators and annihilators,
+    every reach, zero psi entries and -0.0 diagonal entries; each chain is the
+    last one's field.
+    """
+    for D in modes:
         fock = FockSpace(D)
         for batch in ((), (3,), (2, 2)):
             start = rng.normal(size=(*batch, fock.dim)) + 1j * rng.normal(size=(*batch, fock.dim))
@@ -240,13 +240,33 @@ def test_gather_field_matches_reference_bitwise(rng, monkeypatch):
                 psi[rng.uniform(size=psi.shape) < 0.25] = 0.0
                 kinds = (np.arange(int(np.prod(batch))) + t).reshape(batch) % 2 == 0
                 for reach in (None, *range(X.reach + 2)):  # a larger reach keeps every row
-                    expected = reference_field(X, psi, kinds, reach)
-                    assert X.field(psi, kinds, reach).rows.tobytes() == expected.tobytes(), \
-                        (D, batch, t, reach)
-                    shell = car_fock._shell(D, X.reach, X.length % 2, reach)
-                    fan_ins.add(len(shell.layers))
+                    yield X, psi, kinds, reach
                 X = X.field(psi, kinds)
+
+
+def test_gather_field_matches_reference_bitwise(rng, monkeypatch):
+    # the layered gather against the in-order sum of all pairs at once, by bytes, with
+    # every field on the gather path; up to 10 pairs land on one row
+    monkeypatch.setattr(car_fock, "SMALL_FIELD", 10**9)
+    fan_ins = set()
+    for X, psi, kinds, reach in _field_cases(rng, range(1, 11)):
+        expected = reference_field(X, psi, kinds, reach)
+        assert X.field(psi, kinds, reach).rows.tobytes() == expected.tobytes(), \
+            (X.fock.modes, psi.shape[:-1], X.length, reach)
+        fan_ins.add(len(car_fock._shell(X.fock.modes, X.reach, X.length % 2, reach).layers))
     assert set(range(1, 11)) <= fan_ins
+
+
+def test_gather_and_loop_fields_agree_bitwise(rng, monkeypatch):
+    # both strategies add each entry's pairs in mode order, hop first, so SMALL_FIELD picks
+    # only the speed.  From D = 2: at D = 1 the loop multiplies half rows of one entry,
+    # which numpy's complex multiply rounds apart from longer operands
+    for X, psi, kinds, reach in _field_cases(rng, range(2, 11)):
+        rows = []
+        for small_field in (0, 10**9):  # the per-mode loop, the gather
+            monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
+            rows.append(X.field(psi, kinds, reach).rows.tobytes())
+        assert rows[0] == rows[1], (X.fock.modes, psi.shape[:-1], X.length, reach)
 
 
 def test_annihilator_antilinear(rng):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermicov import verify
+from fermicov import car_fock, verify
 from fermicov.cli import main
 from fermicov.spectral import rate_terms
 from fermicov.verify import GeneratorConfig, bound_check_suite, random_instance
@@ -312,18 +312,28 @@ def test_wick_and_modular_verify(tmp_path):
                "--out", "w1.csv") == 0
 
 
+@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0, 10**9])
 @pytest.mark.parametrize("argv", [("--N-max", "3", "--modes", "4"),
                                   ("--N-max", "2", "--modes", "7", "--draws", "2")])
-def test_wick_verify_block_budget_keeps_bytes(tmp_path, monkeypatch, argv):
+def test_wick_verify_block_budget_keeps_bytes(tmp_path, monkeypatch, argv, small_field):
     # one permutation per block, the default blocks, and every permutation of an N
-    # in one block give the same CSV; at D = 7 the stacked fields take the per-mode loop
-    from fermicov import car_fock
-
-    csvs = []
+    # in one block give the CSV of the default settings, whether the fields take the
+    # default strategy, the per-mode loop (SMALL_FIELD 0) or the gather (10^9); at
+    # D = 7 the stacked fields take the per-mode loop by default
+    assert run(tmp_path, "wick-verify", *argv, "--seed", "3", "--out", "default.csv") == 0
+    monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
     for budget in (1, car_fock.BLOCK_ENTRIES, 10**9):
         monkeypatch.setattr(car_fock, "BLOCK_ENTRIES", budget)
         assert run(tmp_path, "wick-verify", *argv, "--seed", "3", "--out", "w.csv") == 0
-        csvs.append((tmp_path / "w.csv").read_bytes())
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_modular_verify_keeps_bytes_on_either_field_strategy(tmp_path, monkeypatch):
+    csvs = []
+    for small_field in (car_fock.SMALL_FIELD, 0, 10**9):  # default, per-mode loop, gather
+        monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
+        assert run(tmp_path, "modular-verify", "--seed", "2", "--modes", "6", "--out", "m.csv") == 0
+        csvs.append((tmp_path / "m.csv").read_bytes())
     assert csvs[0] == csvs[1] == csvs[2]
 
 
