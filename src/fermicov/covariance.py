@@ -48,11 +48,12 @@ def kernel_values_at(
     alpha_index: int | np.ndarray,
     eta: float | None = None,
 ) -> np.ndarray:
-    """Evaluate g_lam(alpha) for an array of lam at one grid index or an array of them.
+    """Evaluate g_lam(alpha) for eigenvalues lams (..., d) at grid indices (...).
 
-    A single index gives one value per lam; an array of indices gives one row
-    of values per index, from one rate_terms call.  With a stack of tori, lams
-    holds one row of eigenvalues per index, and torus entry i serves row i.
+    The indices gain a last axis, against the eigenvalues, and broadcast against
+    lams; one rate_terms call serves them all.  A stack of tori broadcasts like
+    the indices, with a last axis of length 1: lams (B, 1, 1, d), indices
+    (B, N, N) and tori (B, 1, 1, 1) give one value per matrix entry and lam.
     With eta absent, values inside the singular band around n/beta use the
     closed infinite-regularization limit (a -1/+1 spike at alpha = beta/n and
     beta/n - beta); with eta given, the finite-regularization formula is used
@@ -166,15 +167,17 @@ class BoundInstance:
 class InstanceStack:
     """Bound instances of one shape (d, N), stacked along a leading axis.
 
-    It owns, read-only, one eigendecomposition of the stacked H, the
-    projections U* phi_q and chi on the spectrum.  The bound suite checks each
-    (d, N) group of its instances as one stack and one instance is checked as
-    its cached stack of one, so every determinant and bound comes from the same
-    code, with the same bits.  The instances may differ in n, beta, m, chi and M.
+    It owns, read-only, one eigendecomposition of the stacked H (its members'
+    matrices, checked when made), the projections U* phi_q and chi on the
+    spectrum, and takes one kernel value per matrix entry and eigenvalue.  The
+    bound suite checks each (d, N) group as one stack and an instance as its
+    cached stack of one, so every determinant and bound has the same code and
+    bits.  Members may differ in n, beta, m, chi and M.
     """
 
     def __init__(self, insts: list):
-        spectral = eig_hermitian(np.stack([inst.H.matrix for inst in insts]))
+        H = HermitianMatrix._trusted(np.stack([inst.H.matrix for inst in insts]))
+        spectral = eig_hermitian(H)
         phis = np.array([[phi for _, phi, _ in inst.points] for inst in insts])
         adjoint = np.conj(spectral.vectors).swapaxes(-1, -2)
         self.values = spectral.values  # (B, d)
@@ -197,21 +200,13 @@ class InstanceStack:
         return DiscreteTorus._stack(self.beta[rows], self.n[rows])
 
     def matrices(self, eta: float | None = None) -> np.ndarray:
-        """The (B, N, N) stack of covariance matrices (see covariance_matrix).
-
-        The kernel is tabulated once per distinct (instance, time difference)
-        pair, so the stack is built in one pass.
-        """
+        """The (B, N, N) stack of covariance matrices (see covariance_matrix), in one pass."""
         N = self.index.shape[1] // 2
-        rows = self.rows[..., None]
+        rows = self.rows[..., None]  # (B, 1, 1)
         diff = self._torus(rows).index_diff(self.index[:, :N, None], self.index[:, None, N:])
-        size = 2 * int(self.n.max())
-        distinct, inverse = np.unique(rows * size + diff, return_inverse=True)
-        row, tau = np.divmod(distinct, size)
-        table = kernel_values_at(self.values[row], self._torus(row[:, None]), tau, eta)
+        table = kernel_values_at(self.values[rows], self._torus(rows[..., None]), diff, eta)
         c = self.coefficients
-        entries = _entries(table[inverse.reshape(diff.shape)], self.weights[rows],
-                           c[:, :N, None], c[:, None, N:])
+        entries = _entries(table, self.weights[rows], c[:, :N, None], c[:, None, N:])
         return self.M[rows, self.color[:, :N, None], self.color[:, None, N:]] * entries
 
     def bounds(self) -> np.ndarray:

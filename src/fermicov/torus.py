@@ -38,6 +38,8 @@ class DiscreteTorus:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
+        if not math.isfinite(self.n / self.beta):
+            raise ValueError(f"n/beta must be finite, got n={self.n} and beta={self.beta}")
 
     @classmethod
     def _stack(cls, beta: np.ndarray, n: np.ndarray) -> "DiscreteTorus":

@@ -201,8 +201,8 @@ def _draw(seed: int, config: GeneratorConfig) -> _Draws:
     return _Draws(d, N, n, beta, scale, A, pin, chi, M, points)
 
 
-def _assemble(draws: list) -> list:
-    """The instances of draws, in their order.
+def _assemble(draws: list) -> tuple:
+    """The instances of draws, in their order, and each (d, N) group's members.
 
     The arithmetic and checks that do not depend on the instance run once per
     (d, N) group, on its stack, and give each member the bits it gets alone;
@@ -246,7 +246,7 @@ def _assemble(draws: list) -> list:
             # valid by construction: the checks of BoundInstance.__post_init__ are skipped
             insts[k] = BoundInstance._trusted(HermitianMatrix._trusted(H[i]), torus, dr.chi,
                                               dr.M, points)
-    return insts
+    return insts, list(groups.values())
 
 
 def random_instances(seeds, config: GeneratorConfig) -> list:
@@ -256,7 +256,7 @@ def random_instances(seeds, config: GeneratorConfig) -> list:
     BK) are drawn uniformly, and one instance in twenty gets an eigenvalue
     pinned on n/beta.  Each instance is what its seed alone gives, bit for bit.
     """
-    return _assemble([_draw(seed, config) for seed in seeds])
+    return _assemble([_draw(seed, config) for seed in seeds])[0]
 
 
 def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
@@ -270,12 +270,12 @@ def within_bound(det: complex, bound: float) -> bool:
 
 
 def _generate(ids: range, seed: int, config: GeneratorConfig) -> tuple:
-    """The draws and instances of ids.  A generator error, such as a scale too
-    large for the draws or the matrix, names the first instance that fails
-    alone and its seed."""
+    """The draws and instances of ids, and each (d, N) group's members (see
+    _assemble).  A generator error, such as a scale too large for the draws or
+    the matrix, names the first instance that fails alone and its seed."""
     try:
         draws = [_draw(instance_seed(seed, i), config) for i in ids]
-        return draws, _assemble(draws)
+        return draws, *_assemble(draws)
     except (ValueError, OverflowError):
         for i in ids:
             try:
@@ -289,15 +289,12 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
     """Generate and check the instances ids, appending to result."""
     stage = result.stage_s
     t0 = time.perf_counter()
-    draws, insts = _generate(ids, seed, config)
+    draws, insts, groups = _generate(ids, seed, config)
     stage["generate"] += time.perf_counter() - t0
     result.pinned += sum(dr.pin is not None for dr in draws)
-    groups = {}
-    for k, inst in enumerate(insts):
-        groups.setdefault((inst.H.dim, inst.pair_count), []).append(k)
     dets = np.empty(len(insts), dtype=complex)
     bounds = np.empty(len(insts))
-    for members in groups.values():
+    for members in groups:
         t0 = time.perf_counter()
         stack = InstanceStack([insts[k] for k in members])
         t1 = time.perf_counter()
@@ -326,7 +323,8 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
 
     power = 1.0 / (2 * np.array([inst.pair_count for inst in insts]))
     ratio = np.full(len(insts), -np.inf)
-    np.divide(np.abs(dets) ** power, bounds ** power, out=ratio, where=bounds > 0.0)
+    det_abs = np.hypot(dets.real, dets.imag)  # abs() bit for bit, as the CSV takes it
+    np.divide(det_abs ** power, bounds ** power, out=ratio, where=bounds > 0.0)
     k = int(np.argmax(ratio))  # the first of equals, in instance-id order
     if ratio[k] > (result.tightest["ratio"] if result.tightest else -np.inf):
         best = result.reports[ids[k]]

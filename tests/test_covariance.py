@@ -258,6 +258,11 @@ def test_one_pass_det_and_bound_equal_per_entry_loop():
     for i in range(40):
         inst = random_instance(instance_seed(15, i), GeneratorConfig())
         cases.append((dataclasses.replace(inst, chi=zero), None))
+    # wider ranges, with many entries per time difference, and a fine grid
+    wide = GeneratorConfig(d_max=6, m_max=5, N_max=6, n_choices=(2, 4, 8, 16))
+    cases += [(random_instance(instance_seed(16, i), wide), None) for i in range(400)]
+    fine = GeneratorConfig(n_choices=(10**7,))
+    cases += [(random_instance(instance_seed(17, i), fine), None) for i in range(100)]
     hits = zeros = 0
     for inst, eta in cases:
         S = eig_hermitian(inst.H)
