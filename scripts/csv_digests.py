@@ -32,7 +32,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # where a gathered field sums up to D pairs into one row, and at D = 7, where
 # the larger stacked fields take the per-mode loop; bk-matrix also at m = 8 and
 # on a general graph with a cycle, parallel edges and -0.0; bound-check also at
-# N <= 32 and n = 64, where many kernel entries share one time difference
+# N <= 32 and n = 64, where many kernel entries share one time difference, and
+# at the largest grid order N_CAP, whose storage indices come near the int64 limit
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -50,6 +51,7 @@ ACCEPTANCE = (
     ("bk-matrix --m 5 --t 1 --edges 0-1:0.5,1-2:0.5,0-2:-0.0,3-4:0.2,2-3:0.9,0-1:0.1", 0),
     ("wick-verify --N-max 2 --modes 7 --draws 2 --seed 3", 0),
     ("bound-check --count 300 --seed 5 --d-max 8 --m-max 4 --N-max 32 --n-choices 64", 0),
+    ("bound-check --count 300 --seed 9 --n-choices 2,4611686018427387902 --d-max 4 --N-max 4", 0),
 )
 
 

@@ -38,7 +38,7 @@ from fermicov.covariance import decay_parameter, kernel_g
 from fermicov.modular import modular_power, schatten_norm, tube_chain
 from fermicov.mspace import TreeGraph, bk_matrix, random_tree
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
-from fermicov.torus import DiscreteTorus
+from fermicov.torus import N_CAP, DiscreteTorus
 from fermicov.verify import (
     GeneratorConfig,
     bound_check_suite,
@@ -135,7 +135,7 @@ def _modes(low: int):
 
 FINITE = _number(float, "a finite number", math.isfinite)
 POSITIVE = _number(float, "a positive number", lambda v: 0 < v < math.inf)
-EVEN_N = _number(int, "an even integer >= 2", lambda v: v >= 2 and v % 2 == 0)
+EVEN_N = _number(int, f"an even integer in [2, {N_CAP}]", lambda v: 2 <= v <= N_CAP and v % 2 == 0)
 SEED = _number(int, "a non-negative integer", lambda v: v >= 0)
 
 
@@ -227,7 +227,7 @@ def cmd_wick_verify(args) -> Outcome:
             A = z[:, :D * D].reshape(-1, D, D) + 1j * z[:, D * D:2 * D * D].reshape(-1, D, D)
             v = z[:, 2 * D * D:].reshape(-1, 2 * N, 2, D)
             vecs = v[:, :, 0] + 1j * v[:, :, 1]
-            V, logp, symbol = quasifree_modes((A + A.conj().mT) / 2, beta=1.0)
+            V, logp, symbol = quasifree_modes(A, beta=1.0)
             in_modes = (V.conj().mT[:, None] @ vecs[..., None])[..., 0]
             direct = expect_monomial(fock, logp, in_modes, perms, N).tolist()
             det = wick_determinant(symbol, vecs, perms).tolist()
@@ -255,7 +255,7 @@ def cmd_modular_verify(args) -> Outcome:
         modes = int(rng.integers(2, args.modes + 1))
         A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
         beta = float(rng.uniform(0.5, 2.0))
-        V, logp, _ = quasifree_modes((A + A.conj().T) / 2, beta)
+        V, logp, _ = quasifree_modes(A, beta)
         fock = FockSpace(modes)
         block = (np.arange(fock.dim) if fock.dim <= FLOW_BLOCK
                  else np.sort(rng.choice(fock.dim, FLOW_BLOCK, replace=False)))

@@ -98,8 +98,7 @@ class KernelEval:
 
 def kernel_g(lam: float, torus: DiscreteTorus, eta: float | None = None) -> KernelEval:
     """Tabulate the covariance kernel g_lam on the whole grid."""
-    half = kernel_values_at(np.array([lam]), torus, np.arange(torus.n), eta)[:, 0]
-    values = np.concatenate([half, -half])
+    values = kernel_values_at(np.array([lam]), torus, np.arange(torus.size), eta)[:, 0]
     return KernelEval(lam, torus, values)
 
 
@@ -141,14 +140,6 @@ class BoundInstance:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "points", norm_points)
 
-    @classmethod
-    def _trusted(cls, H, torus, chi, M, points) -> "BoundInstance":
-        """An instance built from fields that are valid and normalized by
-        construction, without re-running __post_init__'s checks."""
-        inst = object.__new__(cls)
-        vars(inst).update(H=H, torus=torus, chi=chi, M=np.asarray(M, dtype=float), points=points)
-        return inst
-
     @property
     def pair_count(self) -> int:
         return len(self.points) // 2
@@ -161,40 +152,46 @@ class BoundInstance:
     def stack(self) -> "InstanceStack":
         """The instance as a stack of one, built on first use; its spectrum,
         projections and chi weights are read-only, as callers share them."""
-        return InstanceStack([self])
+        return InstanceStack.of([self])
 
 
 class InstanceStack:
     """Bound instances of one shape (d, N), stacked along a leading axis.
 
-    It owns, read-only, one eigendecomposition of the stacked H (its members'
-    matrices, checked when made), the projections U* phi_q and chi on the
-    spectrum, and takes one kernel value per matrix entry and eigenvalue.  The
-    bound suite checks each (d, N) group as one stack and an instance as its
-    cached stack of one, so every determinant and bound has the same code and
-    bits.  Members may differ in n, beta, m, chi and M.
+    Made from arrays: the checked H (B, d, d), the fiber vectors phi (B, 2N, d),
+    the points' storage and color indices (B, 2N), beta and n (B,), and each
+    member's chi and M; `of` gathers them from instances.  It owns, read-only,
+    one eigendecomposition of H, the projections U* phi_q and chi on the
+    spectrum.  The bound suite checks each (d, N) group as one stack and an
+    instance is its cached stack of one, so every determinant and bound has the
+    same code and bits.  Members may differ in n, beta, m, chi and M.
     """
 
-    def __init__(self, insts: list):
-        H = HermitianMatrix._trusted(np.stack([inst.H.matrix for inst in insts]))
+    def __init__(self, H: HermitianMatrix, phi: np.ndarray, index: np.ndarray,
+                 color: np.ndarray, beta: np.ndarray, n: np.ndarray, chi: list, M: list):
         spectral = eig_hermitian(H)
-        phis = np.array([[phi for _, phi, _ in inst.points] for inst in insts])
         adjoint = np.conj(spectral.vectors).swapaxes(-1, -2)
         self.values = spectral.values  # (B, d)
         # (B, 2N, d): one matrix-vector product per row, the bits of each member alone
-        self.coefficients = (adjoint[:, None] @ phis[..., None])[..., 0]
-        self.rows = np.arange(len(insts))[:, None]  # (B, 1): each instance's place
-        self.beta = np.array([inst.torus.beta for inst in insts])
-        self.n = np.array([inst.torus.n for inst in insts])
-        self.weights = CutoffSpec.stacked([inst.chi for inst in insts], self.values)
-        points = np.array([[(i, j) for i, _, j in inst.points] for inst in insts])
-        self.index, self.color = points[..., 0], points[..., 1]  # (B, 2N) each
-        m = max(inst.m for inst in insts)
-        self.M = np.zeros((len(insts), m, m))  # each M in the top left of its slot
-        for slot, inst in zip(self.M, insts):
-            slot[:inst.m, :inst.m] = inst.M
-        for array in vars(self).values():
+        self.coefficients = (adjoint[:, None] @ phi[..., None])[..., 0]
+        self.rows = np.arange(len(M))[:, None]  # (B, 1): each instance's place
+        self.beta, self.n, self.index, self.color = beta, n, index, color
+        self.weights = CutoffSpec.stacked(chi, self.values)
+        m = max(len(Mi) for Mi in M)
+        self.M = np.zeros((len(M), m, m))  # each M in the top left of its slot
+        for slot, Mi in zip(self.M, M):
+            slot[:len(Mi), :len(Mi)] = Mi
+        for array in vars(self).values():  # the caller's arrays among them
             array.flags.writeable = False
+
+    @classmethod
+    def of(cls, insts: list) -> "InstanceStack":
+        """The stack of instances of one shape (d, N), gathered from their fields."""
+        index, phi, color = map(np.array, zip(*(zip(*inst.points) for inst in insts)))
+        return cls(HermitianMatrix._trusted(np.stack([inst.H.matrix for inst in insts])),
+                   phi, index, color, np.array([inst.torus.beta for inst in insts]),
+                   np.array([inst.torus.n for inst in insts]),
+                   [inst.chi for inst in insts], [inst.M for inst in insts])
 
     def _torus(self, rows) -> DiscreteTorus:
         return DiscreteTorus._stack(self.beta[rows], self.n[rows])

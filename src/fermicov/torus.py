@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DiscreteTorus", "delta_ap"]
+__all__ = ["N_CAP", "DiscreteTorus", "delta_ap"]
+
+N_CAP = 2**62 - 2  # the largest n: 2n and every sum of two grid indices fit in int64
 
 
 @dataclass(frozen=True)
@@ -36,17 +38,16 @@ class DiscreteTorus:
     def __post_init__(self):
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"n must be an even integer >= 2, got {self.n}")
+        if not (2 <= self.n <= N_CAP and self.n % 2 == 0):
+            raise ValueError(f"n must be an even integer in [2, {N_CAP}], got {self.n}")
         if not math.isfinite(self.n / self.beta):
             raise ValueError(f"n/beta must be finite, got n={self.n} and beta={self.beta}")
 
     @classmethod
     def _stack(cls, beta: np.ndarray, n: np.ndarray) -> "DiscreteTorus":
-        """The tori (beta[i], n[i]), gathered from valid tori, so unchecked."""
+        """The tori (beta[i], n[i]), unchecked: each pair must make a valid torus."""
         torus = object.__new__(cls)
-        object.__setattr__(torus, "beta", beta)
-        object.__setattr__(torus, "n", n)
+        vars(torus).update(beta=beta, n=n)
         return torus
 
     @property

@@ -7,6 +7,7 @@ instance-id order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -65,12 +66,11 @@ class GeneratorConfig:
         for name in ("n_choices", "beta_choices"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")
-        for n in self.n_choices:
-            if n < 2 or n % 2 != 0:
-                raise ValueError(f"n_choices must hold even integers >= 2, got {n}")
-        for beta in self.beta_choices:
-            if not (beta > 0 and math.isfinite(beta)):
-                raise ValueError(f"beta_choices must hold positive finite numbers, got {beta}")
+        for n, beta in itertools.product(self.n_choices, self.beta_choices):
+            try:
+                DiscreteTorus(beta=beta, n=n)  # every pair the generator may draw
+            except ValueError as exc:
+                raise ValueError(f"n_choices and beta_choices: {exc}") from None
         if not 0.1 <= self.scale_max < math.inf:  # the floor of the scale draw
             raise ValueError(f"scale_max must be a finite number >= 0.1, got {self.scale_max}")
 
@@ -201,18 +201,19 @@ def _draw(seed: int, config: GeneratorConfig) -> _Draws:
     return _Draws(d, N, n, beta, scale, A, pin, chi, M, points)
 
 
-def _assemble(draws: list) -> tuple:
-    """The instances of draws, in their order, and each (d, N) group's members.
+def _assemble(draws: list) -> list:
+    """Each (d, N) group of draws as (members, arrays): its positions in draws
+    and its members' InstanceStack arguments (H, phi, index, color, beta, n,
+    chi, M).
 
     The arithmetic and checks that do not depend on the instance run once per
-    (d, N) group, on its stack, and give each member the bits it gets alone;
-    each pinned instance takes its own eigendecomposition.
+    group, on its stack, and give each member the bits it gets alone; each
+    pinned instance takes its own eigendecomposition.
     """
-    insts = [None] * len(draws)
-    tori = {}
     groups = {}
     for k, dr in enumerate(draws):
         groups.setdefault((dr.d, dr.N), []).append(k)
+    assembled = []
     for (d, N), members in groups.items():
         group = [draws[k] for k in members]
         scale = np.array([dr.scale for dr in group]) / max(1.0, np.sqrt(d))
@@ -220,33 +221,26 @@ def _assemble(draws: list) -> tuple:
         A = Z[:, 0] + 1j * Z[:, 1]
         H = scale[:, None, None] * (A + A.conj().swapaxes(-1, -2)) / 2
         pinned = [i for i, dr in enumerate(group) if dr.pin is not None]
-        if pinned:
-            for i, matrix in zip(pinned, HermitianMatrix(H[pinned]).matrix):
-                # pin one eigenvalue exactly on the singular value n/beta
-                S = eig_hermitian(HermitianMatrix._trusted(matrix))
-                vals = S.values.copy()
-                vals[group[i].pin] = group[i].n / group[i].beta
-                H[i] = (S.vectors * vals) @ S.vectors.conj().T
-        H = HermitianMatrix(H).matrix
+        for i, matrix in zip(pinned, HermitianMatrix(H[pinned]).matrix):
+            # pin one eigenvalue exactly on the singular value n/beta
+            S = eig_hermitian(HermitianMatrix._trusted(matrix))
+            vals = S.values.copy()
+            vals[group[i].pin] = group[i].n / group[i].beta
+            H[i] = (S.vectors * vals) @ S.vectors.conj().T
 
-        Z = np.array([[phi for _, phi, _, _ in dr.points] for dr in group])
+        offsets, Z, radius, color = map(np.array, zip(*(zip(*dr.points) for dr in group)))
         phi = Z[:, :, 0] + 1j * Z[:, :, 1]  # (B, 2N, d)
         # each |phi|^2 as np.linalg.norm sums it: re . re + im . im, one dot product each
         re, im = phi.real[..., None, :], phi.imag[..., None, :]
         norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
-        radius = np.array([[r for _, _, r, _ in dr.points] for dr in group])
         phi *= (radius / np.maximum(norms, 1e-30))[..., None]
 
-        for i, (k, dr) in enumerate(zip(members, group)):
-            torus = tori.get((dr.beta, dr.n))
-            if torus is None:
-                torus = tori[dr.beta, dr.n] = DiscreteTorus(beta=dr.beta, n=dr.n)
-            points = [(torus.zero_index + a, phi[i, q], j)
-                      for q, (a, _, _, j) in enumerate(dr.points)]
-            # valid by construction: the checks of BoundInstance.__post_init__ are skipped
-            insts[k] = BoundInstance._trusted(HermitianMatrix._trusted(H[i]), torus, dr.chi,
-                                              dr.M, points)
-    return insts, list(groups.values())
+        beta = np.array([dr.beta for dr in group])
+        n = np.array([dr.n for dr in group])
+        index = DiscreteTorus._stack(beta[:, None], n[:, None]).zero_index + offsets
+        assembled.append((members, (HermitianMatrix(H), phi, index, color, beta, n,
+                                    [dr.chi for dr in group], [dr.M for dr in group])))
+    return assembled
 
 
 def random_instances(seeds, config: GeneratorConfig) -> list:
@@ -256,7 +250,14 @@ def random_instances(seeds, config: GeneratorConfig) -> list:
     BK) are drawn uniformly, and one instance in twenty gets an eigenvalue
     pinned on n/beta.  Each instance is what its seed alone gives, bit for bit.
     """
-    return _assemble([_draw(seed, config) for seed in seeds])[0]
+    draws = [_draw(seed, config) for seed in seeds]
+    insts = [None] * len(draws)
+    for members, (H, phi, index, color, beta, n, chi, M) in _assemble(draws):
+        for i, (k, beta_i, n_i) in enumerate(zip(members, beta.tolist(), n.tolist())):
+            insts[k] = BoundInstance(H=HermitianMatrix._trusted(H.matrix[i]),
+                                     torus=DiscreteTorus(beta=beta_i, n=n_i), chi=chi[i],
+                                     M=M[i], points=list(zip(index[i], phi[i], color[i])))
+    return insts
 
 
 def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
@@ -270,12 +271,12 @@ def within_bound(det: complex, bound: float) -> bool:
 
 
 def _generate(ids: range, seed: int, config: GeneratorConfig) -> tuple:
-    """The draws and instances of ids, and each (d, N) group's members (see
-    _assemble).  A generator error, such as a scale too large for the draws or
-    the matrix, names the first instance that fails alone and its seed."""
+    """The draws of ids and their (d, N) groups (see _assemble).  A generator
+    error, such as a scale too large for the draws or the matrix, names the
+    first instance that fails alone and its seed."""
     try:
         draws = [_draw(instance_seed(seed, i), config) for i in ids]
-        return draws, *_assemble(draws)
+        return draws, _assemble(draws)
     except (ValueError, OverflowError):
         for i in ids:
             try:
@@ -289,14 +290,14 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
     """Generate and check the instances ids, appending to result."""
     stage = result.stage_s
     t0 = time.perf_counter()
-    draws, insts, groups = _generate(ids, seed, config)
+    draws, groups = _generate(ids, seed, config)
     stage["generate"] += time.perf_counter() - t0
     result.pinned += sum(dr.pin is not None for dr in draws)
-    dets = np.empty(len(insts), dtype=complex)
-    bounds = np.empty(len(insts))
-    for members in groups:
+    dets = np.empty(len(draws), dtype=complex)
+    bounds = np.empty(len(draws))
+    for members, arrays in groups:
         t0 = time.perf_counter()
-        stack = InstanceStack([insts[k] for k in members])
+        stack = InstanceStack(*arrays)
         t1 = time.perf_counter()
         dets[members] = np.linalg.det(stack.matrices())
         t2 = time.perf_counter()
@@ -313,16 +314,16 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
                                  f"determinant {complex(dets[k])} is not finite")
     result.zero_bound += int(np.count_nonzero(bounds == 0.0))
     result.zero_det += int(np.count_nonzero((dets == 0.0) & (bounds > 0.0)))
-    for k, i in enumerate(ids):
-        inst, det, bound = insts[k], complex(dets[k]), float(bounds[k])
+    for k, (i, dr) in enumerate(zip(ids, draws)):
+        det, bound = complex(dets[k]), float(bounds[k])
         result.reports.append(BoundReport(
-            instance_id=i, seed=instance_seed(seed, i), d=inst.H.dim, m=inst.m,
-            N=inst.pair_count, n=inst.torus.n, beta=inst.torus.beta, det=det, bound=bound,
-            slack=bound - abs(det), passed=within_bound(det, bound),
+            instance_id=i, seed=instance_seed(seed, i), d=dr.d, m=len(dr.M), N=dr.N,
+            n=dr.n, beta=dr.beta, det=det, bound=bound, slack=bound - abs(det),
+            passed=within_bound(det, bound),
         ))
 
-    power = 1.0 / (2 * np.array([inst.pair_count for inst in insts]))
-    ratio = np.full(len(insts), -np.inf)
+    power = 1.0 / (2 * np.array([dr.N for dr in draws]))
+    ratio = np.full(len(draws), -np.inf)
     det_abs = np.hypot(dets.real, dets.imag)  # abs() bit for bit, as the CSV takes it
     np.divide(det_abs ** power, bounds ** power, out=ratio, where=bounds > 0.0)
     k = int(np.argmax(ratio))  # the first of equals, in instance-id order

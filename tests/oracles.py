@@ -459,4 +459,4 @@ def reference_instance(seed: int, config) -> tuple:
         j = int(rng.integers(0, m))
         points.append((torus.zero_index + a, phi, j))
 
-    return BoundInstance._trusted(HermitianMatrix(H), torus, chi, M, points), pinned
+    return BoundInstance(H=HermitianMatrix(H), torus=torus, chi=chi, M=M, points=points), pinned

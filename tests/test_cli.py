@@ -173,6 +173,7 @@ def test_scalar_domains_exit_2(tmp_path, capsys):
     # usage errors, reported before any work, not failed verifications
     cases = [
         ("kernel", "--n", "3"),
+        ("kernel", "--n", "2" + "0" * 400),  # beyond the float range
         ("decay", "--n", "0"),
         ("kernel", "--beta", "-1"),
         ("sharpness", "--epsilon", "0"),
@@ -223,6 +224,9 @@ def test_bad_list_flags_exit_2(tmp_path, capsys):
         ("bound-check", "--n-choices", "0"),
         ("bound-check", "--n-choices", "3"),
         ("bound-check", "--n-choices", "2,x"),
+        # 2n would leave int64: the antiperiodic sign or the indices break
+        ("bound-check", "--n-choices", "9223372036854775806"),
+        ("bound-check", "--n-choices", "4611686018427387904"),
         ("bound-check", "--beta-choices", "-1"),
         ("bound-check", "--beta-choices", "1,inf"),
         ("sharpness", "--N-list", "0"),
@@ -462,6 +466,15 @@ def test_beta_whose_rate_overflows_exits_1(tmp_path, capsys, command):
     assert run(tmp_path, command, "--beta", "1e-310", "--out", "x.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: n/beta must be finite, got n=") and "beta=1e-310" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_beta_choice_whose_rate_overflows_exits_1(tmp_path, capsys):
+    # the generator config checks each (beta, n) pair before any instance is drawn
+    assert run(tmp_path, "bound-check", "--count", "5", "--beta-choices", "1e-310",
+               "--out", "b.csv") == 1
+    err = capsys.readouterr().err
+    assert "n/beta must be finite" in err and "beta=1e-310" in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -25,7 +25,7 @@ from fermicov.covariance import (
 )
 from fermicov.modular import determinant_representation
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
-from fermicov.torus import DiscreteTorus, delta_ap
+from fermicov.torus import N_CAP, DiscreteTorus, delta_ap
 from fermicov.verify import (
     CHUNK,
     GeneratorConfig,
@@ -390,6 +390,30 @@ def test_one_eigendecomposition_per_suite_group(monkeypatch):
     assert pinning > 0 and len(calls) == pinning + groups
 
 
+def test_largest_grid_order_keeps_the_antiperiodic_sign():
+    # at n = N_CAP the stack's int64 indices, 2n and index sums do not wrap;
+    # at lam = 0, g is 1/2 on (-beta, 0] and -1/2 on (0, beta]
+    torus = DiscreteTorus(beta=1.0, n=N_CAP)
+    for offsets, value in (((3, 0), -0.5), ((0, 3), 0.5), ((N_CAP - 1, 0), -0.5)):
+        inst = BoundInstance(H=HermitianMatrix(np.zeros((1, 1))), torus=torus,
+                             chi=CutoffSpec.one(), M=np.eye(1),
+                             points=[(torus.zero_index + a, [1.0], 0) for a in offsets])
+        assert covariance_det(inst) == value
+
+
+def test_bound_suite_builds_no_instance(monkeypatch):
+    # the suite stacks the generator's arrays; it builds no BoundInstance
+    built = []
+    check = BoundInstance.__post_init__
+    monkeypatch.setattr(BoundInstance, "__post_init__",
+                        lambda inst: built.append(inst) or check(inst))
+    random_instance(instance_seed(4, 0), GeneratorConfig())
+    assert len(built) == 1  # the counter sees an instance that is built
+    built.clear()
+    assert len(bound_check_suite(300, seed=4).reports) == 300
+    assert built == []
+
+
 def test_stack_weights_match_each_cutoff_bitwise():
     # a stack evaluates chi once per cutoff kind; each member keeps the bits of its own call
     insts = [random_instance(instance_seed(7, i), GeneratorConfig(scale_max=1e6))
@@ -399,7 +423,7 @@ def test_stack_weights_match_each_cutoff_bitwise():
         groups.setdefault((inst.H.dim, inst.pair_count), []).append(inst)
     weights = []
     for members in groups.values():
-        stack = InstanceStack(members)
+        stack = InstanceStack.of(members)
         alone = np.array([inst.chi(lams) for inst, lams in zip(members, stack.values)])
         assert stack.weights.tobytes() == alone.tobytes()
         weights.append(stack.weights)

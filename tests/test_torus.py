@@ -19,6 +19,14 @@ def test_torus_validation():
             DiscreteTorus(beta=beta, n=4)
 
 
+def test_grid_order_fits_int64():
+    torus = DiscreteTorus(beta=1.0, n=2**62 - 2)
+    assert torus.size == 2**63 - 4
+    for n in (2**62, 2**63 - 2, 2 * 10**400):  # 2n would wrap in int64 or n/beta overflow
+        with pytest.raises(ValueError, match="^n must be"):
+            DiscreteTorus(beta=1.0, n=n)
+
+
 def test_grid_layout():
     torus = DiscreteTorus(beta=1.0, n=2)
     assert_allclose([torus.alpha(i) for i in range(torus.size)], [-0.5, 0.0, 0.5, 1.0])

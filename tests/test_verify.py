@@ -59,7 +59,7 @@ def _stacks(insts: list) -> list:
     groups = {}
     for inst in insts:
         groups.setdefault((inst.H.dim, inst.pair_count), []).append(inst)
-    return [(group, InstanceStack(group)) for group in groups.values()]
+    return [(group, InstanceStack.of(group)) for group in groups.values()]
 
 
 def test_instance_stack_matches_each_instance_alone_on_pinned_and_zero_cutoff():
