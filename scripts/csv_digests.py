@@ -33,7 +33,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # the larger stacked fields take the per-mode loop; bk-matrix also at m = 8 and
 # on a general graph with a cycle, parallel edges and -0.0; bound-check also at
 # N <= 32 and n = 64, where many kernel entries share one time difference, and
-# at the largest grid order N_CAP, whose storage indices come near the int64 limit
+# at the largest grid order N_CAP, whose storage indices come near the int64 limit;
+# sharpness and universal also at epsilon = 0.99, where (1 - eps)^(2N) is far below
+# 1e-12 and only a relative slack tests the witness's lower bound
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -52,6 +54,8 @@ ACCEPTANCE = (
     ("wick-verify --N-max 2 --modes 7 --draws 2 --seed 3", 0),
     ("bound-check --count 300 --seed 5 --d-max 8 --m-max 4 --N-max 32 --n-choices 64", 0),
     ("bound-check --count 300 --seed 9 --n-choices 2,4611686018427387902 --d-max 4 --N-max 4", 0),
+    ("sharpness --epsilon 0.99", 0),
+    ("universal --count 200 --epsilon-list 0.5,0.99 --seed 4", 0),
 )
 
 

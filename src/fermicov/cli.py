@@ -34,7 +34,7 @@ from fermicov.car_fock import (
     quasifree_modes,
     wick_determinant,
 )
-from fermicov.covariance import decay_parameter, kernel_g
+from fermicov.covariance import KernelEval, decay_parameter, kernel_g
 from fermicov.modular import modular_power, schatten_norm, tube_chain
 from fermicov.mspace import TreeGraph, bk_matrix, random_tree
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
@@ -173,11 +173,16 @@ def cmd_kernel(args) -> Outcome:
     torus = DiscreteTorus(beta=args.beta, n=args.n)
     lam = torus.rate if args.lam == "singular" else args.lam
     ker = kernel_g(lam, torus, eta=args.eta)
-    rows = [(i, torus.alpha(i), ker.values[i]) for i in range(torus.size)]
+    rows = [(i, torus.alpha(i), g) for i, g in zip(torus.indices.tolist(), ker.values.tolist())]
+    singular, _, sign = rate_terms(lam, torus)
+    if args.eta is not None and singular:
+        # on the singular band a finite eta tabulates the kernel of the eigenvalue
+        # whose 1 - lam/rate is sign * exp(-eta/rate): check the table against it
+        solved = torus.rate * ((1.0 - sign) - sign * np.expm1(-args.eta / torus.rate))
+        ker = KernelEval(float(solved), torus, ker.values)
     residual = ker.residual()
     tol = 1e-9 * torus.rate
-    finite_eta_singular = args.eta is not None and bool(rate_terms(lam, torus)[0])
-    ok = residual <= tol or finite_eta_singular
+    ok = residual <= tol
     return Outcome(
         ["index", "alpha", "g"], rows, torus.size, [] if ok else [0], tol - residual,
         f"kernel lam={lam:g} residual={residual:.3e} ({'ok' if ok else 'FAIL'})",
@@ -522,8 +527,8 @@ def main(argv: list | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, AssertionError, OverflowError, FloatingPointError,
-            MemoryError, OSError) as exc:
+    except (ValueError, RuntimeError, OverflowError, FloatingPointError, MemoryError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -98,7 +98,7 @@ class KernelEval:
 
 def kernel_g(lam: float, torus: DiscreteTorus, eta: float | None = None) -> KernelEval:
     """Tabulate the covariance kernel g_lam on the whole grid."""
-    values = kernel_values_at(np.array([lam]), torus, np.arange(torus.size), eta)[:, 0]
+    values = kernel_values_at(np.array([lam]), torus, torus.indices, eta)[:, 0]
     return KernelEval(lam, torus, values)
 
 
@@ -245,7 +245,7 @@ def decay_parameter(S: SpectralData, chi: CutoffSpec, torus: DiscreteTorus) -> f
     """
     C = S.vectors.conj().T  # column i = eigenbasis coefficients of e_i
     weights = chi(S.values)
-    G = kernel_values_at(S.values, torus, np.arange(torus.size))  # shape (2n, d)
+    G = kernel_values_at(S.values, torus, torus.indices)  # shape (2n, d)
     best = 0.0
     for i in range(S.dim):
         # entries[tau, q] = sum_j g_j(tau) chi_j conj(C[j,q]) C[j,i]

@@ -78,6 +78,11 @@ class DiscreteTorus:
         return (i1 - i2 + self.n - 1) % self.size
 
     @property
+    def indices(self) -> np.ndarray:
+        """The storage indices 0..2n-1, as two halves: np.arange(2n) is empty near N_CAP."""
+        return np.add.outer((0, self.n), np.arange(self.n)).ravel()
+
+    @property
     def zero_index(self) -> int:
         return self.n - 1
 

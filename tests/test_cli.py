@@ -9,6 +9,7 @@ import pytest
 
 from fermicov import car_fock, verify
 from fermicov.cli import main
+from fermicov.mspace import bk_matrix, random_tree
 from fermicov.spectral import rate_terms
 from fermicov.verify import GeneratorConfig, bound_check_suite, random_instance
 from oracles import reference_instance
@@ -120,10 +121,20 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     # an abbreviation of --config applies the file too
     assert run(tmp_path, "--conf", "exp.ini", "bound-check", "--out", "f.csv") == 0
     assert len((tmp_path / "f.csv").read_text().splitlines()[2:]) == 12
+    # a file with no section for the subcommand leaves its defaults and flags as they are
+    (tmp_path / "other.ini").write_text("[kernel]\nn = 4\n")
+    assert run(tmp_path, "--config", "other.ini", "bound-check", "--count", "3",
+               "--out", "g.csv") == 0
+    assert len((tmp_path / "g.csv").read_text().splitlines()[2:]) == 3
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     assert run(tmp_path, "--config", "missing.ini", "bound-check") == 2
+    capsys.readouterr()
+    (tmp_path / "headless.ini").write_text("count = 3\n")  # no section header
+    assert run(tmp_path, "--config", "headless.ini", "bound-check") == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --config: malformed file headless.ini")
     (tmp_path / "bad.ini").write_text("[bound-check]\nnot_a_flag = 3\n")
     assert run(tmp_path, "--config", "bad.ini", "bound-check") == 2
     assert run(tmp_path, "no-such-subcommand") == 2
@@ -279,6 +290,16 @@ def test_bk_matrix_explicit_edge(tmp_path):
     assert run(tmp_path, "bk-matrix", "--m", "2", "--edges", "garbage") == 2
 
 
+def test_bk_matrix_random_tree_replays_its_seed(tmp_path):
+    assert run(tmp_path, "bk-matrix", "--m", "5", "--seed", "3", "--t", "0.7",
+               "--out", "bk.csv") == 0
+    rows = [line.split(",") for line in (tmp_path / "bk.csv").read_text().splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == list(range(5))
+    M = np.array([[float(v) for v in row[1:]] for row in rows])
+    expected = bk_matrix(random_tree(5, np.random.default_rng(3)), 0.7)
+    assert M.tobytes() == expected.tobytes()  # 17 significant digits round-trip
+
+
 def test_sharpness_and_universal(tmp_path):
     code = run(tmp_path, "sharpness", "--epsilon", "0.1", "--N-list", "1,2",
                "--out", "s.csv")
@@ -306,6 +327,24 @@ def test_universal_fails_a_witness_above_its_bound(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "u.json").read_text())
     assert summary["failures"] == [f"witness epsilon=0.1 N={N}" for N in (1, 2, 4)]
     assert summary["witness_failures"] == 3 and summary["violations"] == 0
+
+
+def test_witnesses_off_their_closed_form_are_reported(tmp_path, monkeypatch, capsys):
+    # a determinant off its closed form by a relative 1e-9 fails every witness;
+    # both suites still write their CSV and name each failed witness
+    det = verify.covariance_det
+    monkeypatch.setattr(verify, "covariance_det", lambda inst: det(inst) * (1 + 1e-9))
+    assert run(tmp_path, "sharpness", "--out", "s.csv") == 1
+    assert json.loads((tmp_path / "s.json").read_text())["failures"] == [1, 2, 4, 8]
+    assert len((tmp_path / "s.csv").read_text().splitlines()[2:]) == 4
+    assert run(tmp_path, "universal", "--count", "10", "--out", "u.csv") == 1
+    summary = json.loads((tmp_path / "u.json").read_text())
+    assert summary["failures"] == [f"witness epsilon={eps} N={N}"
+                                   for eps in ("0.1", "0.01") for N in (1, 2, 4, 8)]
+    assert summary["witness_failures"] == 8 and summary["violations"] == 0
+    assert len((tmp_path / "u.csv").read_text().splitlines()[2:]) == 8
+    out = capsys.readouterr()
+    assert "4 failures" in out.out and "8 witness failures" in out.out and out.err == ""
 
 
 def test_wick_and_modular_verify(tmp_path):
@@ -476,6 +515,41 @@ def test_beta_choice_whose_rate_overflows_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n/beta must be finite" in err and "beta=1e-310" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["kernel", "decay"])
+def test_grid_order_near_the_cap_exits_1(tmp_path, capsys, command):
+    # np.arange(2n) is empty at this n, which once gave decay a snapshot of 0 and
+    # kernel an IndexError; the torus's storage indices fail loudly instead
+    assert run(tmp_path, command, "--n", "4611686018427387902", "--out", "x.csv") == 1
+    assert capsys.readouterr().err.startswith("error: array is too big")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_kernel_finite_eta_on_the_singular_value_is_checked(tmp_path, monkeypatch, capsys):
+    # on the singular band a finite eta tabulates the kernel of lam_eta, with
+    # 1 - lam_eta/rate = +-exp(-eta/rate) on either side of n/beta = 8
+    for lam in ("singular", "8.000000000004", "7.999999999996"):
+        assert run(tmp_path, "kernel", "--lam", lam, "--eta", "2.5", "--n", "8",
+                   "--out", "k.csv") == 0
+        summary = json.loads((tmp_path / "k.json").read_text())
+        assert summary["lam"] == float(lam.replace("singular", "8"))
+        assert summary["residual"] <= 1e-9 * 8
+    # a table off by a relative 1e-6 fails its equation
+    from fermicov import cli
+
+    kernel_g = cli.kernel_g
+
+    def off(lam, torus, eta=None):
+        ker = kernel_g(lam, torus, eta)
+        ker.values *= 1 + 1e-6
+        return ker
+
+    monkeypatch.setattr(cli, "kernel_g", off)
+    capsys.readouterr()
+    assert run(tmp_path, "kernel", "--lam", "singular", "--eta", "2.5", "--n", "8",
+               "--out", "k.csv") == 1
+    assert "(FAIL)" in capsys.readouterr().out
 
 
 def test_kernel_float17_roundtrip(tmp_path):

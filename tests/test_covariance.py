@@ -327,6 +327,13 @@ def test_bound_instance_validation():
     with pytest.raises(ValueError):
         BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(), M=np.eye(1),
                       points=[(torus.zero_index, np.ones(3), 0)] * 2)
+    for points in ([], good + good[:1]):  # no pair, and an odd count
+        with pytest.raises(ValueError, match="2N triples"):
+            BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(), M=np.eye(1), points=points)
+    for color in (1, -1):  # M is 1 x 1
+        with pytest.raises(ValueError, match="color index out of range"):
+            BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(), M=np.eye(1),
+                          points=[good[0], (torus.zero_index, np.ones(2), color)])
 
 
 def test_bound_instance_applies_one_rule_for_m():

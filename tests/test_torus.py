@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fermicov.torus import DiscreteTorus, delta_ap
+from fermicov.torus import N_CAP, DiscreteTorus, delta_ap
 
 from oracles import derivative_matrix, full_redundant_operator
 
@@ -25,6 +25,14 @@ def test_grid_order_fits_int64():
     for n in (2**62, 2**63 - 2, 2 * 10**400):  # 2n would wrap in int64 or n/beta overflow
         with pytest.raises(ValueError, match="^n must be"):
             DiscreteTorus(beta=1.0, n=n)
+
+
+def test_storage_indices_are_two_halves_of_the_grid():
+    assert np.array_equal(DiscreteTorus(beta=1.0, n=8).indices, np.arange(16))
+    # np.arange(2n) is empty once 2n is within 512 of 2^63; a half of n
+    # elements fails loudly instead
+    with pytest.raises(ValueError, match="array is too big"):
+        DiscreteTorus(beta=1.0, n=N_CAP).indices
 
 
 def test_grid_layout():

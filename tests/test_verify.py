@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from fermicov.covariance import BoundInstance, InstanceStack, covariance_det, instance_bound
 from fermicov.spectral import CutoffSpec, rate_terms
 from fermicov.torus import DiscreteTorus
+from fermicov import verify
 from fermicov.verify import (
     CHUNK,
     GeneratorConfig,
@@ -15,8 +16,10 @@ from fermicov.verify import (
     instance_seed,
     random_instance,
     random_instances,
+    SharpnessReport,
     sharpness_sweep,
     universal_bound_estimate,
+    within_bound,
 )
 from oracles import reference_instance
 
@@ -193,6 +196,46 @@ def test_sharpness_sweep_epsilon_01():
         assert_allclose(rep.det_abs, rep.closed_form, rtol=1e-12)
         assert rep.kernel_at_zero >= 0.9
         assert rep.lam < 0.0
+
+
+def _witness(**fields) -> SharpnessReport:
+    """A witness at N = 8 and epsilon = 0.99, where (1 - eps)^(2N) is 1e-32."""
+    return SharpnessReport(**{
+        "epsilon": 0.99, "beta": 1.0, "lam": -1.0, "n": 8, "N": 8, "det": 1e-32 + 0j,
+        "closed_form": 1e-32, "lower_bound": 1e-32, "bound": 1.0, "kernel_at_zero": 0.01,
+        **fields})
+
+
+def test_sharpness_witness_below_its_lower_bound_fails():
+    # an absolute slack of 1e-12 would pass any |det| once (1 - eps)^(2N) < 1e-12
+    assert _witness().passed
+    assert _witness(det=1e-32 * (1 - 1e-13) + 0j).passed  # within the relative 1e-12
+    assert not _witness(lower_bound=1e-16, det=5e-17 + 0j, closed_form=5e-17).passed
+
+
+def test_sharpness_witness_off_its_closed_form_fails():
+    rep = sharpness_sweep(0.1, beta=1.0, N_list=(2,))[0]
+    assert rep.passed
+    assert dataclasses.replace(rep, det=rep.det * (1 + 1e-13)).passed
+    assert not dataclasses.replace(rep, det=rep.det * (1 + 1e-9)).passed
+    # above its bound
+    assert not dataclasses.replace(rep, bound=rep.det_abs / (1 + 1e-9)).passed
+
+
+@pytest.mark.parametrize("seed", [4, 20, 33])
+def test_within_bound_on_arrays_is_the_scalar_rule(monkeypatch, seed):
+    reports = bound_check_suite(300, GeneratorConfig(), seed=seed).reports
+    det = np.array([r.det for r in reports])
+    # the suite's bounds, and bounds at |det| as np.abs rounds it, which at some
+    # dets of each seed is one ulp below abs(): with no slack the rounding decides
+    for slack_tol in (verify.SLACK_TOL, 0.0):
+        monkeypatch.setattr(verify, "SLACK_TOL", slack_tol)
+        for bound in (np.array([r.bound for r in reports]), np.abs(det)):
+            expected = [b - abs(d) >= -slack_tol * max(1.0, b)
+                        for d, b in zip(det.tolist(), bound.tolist())]
+            assert within_bound(det, bound).tolist() == expected
+            assert [within_bound(d, b) for d, b in zip(det.tolist(), bound.tolist())] == expected
+    assert not all(expected)
 
 
 def test_sharpness_search_fails_for_impossible_epsilon():
