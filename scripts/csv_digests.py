@@ -35,7 +35,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # N <= 32 and n = 64, where many kernel entries share one time difference, and
 # at the largest grid order N_CAP, whose storage indices come near the int64 limit;
 # sharpness and universal also at epsilon = 0.99, where (1 - eps)^(2N) is far below
-# 1e-12 and only a relative slack tests the witness's lower bound
+# 1e-12 and only a relative slack tests the witness's lower bound; sharpness also at
+# beta = 1e-6, where the witness's lam is -2.8e6 (the family depends on beta lam / n
+# alone, so only the cap on n stops the search), and at N = 256, the reach in N of a
+# witness on one mode with N colors, whose memory grows as N^2
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -56,6 +59,8 @@ ACCEPTANCE = (
     ("bound-check --count 300 --seed 9 --n-choices 2,4611686018427387902 --d-max 4 --N-max 4", 0),
     ("sharpness --epsilon 0.99", 0),
     ("universal --count 200 --epsilon-list 0.5,0.99 --seed 4", 0),
+    ("sharpness --beta 1e-6", 0),
+    ("sharpness --N-list 1,256", 0),
 )
 
 

@@ -363,14 +363,14 @@ def sharpness_sweep(
     beta: float,
     N_list: tuple = (1, 2, 4, 8),
 ) -> list:
-    """Find (lam < 0, n) with kernel value at zero >= 1 - epsilon, then report
-    one witness per N: its covariance_det next to the family's closed form,
-    judged by SharpnessReport.passed, never raised.
+    """Find (lam < 0, n) with g_lam(0) >= 1 - epsilon, then report one witness per
+    N, H = [[lam]] on one mode with N orthonormal colors (M = I_N): its
+    covariance_det next to the closed form, judged by SharpnessReport.passed.
 
     The kernel value g_lam(0) = 1/(x (1 + x^-n)) with x = 1 - beta lam / n is
-    unimodal in x > 1 with maximum at x = (n-1)^(1/n); n is doubled from 4
-    until the maximum clears 1 - epsilon, then lam is found by bisection on
-    the monotone branch between 0 and the maximizer.
+    unimodal in x > 1 with maximum at x = (n-1)^(1/n); n is doubled from 4 up
+    to SHARPNESS_N_CAP until the maximum clears 1 - epsilon, then lam is found
+    by bisection on the monotone branch between 0 and the maximizer.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -379,11 +379,6 @@ def sharpness_sweep(
         torus = DiscreteTorus(beta=beta, n=n)
         x_star = (n - 1) ** (1.0 / n)
         lam_star = -(x_star - 1.0) * torus.rate
-        if lam_star < -1e6:
-            raise RuntimeError(
-                f"sharpness search left the window [-1e6, 0] at n={n}; "
-                f"epsilon={epsilon} is too small for double precision"
-            )
         if _kernel_at_zero(lam_star, torus) >= 1.0 - epsilon:
             break
         n *= 2
@@ -405,10 +400,9 @@ def sharpness_sweep(
 
     reports = []
     for N in N_list:
-        basis = np.eye(N)
-        points = [(torus.zero_index, basis[k], 0) for k in range(N)] * 2
-        inst = BoundInstance(H=HermitianMatrix(lam * basis), torus=torus, chi=CutoffSpec.one(),
-                             M=np.array([[1.0]]), points=points)
+        points = [(torus.zero_index, [1.0], k) for k in range(N)] * 2
+        inst = BoundInstance(H=HermitianMatrix(np.array([[lam]])), torus=torus,
+                             chi=CutoffSpec.one(), M=np.eye(N), points=points)
         det = covariance_det(inst)
         x = 1.0 - lam / torus.rate
         closed = x ** (-N) * (1.0 + abs(x) ** (-n)) ** (-N)

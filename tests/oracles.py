@@ -17,8 +17,8 @@ import scipy.linalg
 
 from fermicov.covariance import BoundInstance
 from fermicov.modular import OVERFLOW_LOG
-from fermicov.mspace import quotient_space, random_tree
-from fermicov.spectral import CutoffSpec, HermitianMatrix, SpectralData, eig_hermitian
+from fermicov.mspace import random_tree
+from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
 from fermicov.torus import DiscreteTorus, delta_ap
 
 
@@ -110,11 +110,6 @@ def dense_covariance_matrix(inst) -> np.ndarray:
          for il, phil, jl in inst.points[N:]]
         for ik, phik, jk in inst.points[:N]
     ])
-
-
-def matrix_function(f, S: SpectralData) -> np.ndarray:
-    """Dense U f(lam) U* reassembled from an eigendecomposition."""
-    return (S.vectors * np.asarray(f(S.values), dtype=complex)) @ S.vectors.conj().T
 
 
 def expm_density(h: np.ndarray, beta: float, dgamma: np.ndarray) -> np.ndarray:
@@ -292,29 +287,31 @@ def dense_representation(inst, eta: float, placement=None) -> complex:
     valid order that ordering_brute_force finds.
     """
     torus, N, beta, n = inst.torus, inst.pair_count, inst.torus.beta, inst.torus.n
-    S = eig_hermitian(inst.H)
-    coords = quotient_space(inst.M)
+    lam, U = np.linalg.eigh(inst.H.matrix)
+    w, V = np.linalg.eigh(inst.M)  # the color factor: coords @ coords.T == M
+    keep = w > 1e-10 * np.abs(w).max()
+    coords = V[:, keep] * np.sqrt(w[keep])
     cap = OVERFLOW_LOG / beta
     # -(n/beta) ln|1 - (beta/n) lam|, eta within 1e-12 n/beta of the singular n/beta
-    ratio = 1.0 - S.values / torus.rate
+    ratio = 1.0 - lam / torus.rate
     with np.errstate(divide="ignore"):
         log_rates = -torus.rate * np.log(np.abs(ratio))
-    singular = np.abs(S.values - torus.rate) <= 1e-12 * torus.rate
+    singular = np.abs(lam - torus.rate) <= 1e-12 * torus.rate
     rates = np.clip(np.where(singular, eta, log_rates), -cap, cap)
-    h = np.kron(matrix_function(lambda lam: rates, S), np.eye(coords.shape[1]))
+    h = np.kron((U * rates) @ U.conj().T, np.eye(coords.shape[1]))
     state = quasifree_density(h, beta)
 
     a = [i - torus.zero_index for i, _, _ in inst.points]
     tilde = [v + (1 if q >= N else 0) for q, v in enumerate(a)]  # annihilators one step later
     placed = ordering_brute_force(a, N)[0] if placement is None else placement
-    sqrt_chi = np.sqrt(inst.chi(S.values))
+    sqrt_chi = np.sqrt(inst.chi(lam))
     signs = np.where(ratio >= 0.0, 1.0, -1.0)  # sgn(1 - (beta/n) lam), sgn(0) = +1
     ops = []
     for q, (_, phi, j) in enumerate(inst.points):
-        dressed = sqrt_chi * (S.vectors.conj().T @ np.asarray(phi, dtype=complex))
+        dressed = sqrt_chi * (U.conj().T @ np.asarray(phi, dtype=complex))
         if tilde[q] % 2 == 1:
             dressed = signs * dressed
-        psi = np.kron(S.vectors @ dressed, coords[j])
+        psi = np.kron(U @ dressed, coords[j])
         ops.append(creator(psi) if q < N else annihilator(psi))
 
     # canonical CAR tuple: creator q in slot q, annihilator q in slot 3N - 1 - q

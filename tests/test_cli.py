@@ -177,7 +177,13 @@ def test_non_finite_parameters_exit_2(tmp_path):
                "--out", "d.csv") == 2
     assert run(tmp_path, "bk-matrix", "--m", "2", "--edges", "0-5:0.5", "--out", "bk.csv") == 2
     assert run(tmp_path, "bk-matrix", "--m", "3", "--edges", "0-1:nan", "--out", "bk.csv") == 2
+    # argparse reads a separate value that starts with "-" but is not a plain
+    # decimal as a flag; the "=" form passes it as a value
+    assert run(tmp_path, "kernel", "--lam", "-4e1", "--out", "k.csv") == 2
+    assert run(tmp_path, "decay", "--H-diag", "-1.2,5", "--out", "d.csv") == 2
     assert not list(tmp_path.glob("*.csv"))
+    assert run(tmp_path, "kernel", "--lam=-4e1", "--out", "k.csv") == 0
+    assert run(tmp_path, "decay", "--H-diag=-1.2,5", "--out", "d.csv") == 0
 
 
 def test_scalar_domains_exit_2(tmp_path, capsys):

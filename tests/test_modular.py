@@ -490,8 +490,13 @@ def test_representation_eta_sweep_at_singular_value(rng):
     inst = BoundInstance(H=H, torus=torus, chi=CutoffSpec.one(),
                          M=np.array([[1.0]]), points=points)
     target = covariance_det(inst)
-    errors = [abs(determinant_representation(inst, eta=eta) - target)
-              for eta in (2.0, 4.0, 8.0, 16.0)]
+    errors = []
+    for eta in (2.0, 4.0, 8.0, 16.0):
+        rep = determinant_representation(inst, eta=eta)
+        # at a finite eta the identity is exact for the eta-regularized covariance
+        at_eta = covariance_det(inst, eta=eta)
+        assert abs(rep - at_eta) <= 1e-8 * abs(at_eta), eta
+        errors.append(abs(rep - target))
     assert errors[0] > 1e-10
     assert all(a > b for a, b in zip(errors, errors[1:]))
 

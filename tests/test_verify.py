@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,26 +177,48 @@ def test_replay_instance_bit_exact():
 
 def test_sharpness_closed_form_at_lambda_zero():
     torus = DiscreteTorus(beta=1.0, n=8)
-    from fermicov.covariance import BoundInstance
     from fermicov.spectral import HermitianMatrix
 
     for N in (1, 2, 4):
-        basis = np.eye(N)
-        points = [(torus.zero_index, basis[k], 0) for k in range(N)] * 2
+        # the sweep's witness: one mode with N orthonormal colors
+        points = [(torus.zero_index, [1.0], k) for k in range(N)] * 2
         inst = BoundInstance(
-            H=HermitianMatrix(np.zeros((N, N))), torus=torus,
-            chi=CutoffSpec.one(), M=np.array([[1.0]]), points=points,
+            H=HermitianMatrix(np.zeros((1, 1))), torus=torus,
+            chi=CutoffSpec.one(), M=np.eye(N), points=points,
         )
         assert_allclose(covariance_det(inst), 2.0 ** (-N), rtol=1e-13)
+        assert instance_bound(inst) == 1.0
 
 
 def test_sharpness_sweep_epsilon_01():
-    reports = sharpness_sweep(0.1, beta=1.0, N_list=(1, 2, 4, 8))
-    for rep in reports:
-        assert rep.det_abs >= (1.0 - 0.1) ** (2 * rep.N) - 1e-12
-        assert_allclose(rep.det_abs, rep.closed_form, rtol=1e-12)
-        assert rep.kernel_at_zero >= 0.9
-        assert rep.lam < 0.0
+    at_one = sharpness_sweep(0.1, beta=1.0, N_list=(1, 2, 4, 8))
+    for beta in (1.0, 2.0**-20, 8.0, 1e-6):
+        reports = sharpness_sweep(0.1, beta=beta, N_list=(1, 2, 4, 8))
+        for rep, ref in zip(reports, at_one, strict=True):
+            assert rep.det_abs >= (1.0 - 0.1) ** (2 * rep.N) - 1e-12
+            assert_allclose(rep.det_abs, rep.closed_form, rtol=1e-12)
+            assert rep.kernel_at_zero >= 0.9
+            assert rep.lam < 0.0
+            assert rep.passed and rep.beta == beta
+            if beta == 1e-6:
+                assert rep.n == 64  # at lam = -2.8e6: only the cap on n stops the search
+            else:
+                # the family depends on beta lam / n alone: a power of two scales lam exactly
+                assert rep.lam == ref.lam / beta
+                same = dataclasses.replace(rep, beta=1.0, lam=ref.lam)
+                assert repr(same) == repr(ref)  # repr round-trips each float's bits
+
+
+def test_sharpness_sweep_peak_memory_at_N_128():
+    # one mode with N colors: the witness's arrays grow as N^2
+    tracemalloc.start()
+    try:
+        reports = sharpness_sweep(0.1, beta=1.0, N_list=(128,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reports[0].passed
+    assert peak < 16 * 2**20
 
 
 def _witness(**fields) -> SharpnessReport:
