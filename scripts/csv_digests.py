@@ -38,7 +38,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # 1e-12 and only a relative slack tests the witness's lower bound; sharpness also at
 # beta = 1e-6, where the witness's lam is -2.8e6 (the family depends on beta lam / n
 # alone, so only the cap on n stops the search), and at N = 256, the reach in N of a
-# witness on one mode with N colors, whose memory grows as N^2
+# witness on one mode with N colors, whose memory grows as N^2; bound-check also at
+# m <= 9, whose BK trees draw up to 8 edges and weights, and with four beta choices
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -61,6 +62,7 @@ ACCEPTANCE = (
     ("universal --count 200 --epsilon-list 0.5,0.99 --seed 4", 0),
     ("sharpness --beta 1e-6", 0),
     ("sharpness --N-list 1,256", 0),
+    ("bound-check --count 500 --seed 9 --m-max 9 --beta-choices 0.3,0.7,1.1,5", 0),
 )
 
 

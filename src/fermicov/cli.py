@@ -71,6 +71,10 @@ class Outcome(NamedTuple):
 
 def fmt(x) -> str:
     """Round-trip-safe text for one CSV cell."""
+    if type(x) is float:  # the common cells first; a bool is not of type int
+        return f"{x:.17g}"
+    if type(x) is int:
+        return str(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -95,7 +99,7 @@ def atomic_write(path: str, text: str):
 
 def write_csv(path: str, header: list, rows: list):
     lines = [SCHEMA_LINE, ",".join(header)]
-    lines += [",".join(fmt(cell) for cell in row) for row in rows]
+    lines += [",".join(map(fmt, row)) for row in rows]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -68,12 +68,13 @@ class TreeGraph:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if len(self.edges) != self.weights.shape[0]:
+        if self.weights.shape != (len(self.edges),):
             raise ValueError("one weight per edge required")
         for u, v in self.edges:
             if not (0 <= u < self.m and 0 <= v < self.m) or u == v:
                 raise ValueError(f"bad edge ({u}, {v}) on {self.m} vertices")
-        if not np.all((self.weights >= 0) & (self.weights <= 1)):  # nan fails too
+        # plain floats: cheaper than numpy for a few weights; nan fails too
+        if not all(0.0 <= w <= 1.0 for w in self.weights.tolist()):
             raise ValueError("edge weights must lie in [0, 1]")
 
 
@@ -119,7 +120,9 @@ def bk_matrix(g: TreeGraph, t: float) -> np.ndarray:
     return np.array(out, dtype=float).reshape(g.m, g.m)
 
 
-def random_tree(m: int, rng: np.random.Generator) -> TreeGraph:
-    """Uniform-ish random spanning tree with uniform [0,1] edge weights."""
+def random_tree(m: int, rng) -> TreeGraph:
+    """Uniform-ish random spanning tree with uniform [0,1] edge weights, drawn with
+    rng's integers(low, high) and uniform(low, high, size): a numpy Generator's,
+    or the bound suite's stream of the same calls."""
     edges = [(int(rng.integers(0, v)), v) for v in range(1, m)]
     return TreeGraph(m=m, edges=tuple(edges), weights=rng.uniform(0.0, 1.0, size=m - 1))

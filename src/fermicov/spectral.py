@@ -116,7 +116,8 @@ def rate_terms(lams, torus: DiscreteTorus, eta: float = 1.0) -> tuple:
         raise ValueError("eigenvalues must be finite")
     rate = torus.rate
     ratio = 1.0 - lams / rate
-    singular = np.abs(lams - rate) <= singular_rate_band(torus)
+    with np.errstate(over="ignore"):  # an infinite |lam - n/beta| is off the band
+        singular = np.abs(lams - rate) <= singular_rate_band(torus)
     log_rate = np.where(
         singular, float(eta), -rate * np.log(np.maximum(np.abs(ratio), 1e-300))
     )

@@ -145,9 +145,111 @@ def instance_seed(root_seed: int, instance_id: int) -> int:
     return (int(root_seed) * 1_000_003 + int(instance_id)) % (2**63 - 1)
 
 
-def _pick(rng: np.random.Generator, options):
+def _pick(rng, options):
     """One uniform element; the same draw and value as rng.choice(options)."""
     return options[int(rng.integers(0, len(options)))]
+
+
+def _hash_constants(h: int, mult: int, count: int) -> np.ndarray:
+    """The count + 1 values of SeedSequence's hash constant over count calls, as
+    a uint32 column: call k xors with row k and multiplies by row k + 1."""
+    out = [h]
+    for _ in range(count):
+        h = h * mult & 0xFFFFFFFF
+        out.append(h)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence: the pool's 4 + 12 hashes, its output's 8, and the mix;
+# and PCG64's 128-bit multiplier
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(v: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of v, with one constant call per row."""
+    v = (v ^ constants[:-1]) * constants[1:]
+    return v ^ v >> 16
+
+
+def _pcg64_states(seeds) -> list:
+    """The (state, inc) pair that np.random.PCG64(seed) starts from, for each
+    seed in [0, 2^64): SeedSequence's pool hash and generate_state(4, uint64),
+    vectorized over seeds in wrapping uint32 arithmetic, then PCG64's two-step
+    set_seed in Python integers."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    # a seed below 2^64 is at most two entropy words; the pool's other two hash 0
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = _hash(pool, _POOL_HASH[:5])
+    for src in range(4):  # word src, hashed once per other word, mixed into each
+        dst = [k for k in range(4) if k != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], _POOL_HASH[4 + 3 * src:8 + 3 * src])
+        pool[dst] = mixed ^ mixed >> 16
+    words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUTPUT_HASH).T  # (seeds, 8)
+    states = []
+    for hi, lo, inc_hi, inc_lo in words.astype("<u4", order="C").view("<u8").tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & (2**128 - 1)
+        states.append(((((hi << 64 | lo) + inc) * _PCG_MULT + inc) & (2**128 - 1), inc))
+    return states
+
+
+class _Stream:
+    """The Generator calls that _draw makes, on one PCG64 set once per seed.
+
+    Iterating yields the stream once per seed, in seeds order, in the state
+    np.random.default_rng(seed) starts in.  Each method then returns what the
+    Generator method of its name returns, from the same bits: integers(low,
+    high) by numpy's Lemire rule on 32-bit draws up to a width of 2^32 and on
+    64-bit draws above it, random(), uniform(low, high, size) as low +
+    (high - low) * a double, and normal through a Generator on the same bits.
+    """
+
+    def __init__(self, seeds):
+        self._states = _pcg64_states(seeds)
+        self._bits = np.random.PCG64(0)  # each seed's state replaces this one
+        c = self._bits.ctypes
+        self._ptr = c.state.value  # the address of self._bits' state, which it keeps
+        self._next32, self._next64, self._double = c.next_uint32, c.next_uint64, c.next_double
+        self.normal = np.random.Generator(self._bits).normal
+
+    def __iter__(self):
+        for state, inc in self._states:
+            self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+            yield self
+
+    def integers(self, low: int, high: int) -> int:
+        low = int(low)  # a numpy integer would wrap in the products below
+        width = int(high) - low
+        if width < 1:
+            raise ValueError("high <= 0" if low == 0 else "low >= high")
+        if width == 1:
+            return low
+        draw, bits = (self._next32, 32) if width <= 2**32 else (self._next64, 64)
+        mask = (1 << bits) - 1
+        m = draw(self._ptr) * width
+        if m & mask < width:
+            threshold = (1 << bits) % width  # reject the low words that bias m >> bits
+            while m & mask < threshold:
+                m = draw(self._ptr) * width
+        return low + (m >> bits)
+
+    def random(self) -> float:
+        return self._double(self._ptr)
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        low, high = float(low), float(high)
+        width = high - low
+        if not math.isfinite(width):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if math.copysign(1.0, width) < 0:  # -0.0 too, as numpy's sign-bit test
+            raise ValueError("high - low < 0")
+        if size is None:
+            return low + width * self._double(self._ptr)
+        return np.array([low + width * self._double(self._ptr) for _ in range(size)])
 
 
 class _Draws(NamedTuple):
@@ -165,10 +267,9 @@ class _Draws(NamedTuple):
     points: list  # 2N draws (alpha offset, (2, d) real and imaginary phi, |phi|, color index)
 
 
-def _draw(seed: int, config: GeneratorConfig) -> _Draws:
+def _draw(rng: _Stream, config: GeneratorConfig) -> _Draws:
     """Make one instance's rng calls, in the generator's order; the arithmetic
     that a (d, N) group shares is left to _assemble."""
-    rng = np.random.default_rng(seed)
     d = int(rng.integers(1, config.d_max + 1))
     m = int(rng.integers(1, config.m_max + 1))
     N = int(rng.integers(1, config.N_max + 1))
@@ -251,9 +352,10 @@ def random_instances(seeds, config: GeneratorConfig) -> list:
 
     The cutoff kind (one, indicator, gaussian) and the matrix kind (PSD or
     BK) are drawn uniformly, and one instance in twenty gets an eigenvalue
-    pinned on n/beta.  Each instance is what its seed alone gives, bit for bit.
+    pinned on n/beta.  Each instance is what its seed alone gives, bit for bit:
+    what np.random.default_rng(seed) draws, for each seed in [0, 2^64).
     """
-    draws = [_draw(seed, config) for seed in seeds]
+    draws = [_draw(rng, config) for rng in _Stream(seeds)]
     insts = [None] * len(draws)
     for members, (H, phi, index, color, beta, n, chi, M) in _assemble(draws):
         for i, (k, beta_i, n_i) in enumerate(zip(members, beta.tolist(), n.tolist())):
@@ -278,15 +380,16 @@ def _generate(ids: range, seed: int, config: GeneratorConfig) -> tuple:
     """The draws of ids and their (d, N) groups (see _assemble).  A generator
     error, such as a scale too large for the draws or the matrix, names the
     first instance that fails alone and its seed."""
+    seeds = [instance_seed(seed, i) for i in ids]
     try:
-        draws = [_draw(instance_seed(seed, i), config) for i in ids]
+        draws = [_draw(rng, config) for rng in _Stream(seeds)]
         return draws, _assemble(draws)
     except (ValueError, OverflowError):
-        for i in ids:
+        for i, seed_i, rng in zip(ids, seeds, _Stream(seeds)):
             try:
-                _assemble([_draw(instance_seed(seed, i), config)])
+                _assemble([_draw(rng, config)])
             except (ValueError, OverflowError) as exc:
-                raise ValueError(f"instance {i} (seed {instance_seed(seed, i)}): {exc}") from None
+                raise ValueError(f"instance {i} (seed {seed_i}): {exc}") from None
         raise
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fermicov import car_fock, verify
-from fermicov.cli import main
+from fermicov.cli import fmt, main
 from fermicov.mspace import bk_matrix, random_tree
 from fermicov.spectral import rate_terms
 from fermicov.verify import GeneratorConfig, bound_check_suite, random_instance
@@ -556,6 +557,25 @@ def test_kernel_finite_eta_on_the_singular_value_is_checked(tmp_path, monkeypatc
     assert run(tmp_path, "kernel", "--lam", "singular", "--eta", "2.5", "--n", "8",
                "--out", "k.csv") == 1
     assert "(FAIL)" in capsys.readouterr().out
+
+
+def test_sharpness_where_lam_minus_the_rate_overflows(tmp_path, capsys):
+    # the witness at this beta has |lam| + n/beta above the float maximum: off the
+    # singular band, with no overflow warning (an error under the test configuration)
+    assert run(tmp_path, "sharpness", "--beta", "3.6e-307", "--out", "s.csv") == 0
+    assert capsys.readouterr().err == ""
+    digest = hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest()
+    assert digest == "3c12cbb6321b5614fc373543c97c811f7df8dc2b777cba2a28b75bccf9bb73c7"
+
+
+def test_fmt_cells():
+    cells = [True, False, np.True_, np.False_, 0, -7, 2**70, np.int64(-3), np.uint8(200),
+             0.1, -0.0, 1e-310, float("inf"), float("nan"), np.float64(2 / 3),
+             np.float32(0.1), "x"]
+    assert [fmt(cell) for cell in cells] == [
+        "1", "0", "1", "0", "0", "-7", str(2**70), "-3", "200",
+        "0.10000000000000001", "-0", "9.9999999999999694e-311", "inf", "nan",
+        "0.66666666666666663", "0.10000000149011612", "x"]
 
 
 def test_kernel_float17_roundtrip(tmp_path):

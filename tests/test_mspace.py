@@ -62,15 +62,21 @@ def test_quotient_applies_the_instance_rule_for_m():
 
 def test_tree_validation():
     for weight in (1.5, -0.1, np.nan):  # nan compares false both ways
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge weights must lie in \[0, 1\]"):
             TreeGraph(m=3, edges=((0, 1),), weights=np.array([weight]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad edge \(0, 3\) on 3 vertices"):
         TreeGraph(m=3, edges=((0, 3),), weights=np.array([0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad edge \(1, 1\) on 3 vertices"):
         TreeGraph(m=3, edges=((1, 1),), weights=np.array([0.5]))  # self-loop
-    with pytest.raises(ValueError):
-        TreeGraph(m=3, edges=((0, 1), (1, 2)), weights=np.array([0.5]))
+    with pytest.raises(ValueError, match=r"bad edge \(-1, 0\) on 3 vertices"):
+        TreeGraph(m=3, edges=((-1, 0),), weights=np.array([0.5]))
+    # one weight per edge, as a 1-d array: a scalar or a column is rejected too
+    for weights in (np.array([0.5]), np.float64(0.5), np.array([[0.5], [0.2]])):
+        with pytest.raises(ValueError, match="one weight per edge required"):
+            TreeGraph(m=3, edges=((0, 1), (1, 2)), weights=weights)
     TreeGraph(m=3, edges=((0, 1), (1, 2)), weights=np.array([0.5, 0.2]))
+    g = TreeGraph(m=3, edges=((0, 1), (1, 2)), weights=[-0.0, 1.0])  # both ends of [0, 1]
+    assert g.weights.dtype == float and g.weights.tolist() == [0.0, 1.0]
 
 
 def test_single_edge_closed_form_and_fine_grid():

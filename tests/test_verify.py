@@ -12,7 +12,9 @@ from fermicov import verify
 from fermicov.verify import (
     CHUNK,
     GeneratorConfig,
+    _pcg64_states,
     _pick,
+    _Stream,
     bound_check_suite,
     instance_seed,
     random_instance,
@@ -156,6 +158,68 @@ def test_pick_replays_rng_choice():
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert _pick(a, options) == b.choice(options)
             assert a.integers(0, 2**62) == b.integers(0, 2**62)  # same draws consumed
+
+
+# the stream's seeds: the edges of one and two entropy words and the largest instance seed
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
+
+
+def test_stream_seeding_is_pcg64s():
+    seeds = EDGE_SEEDS + np.random.default_rng(8).integers(0, 2**63 - 1, 10_000).tolist()
+    states = [{"state": state, "inc": inc} for state, inc in _pcg64_states(seeds)]
+    assert states == [np.random.PCG64(seed).state["state"] for seed in seeds]
+    for seed, rng in zip(EDGE_SEEDS, _Stream(EDGE_SEEDS)):
+        assert rng._bits.state == np.random.PCG64(seed).state
+
+
+# integer widths around each of numpy's branches: none drawn, 32-bit draws (a
+# full 2^32 takes the raw word), 64-bit draws; 2^31 + 5 and 3 * 2^61 reject often
+WIDTHS = [1, 2, 3, 7, 2**31 + 5, 2**32, 2**32 + 1, 2**40, 3 * 2**61, 2**63]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + [instance_seed(3, 5)])
+def test_stream_replays_the_generator_call_by_call(seed):
+    # interleaved with the other calls, so that the half of a 64-bit word that a
+    # 32-bit draw leaves buffered carries across calls as in numpy
+    rng, ref = next(iter(_Stream([seed]))), np.random.default_rng(seed)
+    for step in range(400):
+        width = WIDTHS[step % len(WIDTHS)]
+        low = -(2**62) if width == 2**63 else step - 7
+        a, b = rng.integers(low, low + width), ref.integers(low, low + width)
+        assert type(a) is int and a == b
+        if step % 3 == 0:
+            assert _bits(rng.normal(size=(2, step % 4))) == _bits(ref.normal(size=(2, step % 4)))
+        if step % 5 == 0:
+            assert _bits(rng.random()) == _bits(ref.random())
+        if step % 2 == 0:
+            low, high = -1.5 * step, 0.1 + step / 7
+            a, b = rng.uniform(low, high), ref.uniform(low, high)
+            assert type(a) is float and _bits(a) == _bits(b)
+            size = step % 4
+            assert _bits(rng.uniform(0.0, 1.0, size=size)) == _bits(ref.uniform(0.0, 1.0, size=size))
+    # numpy integers as bounds take the same draws
+    assert rng.integers(np.int64(-5), np.int64(2**62)) == ref.integers(-5, 2**62)
+    assert rng._bits.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("low, high", [(0.0, -0.0), (1.0, 0.5), (-1e308, 1e308),
+                                       (0.0, float("nan")), (float("inf"), float("inf"))])
+def test_stream_uniform_raises_as_numpy(low, high):
+    rng, ref = next(iter(_Stream([0]))), np.random.default_rng(0)
+    with pytest.raises((ValueError, OverflowError)) as expected:
+        ref.uniform(low, high)
+    with pytest.raises(expected.type, match=f"^{expected.value}$"):
+        rng.uniform(low, high)
+    assert rng._bits.state == ref.bit_generator.state  # nothing drawn
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (0, -3), (5, 5), (5, 2)])
+def test_stream_integers_below_width_one_raise_as_numpy(low, high):
+    rng, ref = next(iter(_Stream([0]))), np.random.default_rng(0)
+    with pytest.raises(ValueError) as expected:
+        ref.integers(low, high)
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
+        rng.integers(low, high)
 
 
 def test_zero_cutoff_gives_zero_det():
