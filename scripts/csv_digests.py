@@ -1,4 +1,5 @@
-"""Print the sha256 of the CSV that each README example and acceptance command writes.
+"""Print the sha256 of the CSV and JSON summary that each README example and
+acceptance command writes.
 
     PYTHONPATH=src python scripts/csv_digests.py ["bound-check --count 50 --seed 1" ...]
 
@@ -6,10 +7,12 @@ Runs every line of README.md's code blocks that starts with `fermicov ` and
 names an `--out` file, then the ACCEPTANCE commands, then each extra command
 given as one argument, through `fermicov.cli.main` in a temporary directory
 (a command without `--out` writes digest.csv). Prints one line per command:
-the CSV's sha256, the file name and the command, or `exit CODE` and the
-command for a run that exits non-zero. Two checkouts that print the same
-lines (stderr included) wrote byte-identical CSVs. Exits 1 if a command's
-exit code is not the expected one: 0, except where ACCEPTANCE says otherwise.
+the CSV's sha256, the sha256 of its JSON summary without the timings
+(`wall_time_s`, `stage_s`), the CSV's file name and the command; or `exit CODE`
+and the command for a run that exits non-zero. Two checkouts that print the
+same lines (stderr included) wrote byte-identical CSVs and summaries that agree
+in every value but the timings. Exits 1 if a command's exit code is not the
+expected one: 0, except where ACCEPTANCE says otherwise.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -97,8 +101,15 @@ def main(argv: list) -> int:
                 if code != 0:
                     print(f"exit {code}  {shlex.join(args)}", flush=True)
                     continue
+                summary_path = (args[args.index("--summary") + 1] if "--summary" in args
+                                else os.path.splitext(out)[0] + ".json")
+                summary = json.loads(Path(summary_path).read_text())
+                for timing in ("wall_time_s", "stage_s"):
+                    summary.pop(timing, None)
                 digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
-                print(f"{digest}  {out}  {shlex.join(args)}", flush=True)
+                summary_digest = hashlib.sha256(
+                    json.dumps(summary, sort_keys=True).encode()).hexdigest()
+                print(f"{digest}  {summary_digest}  {out}  {shlex.join(args)}", flush=True)
         finally:
             os.chdir(cwd)
     return status

@@ -40,7 +40,6 @@ from fermicov.modular import (
     tube_chain,
 )
 from fermicov.verify import (
-    BoundReport,
     BoundSuiteResult,
     SharpnessReport,
     bound_check_suite,

@@ -201,20 +201,11 @@ def cmd_bound_check(args) -> Outcome:
         scale_max=args.scale_max,
     )
     result = bound_check_suite(args.count, config, seed=args.seed)
-    reports = result.reports
-    rows = [
-        (
-            r.instance_id, r.seed, r.d, r.m, r.N, r.n, r.beta,
-            r.det.real, r.det.imag, abs(r.det), r.bound, r.slack, r.passed,
-        )
-        for r in reports
-    ]
-    failures = [r.seed for r in reports if not r.passed]
-    min_slack = min((r.slack for r in reports), default=0.0)
+    checks = result.checks
+    failures = checks["seed"][~checks["pass"]].tolist()
+    min_slack = float(checks["slack"].min())
     return Outcome(
-        ["instance_id", "seed", "d", "m", "N", "n", "beta",
-         "det_re", "det_im", "det_abs", "bound", "slack", "pass"],
-        rows, args.count, failures, min_slack,
+        list(checks.dtype.names), checks.tolist(), args.count, failures, min_slack,
         f"bound-check: {args.count} instances, {len(failures)} failures, "
         f"min slack {min_slack:.3e}",
         result.summary(),
@@ -352,7 +343,7 @@ def cmd_universal(args) -> Outcome:
         (r.epsilon, r.N, r.n, r.lam, abs(r.det), r.det_abs ** (1.0 / (2 * r.N)))
         for r in sharp
     ]
-    violations = [r.seed for r in result.reports if not r.passed]
+    violations = result.checks["seed"][~result.checks["pass"]].tolist()
     # a witness is named by its epsilon and N, as sharpness names it by N
     witnesses = [f"witness epsilon={r.epsilon:g} N={r.N}" for r in sharp if not r.passed]
     return Outcome(
@@ -489,7 +480,7 @@ def _with_config(path: str | None, argv: list) -> list:
     right after the subcommand, so the flags that follow win."""
     if path is None:
         return argv
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)  # values are literal: a % is a %
     ini.optionxform = str  # keep key case: N_max must become --N-max
     try:
         if not ini.read(path):  # missing, a directory, or unreadable

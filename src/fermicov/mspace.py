@@ -122,7 +122,7 @@ def bk_matrix(g: TreeGraph, t: float) -> np.ndarray:
 
 def random_tree(m: int, rng) -> TreeGraph:
     """Uniform-ish random spanning tree with uniform [0,1] edge weights, drawn with
-    rng's integers(low, high) and uniform(low, high, size): a numpy Generator's,
-    or the bound suite's stream of the same calls."""
+    rng's integers(low, high) and uniform(low, high), one weight a call: a numpy
+    Generator's, or the bound suite's stream of the same calls."""
     edges = [(int(rng.integers(0, v)), v) for v in range(1, m)]
-    return TreeGraph(m=m, edges=tuple(edges), weights=rng.uniform(0.0, 1.0, size=m - 1))
+    return TreeGraph(m=m, edges=tuple(edges), weights=[rng.uniform(0.0, 1.0) for _ in edges])

@@ -28,7 +28,7 @@ from fermicov.torus import DiscreteTorus
 
 __all__ = [
     "GeneratorConfig",
-    "BoundReport",
+    "CHECK",
     "BoundSuiteResult",
     "SharpnessReport",
     "random_instance",
@@ -46,6 +46,11 @@ SHARPNESS_N_CAP = 8192  # sharpness_sweep doubles n from 4 up to this grid order
 # a fixed chunk keeps its memory flat in the count
 CHUNK = 256
 STAGES = ("generate", "eig", "det", "bound")  # the bound suite's timed stages
+# one bound check: the bound-check CSV's columns, in CSV order
+CHECK = np.dtype([("instance_id", np.int64), ("seed", np.int64), ("d", np.int64),
+                  ("m", np.int64), ("N", np.int64), ("n", np.int64), ("beta", float),
+                  ("det_re", float), ("det_im", float), ("det_abs", float), ("bound", float),
+                  ("slack", float), ("pass", bool)])
 
 
 @dataclass
@@ -76,27 +81,10 @@ class GeneratorConfig:
 
 
 @dataclass
-class BoundReport:
-    """Outcome of one determinant-bound check."""
-
-    instance_id: int
-    seed: int
-    d: int
-    m: int
-    N: int
-    n: int
-    beta: float
-    det: complex
-    bound: float
-    slack: float
-    passed: bool
-
-
-@dataclass
 class BoundSuiteResult:
     """The checks of one bound suite, in instance-id order, and what the run saw."""
 
-    reports: list = field(default_factory=list)
+    checks: np.ndarray  # one CHECK record per check
     # wall seconds per stage, summed over the run
     stage_s: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     zero_bound: int = 0  # checks whose bound is exactly 0.0
@@ -108,8 +96,8 @@ class BoundSuiteResult:
     tightest: dict | None = None
 
     def summary(self) -> dict:
-        """Every field but the reports: JSON summary keys, which the CSV never carries."""
-        return {key: value for key, value in vars(self).items() if key != "reports"}
+        """Every field but the checks: JSON summary keys, which the CSV never carries."""
+        return {key: value for key, value in vars(self).items() if key != "checks"}
 
 
 @dataclass
@@ -203,8 +191,8 @@ class _Stream:
     np.random.default_rng(seed) starts in.  Each method then returns what the
     Generator method of its name returns, from the same bits: integers(low,
     high) by numpy's Lemire rule on 32-bit draws up to a width of 2^32 and on
-    64-bit draws above it, random(), uniform(low, high, size) as low +
-    (high - low) * a double, and normal through a Generator on the same bits.
+    64-bit draws above it, random(), uniform(low, high) as low + (high -
+    low) * a double, and normal through a Generator on the same bits.
     """
 
     def __init__(self, seeds):
@@ -240,16 +228,14 @@ class _Stream:
     def random(self) -> float:
         return self._double(self._ptr)
 
-    def uniform(self, low: float, high: float, size: int | None = None):
+    def uniform(self, low: float, high: float) -> float:
         low, high = float(low), float(high)
         width = high - low
         if not math.isfinite(width):
             raise OverflowError("high - low range exceeds valid bounds")
         if math.copysign(1.0, width) < 0:  # -0.0 too, as numpy's sign-bit test
             raise ValueError("high - low < 0")
-        if size is None:
-            return low + width * self._double(self._ptr)
-        return np.array([low + width * self._double(self._ptr) for _ in range(size)])
+        return low + width * self._double(self._ptr)
 
 
 class _Draws(NamedTuple):
@@ -376,11 +362,10 @@ def within_bound(det: complex | np.ndarray, bound: float | np.ndarray) -> np.boo
     return bound - np.hypot(det.real, det.imag) >= -SLACK_TOL * np.maximum(1.0, bound)
 
 
-def _generate(ids: range, seed: int, config: GeneratorConfig) -> tuple:
-    """The draws of ids and their (d, N) groups (see _assemble).  A generator
-    error, such as a scale too large for the draws or the matrix, names the
-    first instance that fails alone and its seed."""
-    seeds = [instance_seed(seed, i) for i in ids]
+def _generate(ids: range, seeds: list, config: GeneratorConfig) -> tuple:
+    """The draws of the instances ids, from their seeds, and their (d, N) groups
+    (see _assemble).  A generator error, such as a scale too large for the draws
+    or the matrix, names the first instance that fails alone and its seed."""
     try:
         draws = [_draw(rng, config) for rng in _Stream(seeds)]
         return draws, _assemble(draws)
@@ -394,21 +379,23 @@ def _generate(ids: range, seed: int, config: GeneratorConfig) -> tuple:
 
 
 def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSuiteResult):
-    """Generate and check the instances ids, appending to result."""
+    """Generate and check the instances ids, filling their records of result.checks
+    up to det_abs, slack and pass."""
     stage = result.stage_s
+    seeds = [instance_seed(seed, i) for i in ids]
     t0 = time.perf_counter()
-    draws, groups = _generate(ids, seed, config)
+    draws, groups = _generate(ids, seeds, config)
     stage["generate"] += time.perf_counter() - t0
     result.pinned += sum(dr.pin is not None for dr in draws)
+    rows = result.checks[ids.start:ids.stop]
     dets = np.empty(len(draws), dtype=complex)
-    bounds = np.empty(len(draws))
     for members, arrays in groups:
         t0 = time.perf_counter()
         stack = InstanceStack(*arrays)
         t1 = time.perf_counter()
         dets[members] = np.linalg.det(stack.matrices())
         t2 = time.perf_counter()
-        bounds[members] = stack.bounds()
+        rows["bound"][members] = stack.bounds()
         stage["eig"] += t1 - t0
         stage["det"] += t2 - t1
         stage["bound"] += time.perf_counter() - t2
@@ -417,27 +404,11 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
     bad = np.flatnonzero(~np.isfinite(dets))
     if bad.size:
         k = int(bad[0])
-        raise FloatingPointError(f"instance {ids[k]} (seed {instance_seed(seed, ids[k])}): "
+        raise FloatingPointError(f"instance {ids[k]} (seed {seeds[k]}): "
                                  f"determinant {complex(dets[k])} is not finite")
-    result.zero_bound += int(np.count_nonzero(bounds == 0.0))
-    result.zero_det += int(np.count_nonzero((dets == 0.0) & (bounds > 0.0)))
-    det_abs = np.hypot(dets.real, dets.imag)  # abs() bit for bit, as the CSV takes it
-    slack = bounds - det_abs
-    passed = within_bound(det_abs, bounds)  # a real |det| is its own modulus
-    for i, dr, det, bound, s, ok in zip(ids, draws, dets.tolist(), bounds.tolist(),
-                                        slack.tolist(), passed.tolist()):
-        result.reports.append(BoundReport(
-            instance_id=i, seed=instance_seed(seed, i), d=dr.d, m=len(dr.M), N=dr.N,
-            n=dr.n, beta=dr.beta, det=det, bound=bound, slack=s, passed=ok,
-        ))
-
-    power = 1.0 / (2 * np.array([dr.N for dr in draws]))
-    ratio = np.full(len(draws), -np.inf)
-    np.divide(det_abs ** power, bounds ** power, out=ratio, where=bounds > 0.0)
-    k = int(np.argmax(ratio))  # the first of equals, in instance-id order
-    if ratio[k] > (result.tightest["ratio"] if result.tightest else -np.inf):
-        result.tightest = {"seed": instance_seed(seed, ids[k]), "slack": float(slack[k]),
-                           "ratio": float(ratio[k])}
+    rows[["instance_id", "seed", "d", "m", "N", "n", "beta"]] = [
+        (i, s, dr.d, len(dr.M), dr.N, dr.n, dr.beta) for i, s, dr in zip(ids, seeds, draws)]
+    rows["det_re"], rows["det_im"] = dets.real, dets.imag
 
 
 def bound_check_suite(count: int, config: GeneratorConfig | None = None,
@@ -448,12 +419,28 @@ def bound_check_suite(count: int, config: GeneratorConfig | None = None,
 
     Instances are generated CHUNK at a time; each chunk's instances of one
     shape (d, N) are checked as one InstanceStack, which gives every check the
-    bits it gets alone (covariance_det, instance_bound).  Reports come back
-    ordered by instance id."""
+    bits it gets alone (covariance_det, instance_bound).  The checks come back
+    as CHECK records ordered by instance id; their verdicts, zeros and the
+    tightest check are taken once, over the whole run."""
     config = config or GeneratorConfig()
-    result = BoundSuiteResult()
+    result = BoundSuiteResult(np.empty(count, dtype=CHECK))
     for start in range(0, count, CHUNK):
         _check_chunk(range(start, min(start + CHUNK, count)), seed, config, result)
+    checks = result.checks
+    bound = checks["bound"]
+    positive = bound > 0.0
+    det_abs = np.hypot(checks["det_re"], checks["det_im"])  # abs() bit for bit, as the CSV takes it
+    checks["det_abs"], checks["slack"] = det_abs, bound - det_abs
+    checks["pass"] = within_bound(det_abs, bound)  # a real |det| is its own modulus
+    result.zero_bound = int(np.count_nonzero(bound == 0.0))
+    result.zero_det = int(np.count_nonzero((det_abs == 0.0) & positive))
+    if positive.any():
+        power = 1.0 / (2 * checks["N"])
+        ratio = np.full(count, -np.inf)
+        np.divide(det_abs ** power, bound ** power, out=ratio, where=positive)
+        k = int(np.argmax(ratio))  # the first of equals, in instance-id order
+        result.tightest = {"seed": int(checks["seed"][k]), "slack": float(checks["slack"][k]),
+                           "ratio": float(ratio[k])}
     return result
 
 

@@ -228,9 +228,9 @@ def test_criterion_05_holder_and_modular_bounds():
 
 def test_criterion_06_determinant_bound_at_scale():
     budget = Budget(600.0)
-    reports = bound_check_suite(10_000, GeneratorConfig(), seed=606).reports
-    failures = [r for r in reports if not r.passed]
-    assert failures == []
+    checks = bound_check_suite(10_000, GeneratorConfig(), seed=606).checks
+    failures = checks[~checks["pass"]]
+    assert failures.tolist() == []
     budget.check()
 
 

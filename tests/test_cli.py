@@ -145,7 +145,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # --config goes before the subcommand
     (tmp_path / "ok.ini").write_text("[bound-check]\ncount = 2\n")
     assert run(tmp_path, "bound-check", "--config", "ok.ini") == 2
+    # a value is literal: %(x)s reaches --count's type as it stands
+    (tmp_path / "ref.ini").write_text("[bound-check]\ncount = %(x)s\n")
+    capsys.readouterr()
+    assert run(tmp_path, "--config", "ref.ini", "bound-check") == 2
+    assert "must be an integer >= 1: '%(x)s'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_percent_is_literal(tmp_path):
+    (tmp_path / "pct.ini").write_text("[bound-check]\ncount = 2\nout = a%b.csv\n")
+    assert run(tmp_path, "--config", "pct.ini", "bound-check") == 0
+    assert (tmp_path / "a%b.csv").is_file() and (tmp_path / "a%b.json").is_file()
 
 
 def test_non_finite_parameters_exit_2(tmp_path):
@@ -422,8 +433,8 @@ def test_universal_lists_violating_seeds(tmp_path, monkeypatch):
 
     def suite(count, config, seed):
         result = bound_check_suite(count, config, seed=seed)
-        result.reports[1].passed = False
-        failed.append(result.reports[1].seed)
+        result.checks["pass"][1] = False
+        failed.append(int(result.checks["seed"][1]))
         return result
 
     monkeypatch.setattr(cli, "bound_check_suite", suite)

@@ -417,7 +417,7 @@ def test_bound_suite_builds_no_instance(monkeypatch):
     random_instance(instance_seed(4, 0), GeneratorConfig())
     assert len(built) == 1  # the counter sees an instance that is built
     built.clear()
-    assert len(bound_check_suite(300, seed=4).reports) == 300
+    assert len(bound_check_suite(300, seed=4).checks) == 300
     assert built == []
 
 

@@ -32,32 +32,49 @@ def _bits(x) -> bytes:
 
 
 def test_bound_suite_no_failures(rng):
-    reports = bound_check_suite(150, GeneratorConfig(), seed=7).reports
-    assert len(reports) == 150
-    assert all(r.passed for r in reports)
-    assert all(np.isfinite(r.bound) and np.isfinite(abs(r.det)) for r in reports)
+    checks = bound_check_suite(150, GeneratorConfig(), seed=7).checks
+    assert len(checks) == 150
+    assert checks["pass"].all()
+    assert np.isfinite(checks["bound"]).all() and np.isfinite(checks["det_abs"]).all()
+
+
+def test_bound_suite_retains_one_record_per_check():
+    # 10^4 CHECK records of 97 bytes are 0.93 MiB; an object per check would retain ~3.3 MiB
+    bound_check_suite(CHUNK + 1, GeneratorConfig(), seed=1)  # first-call caches
+    tracemalloc.start()
+    try:
+        result = bound_check_suite(10**4, GeneratorConfig(), seed=0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.checks.dtype == verify.CHECK and len(result.checks) == 10**4
+    assert retained < 1.6 * 2**20
 
 
 def test_bound_suite_deterministic():
-    a = bound_check_suite(25, GeneratorConfig(), seed=3).reports
-    b = bound_check_suite(25, GeneratorConfig(), seed=3).reports
+    a = bound_check_suite(25, GeneratorConfig(), seed=3).checks
+    b = bound_check_suite(25, GeneratorConfig(), seed=3).checks
     for ra, rb in zip(a, b):
-        assert ra.seed == rb.seed
-        assert ra.det == rb.det
-        assert ra.bound == rb.bound
+        assert ra["seed"] == rb["seed"]
+        assert ra["det_re"] == rb["det_re"] and ra["det_im"] == rb["det_im"]
+        assert ra["bound"] == rb["bound"]
 
 
 def test_stacked_suite_matches_each_instance_alone():
     count = CHUNK + 44  # one full chunk and a partial one
-    reports = bound_check_suite(count, GeneratorConfig(), seed=13).reports
-    assert [r.instance_id for r in reports] == list(range(count))
-    for r in reports:
-        inst = random_instance(r.seed, GeneratorConfig())
-        assert _bits(r.det) == _bits(covariance_det(inst))
-        assert _bits(r.bound) == _bits(instance_bound(inst))
-    assert {(r.d, r.N) for r in reports} == {(d, N) for d in (1, 2, 3) for N in (1, 2, 3)}
-    assert any(r.bound == 0.0 for r in reports)  # zero cutoff norms are among them
-    assert any(r.det == 0.0 and r.bound > 0.0 for r in reports)
+    checks = bound_check_suite(count, GeneratorConfig(), seed=13).checks
+    assert checks["instance_id"].tolist() == list(range(count))
+    for r in checks.tolist():
+        row = dict(zip(checks.dtype.names, r))
+        inst = random_instance(row["seed"], GeneratorConfig())
+        det = covariance_det(inst)
+        assert _bits([row["det_re"], row["det_im"]]) == _bits([det.real, det.imag])
+        assert _bits(row["bound"]) == _bits(instance_bound(inst))
+    assert set(zip(checks["d"].tolist(), checks["N"].tolist())) == {
+        (d, N) for d in (1, 2, 3) for N in (1, 2, 3)}
+    bound = checks["bound"]
+    assert (bound == 0.0).any()  # zero cutoff norms are among them
+    assert ((checks["det_re"] == 0.0) & (checks["det_im"] == 0.0) & (bound > 0.0)).any()
 
 
 def _stacks(insts: list) -> list:
@@ -195,8 +212,10 @@ def test_stream_replays_the_generator_call_by_call(seed):
             low, high = -1.5 * step, 0.1 + step / 7
             a, b = rng.uniform(low, high), ref.uniform(low, high)
             assert type(a) is float and _bits(a) == _bits(b)
+            # one call per weight draws what a Generator draws in one sized call
             size = step % 4
-            assert _bits(rng.uniform(0.0, 1.0, size=size)) == _bits(ref.uniform(0.0, 1.0, size=size))
+            assert (_bits([rng.uniform(0.0, 1.0) for _ in range(size)])
+                    == _bits(ref.uniform(0.0, 1.0, size=size)))
     # numpy integers as bounds take the same draws
     assert rng.integers(np.int64(-5), np.int64(2**62)) == ref.integers(-5, 2**62)
     assert rng._bits.state == ref.bit_generator.state
@@ -311,13 +330,13 @@ def test_sharpness_witness_off_its_closed_form_fails():
 
 @pytest.mark.parametrize("seed", [4, 20, 33])
 def test_within_bound_on_arrays_is_the_scalar_rule(monkeypatch, seed):
-    reports = bound_check_suite(300, GeneratorConfig(), seed=seed).reports
-    det = np.array([r.det for r in reports])
+    checks = bound_check_suite(300, GeneratorConfig(), seed=seed).checks
+    det = np.stack((checks["det_re"], checks["det_im"]), axis=-1).view(complex)[:, 0]
     # the suite's bounds, and bounds at |det| as np.abs rounds it, which at some
     # dets of each seed is one ulp below abs(): with no slack the rounding decides
     for slack_tol in (verify.SLACK_TOL, 0.0):
         monkeypatch.setattr(verify, "SLACK_TOL", slack_tol)
-        for bound in (np.array([r.bound for r in reports]), np.abs(det)):
+        for bound in (checks["bound"], np.abs(det)):
             expected = [b - abs(d) >= -slack_tol * max(1.0, b)
                         for d, b in zip(det.tolist(), bound.tolist())]
             assert within_bound(det, bound).tolist() == expected
@@ -331,8 +350,8 @@ def test_sharpness_search_fails_for_impossible_epsilon():
 
 
 def test_universal_bracket_and_monotonicity():
-    bounds = bound_check_suite(50, GeneratorConfig(), seed=1).reports
-    assert all(r.passed for r in bounds)  # no violation of the upper edge 1
+    checks = bound_check_suite(50, GeneratorConfig(), seed=1).checks
+    assert checks["pass"].all()  # no violation of the upper edge 1
     sharp_01 = sharpness_sweep(0.1, beta=1.0, N_list=(1, 2))
     lower = universal_bound_estimate(sharp_01)
     assert 0.9 - 1e-6 <= lower <= 1.0
