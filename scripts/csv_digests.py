@@ -43,7 +43,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # beta = 1e-6, where the witness's lam is -2.8e6 (the family depends on beta lam / n
 # alone, so only the cap on n stops the search), and at N = 256, the reach in N of a
 # witness on one mode with N colors, whose memory grows as N^2; bound-check also at
-# m <= 9, whose BK trees draw up to 8 edges and weights, and with four beta choices
+# m <= 9, whose BK trees draw up to 8 edges and weights, and with four beta choices;
+# and at n = 2147483654, where about half of the offset draws fail the first test of
+# numpy's Lemire rule and numpy's own rejection loop decides them
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -67,6 +69,7 @@ ACCEPTANCE = (
     ("sharpness --beta 1e-6", 0),
     ("sharpness --N-list 1,256", 0),
     ("bound-check --count 500 --seed 9 --m-max 9 --beta-choices 0.3,0.7,1.1,5", 0),
+    ("bound-check --count 300 --seed 11 --n-choices 2147483654", 0),
 )
 
 

@@ -159,8 +159,9 @@ class InstanceStack:
     """Bound instances of one shape (d, N), stacked along a leading axis.
 
     Made from arrays: the checked H (B, d, d), the fiber vectors phi (B, 2N, d),
-    the points' storage and color indices (B, 2N), beta and n (B,), and each
-    member's chi and M; `of` gathers them from instances.  It owns, read-only,
+    the points' storage and color indices (B, 2N), beta and n (B,), the cutoffs'
+    kind codes (B,) and parameters (B, 2) (CutoffSpec.stacked), and the checked
+    M, zero-padded to (B, m, m); `of` gathers them from instances.  It owns, read-only,
     one eigendecomposition of H, the projections U* phi_q and chi on the
     spectrum.  The bound suite checks each (d, N) group as one stack and an
     instance is its cached stack of one, so every determinant and bound has the
@@ -168,7 +169,8 @@ class InstanceStack:
     """
 
     def __init__(self, H: HermitianMatrix, phi: np.ndarray, index: np.ndarray,
-                 color: np.ndarray, beta: np.ndarray, n: np.ndarray, chi: list, M: list):
+                 color: np.ndarray, beta: np.ndarray, n: np.ndarray, kind: np.ndarray,
+                 params: np.ndarray, M: np.ndarray):
         spectral = eig_hermitian(H)
         adjoint = np.conj(spectral.vectors).swapaxes(-1, -2)
         self.values = spectral.values  # (B, d)
@@ -176,11 +178,8 @@ class InstanceStack:
         self.coefficients = (adjoint[:, None] @ phi[..., None])[..., 0]
         self.rows = np.arange(len(M))[:, None]  # (B, 1): each instance's place
         self.beta, self.n, self.index, self.color = beta, n, index, color
-        self.weights = CutoffSpec.stacked(chi, self.values)
-        m = max(len(Mi) for Mi in M)
-        self.M = np.zeros((len(M), m, m))  # each M in the top left of its slot
-        for slot, Mi in zip(self.M, M):
-            slot[:len(Mi), :len(Mi)] = Mi
+        self.weights = CutoffSpec.stacked(kind, params, self.values)
+        self.M = M
         for array in vars(self).values():  # the caller's arrays among them
             array.flags.writeable = False
 
@@ -188,10 +187,15 @@ class InstanceStack:
     def of(cls, insts: list) -> "InstanceStack":
         """The stack of instances of one shape (d, N), gathered from their fields."""
         index, phi, color = map(np.array, zip(*(zip(*inst.points) for inst in insts)))
+        kind, params = zip(*(inst.chi.row() for inst in insts))
+        m = max(inst.m for inst in insts)
+        M = np.zeros((len(insts), m, m))
+        for slot, inst in zip(M, insts):
+            slot[:inst.m, :inst.m] = inst.M
         return cls(HermitianMatrix._trusted(np.stack([inst.H.matrix for inst in insts])),
                    phi, index, color, np.array([inst.torus.beta for inst in insts]),
-                   np.array([inst.torus.n for inst in insts]),
-                   [inst.chi for inst in insts], [inst.M for inst in insts])
+                   np.array([inst.torus.n for inst in insts]), np.array(kind),
+                   np.array(params), M)
 
     def _torus(self, rows) -> DiscreteTorus:
         return DiscreteTorus._stack(self.beta[rows], self.n[rows])

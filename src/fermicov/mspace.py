@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TreeGraph", "psd_eigh", "quotient_space", "bk_matrix", "random_tree"]
+__all__ = ["TreeGraph", "psd_eigh", "quotient_space", "bk_matrix", "bk_matrices", "random_tree"]
 
 PSD_TOL = 1e-10  # asymmetry and negative eigenvalues allowed, relative to max |M|
 
@@ -80,49 +80,57 @@ class TreeGraph:
 
 def bk_matrix(g: TreeGraph, t: float) -> np.ndarray:
     """Exact interpolation matrix M[k,l] = integral_0^t 1[k ~ l after dropping
-    edges with weight >= s] ds.
+    edges with weight >= s] ds: bk_matrices on the stack of one graph."""
+    edges = np.array(g.edges, dtype=np.int64).reshape(1, -1, 2)
+    return bk_matrices(g.m, edges, g.weights[None], np.array([t], dtype=float))[0]
 
-    Connectivity in s is piecewise constant with breakpoints at 0, t and the
-    edge weights below t.  One pass visits the edges in increasing weight and
-    merges components; the edge that first joins k and l has the minimax
-    weight w of the paths between them, on trees and general graphs alike,
-    and sets M[k,l] to the sum of the interval lengths from w to t (0 when
-    w >= t).  The diagonal is the sum from 0.  Each sum is added left to
-    right from 0.0, so it can differ from t - w in the last bit: at t = 1
-    the diagonal can be 0.9999999999999999.  Removing an edge exactly at s
-    equal to its weight is a measure-zero convention.
+
+def bk_matrices(m: int, edges: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The interpolation matrices (B, m, m) of B graphs on vertices 0..m-1, with
+    edges (B, E, 2), weights (B, E) in [0, 1] and t (B,).
+
+    One pass visits each graph's edges in increasing weight and merges
+    components: the edge that first joins k and l has the minimax weight w of
+    the paths between them, on trees and general graphs alike, and M[k,l] is
+    the sum of the interval lengths between breakpoints (0, t and the weights
+    below t) from w to t, 0 when w >= t; the diagonal is the sum from 0.  Each
+    sum is added left to right from 0.0, so at t = 1 the diagonal can be
+    0.9999999999999999.  Dropping an edge at s equal to its weight is a
+    measure-zero convention.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    # Python floats: sorting a few of them and comparing them beats numpy's per-call cost
-    weights = g.weights.tolist()
-    breaks = sorted({0.0, float(t), *(w for w in weights if w < t)})
-    # breakpoint -> the interval lengths from it to t, added left to right in a loop
-    # (sum() rounds floats differently from Python 3.12 on); -0.0 finds 0.0
-    tail = {}
-    for i, s in enumerate(breaks):
-        total = 0.0
-        for s0, s1 in zip(breaks[i:], breaks[i + 1:]):
-            total += s1 - s0
-        tail[s] = total
-    out = [[tail[0.0] if k == l else 0.0 for l in range(g.m)] for k in range(g.m)]
-    component = [[k] for k in range(g.m)]
-    for w, (u, v) in sorted(zip(weights, g.edges)):
-        a, b = component[u], component[v]
-        if a is not b:
-            value = tail.get(w, 0.0)
-            for k in a:
-                for l in b:
-                    out[k][l] = out[l][k] = value
-            a += b
-            for l in b:
-                component[l] = a
-    return np.array(out, dtype=float).reshape(g.m, g.m)
+    t = np.asarray(t, dtype=float)
+    inside = (0.0 <= t) & (t <= 1.0)
+    if not inside.all():
+        raise ValueError(f"t must lie in [0, 1], got {t[~inside][0]}")
+    stack = np.arange(len(t))[:, None]
+    # the breakpoints 0, t and each weight, a weight at or above t standing in as t,
+    # sorted with repeats: a repeat adds a gap of 0.0, which moves no sum's bits
+    points = np.concatenate([np.zeros((len(t), 1)), t[:, None],
+                             np.where(weights < t[:, None], weights, t[:, None])], axis=1)
+    order = np.argsort(points, axis=1, kind="stable")
+    breaks = points[stack, order]
+    gaps = breaks[:, 1:] - breaks[:, :-1]
+    tail = np.zeros(points.shape)  # sorted breakpoint -> the gaps from it to t, left to right
+    for j in range(gaps.shape[1]):
+        tail[:, :j + 1] += gaps[:, j:j + 1]
+    tail[stack, order] = tail.copy()  # by each point's place in points
+    out = np.zeros((len(t), m, m))
+    label = 0 * stack + np.arange(m)  # each vertex's component, by a vertex in it
+    by_weight = np.argsort(weights, axis=1, kind="stable")
+    ends, values = edges[stack, by_weight], tail[stack, 2 + by_weight]
+    rows = stack[:, 0]
+    for e in range(weights.shape[1]):
+        a, b = label[rows, ends[:, e, 0]][:, None], label[rows, ends[:, e, 1]][:, None]
+        in_a, in_b = label == a, (label == b) & (a != b)
+        join = in_a[:, :, None] & in_b[:, None, :]
+        out = np.where(join | join.swapaxes(1, 2), values[:, e, None, None], out)
+        label = np.where(in_b, a, label)
+    out[:, np.arange(m), np.arange(m)] = tail[:, :1]
+    return out
 
 
 def random_tree(m: int, rng) -> TreeGraph:
-    """Uniform-ish random spanning tree with uniform [0,1] edge weights, drawn with
-    rng's integers(low, high) and uniform(low, high), one weight a call: a numpy
-    Generator's, or the bound suite's stream of the same calls."""
+    """Uniform-ish random spanning tree with uniform [0,1] edge weights, drawn with a
+    numpy Generator's integers(0, v) per vertex v > 0, then uniform(0, 1) per edge."""
     edges = [(int(rng.integers(0, v)), v) for v in range(1, m)]
     return TreeGraph(m=m, edges=tuple(edges), weights=[rng.uniform(0.0, 1.0) for _ in edges])

@@ -131,8 +131,11 @@ class CutoffSpec:
     and a Gaussian window, each with finite parameters.
     """
 
+    PARAMS = {"one": (), "indicator": ("a", "b"), "gaussian": ("center", "width")}
+    KINDS = tuple(PARAMS)  # in a stack, a kind's code is its index
+
     def __init__(self, kind: str, **params):
-        if kind not in ("one", "indicator", "gaussian"):
+        if kind not in self.PARAMS:
             raise ValueError(f"unknown cutoff kind {kind!r}")
         for name, value in params.items():
             if not math.isfinite(value):
@@ -159,23 +162,31 @@ class CutoffSpec:
     def gaussian(cls, center: float, width: float) -> "CutoffSpec":
         return cls("gaussian", center=center, width=width)
 
+    @classmethod
+    def of_row(cls, code: int, params) -> "CutoffSpec":
+        """The cutoff of one row of a stack, checked as any other."""
+        kind = cls.KINDS[int(code)]
+        return cls(kind, **dict(zip(cls.PARAMS[kind], np.asarray(params).tolist())))
+
+    def row(self) -> tuple:
+        """(kind code, [first, second parameter]), 0.0 for a parameter the kind lacks."""
+        values = [self.params[name] for name in self.PARAMS[self.kind]]
+        return self.KINDS.index(self.kind), values + [0.0] * (2 - len(values))
+
     def __call__(self, lam) -> np.ndarray:
-        return _cutoff_values(self.kind, np.asarray(lam, dtype=float), self.params)
+        return _cutoff_values(self.kind, np.asarray(lam, dtype=float), self.row()[1])
 
     @staticmethod
-    def stacked(cutoffs: list, lams) -> np.ndarray:
-        """cutoffs[i](lams[i]) for each row i of lams, with one evaluation per kind.
-
-        Each cutoff's parameters enter as a column, so every row gets the bits
-        of its own call.
-        """
+    def stacked(kind: np.ndarray, params: np.ndarray, lams) -> np.ndarray:
+        """The checked cutoff of kind code kind[i] and parameters params[i] (as row()
+        gives them) on lams[i], for each row i, with one evaluation per kind; each
+        parameter enters as a column, so every row gets the bits of its own call."""
         lams = np.asarray(lams, dtype=float)
         out = np.empty_like(lams)
-        for kind in {chi.kind for chi in cutoffs}:
-            rows = [i for i, chi in enumerate(cutoffs) if chi.kind == kind]
-            params = {name: np.array([[cutoffs[i].params[name]] for i in rows])
-                      for name in cutoffs[rows[0]].params}
-            out[rows] = _cutoff_values(kind, lams[rows], params)
+        for code in set(kind.tolist()):
+            rows = kind == code
+            columns = params[rows].T[..., None]
+            out[rows] = _cutoff_values(CutoffSpec.KINDS[code], lams[rows], columns)
         return out
 
     def __repr__(self):
@@ -183,10 +194,10 @@ class CutoffSpec:
         return f"CutoffSpec({self.kind}{', ' if inner else ''}{inner})"
 
 
-def _cutoff_values(kind: str, lam: np.ndarray, params: dict) -> np.ndarray:
-    """The cutoff of a kind on lam; params broadcast against lam."""
+def _cutoff_values(kind: str, lam: np.ndarray, params) -> np.ndarray:
+    """The cutoff of a kind on lam; its two parameters broadcast against lam."""
     if kind == "one":
         return np.ones_like(lam)
     if kind == "indicator":
-        return np.where((lam >= params["a"]) & (lam <= params["b"]), 1.0, 0.0)
-    return np.exp(-(((lam - params["center"]) / params["width"]) ** 2))
+        return np.where((lam >= params[0]) & (lam <= params[1]), 1.0, 0.0)
+    return np.exp(-(((lam - params[0]) / params[1]) ** 2))

@@ -7,11 +7,11 @@ instance-id order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from fermicov.covariance import (
     instance_bound,
     kernel_values_at,
 )
-from fermicov.mspace import random_tree, bk_matrix
+from fermicov.mspace import bk_matrices
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian
 from fermicov.torus import DiscreteTorus
 
@@ -149,11 +149,12 @@ def _hash_constants(h: int, mult: int, count: int) -> np.ndarray:
 
 
 # numpy's SeedSequence: the pool's 4 + 12 hashes, its output's 8, and the mix;
-# and PCG64's 128-bit multiplier
+# and PCG64's 128-bit multiplier and its inverse
 _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_INV = pow(_PCG_MULT, -1, 2**128)
 
 
 def _hash(v: np.ndarray, constants: np.ndarray) -> np.ndarray:
@@ -184,153 +185,280 @@ def _pcg64_states(seeds) -> list:
     return states
 
 
-class _Stream:
-    """The Generator calls that _draw makes, on one PCG64 set once per seed.
+def _pcg64_state(state: int, inc: int, has_uint32=0, uinteger=0) -> dict:
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": int(has_uint32), "uinteger": int(uinteger)}
 
-    Iterating yields the stream once per seed, in seeds order, in the state
-    np.random.default_rng(seed) starts in.  Each method then returns what the
-    Generator method of its name returns, from the same bits: integers(low,
-    high) by numpy's Lemire rule on 32-bit draws up to a width of 2^32 and on
-    64-bit draws above it, random(), uniform(low, high) as low + (high -
-    low) * a double, and normal through a Generator on the same bits.
-    """
 
-    def __init__(self, seeds):
-        self._states = _pcg64_states(seeds)
-        self._bits = np.random.PCG64(0)  # each seed's state replaces this one
-        c = self._bits.ctypes
-        self._ptr = c.state.value  # the address of self._bits' state, which it keeps
-        self._next32, self._next64, self._double = c.next_uint32, c.next_uint64, c.next_double
-        self.normal = np.random.Generator(self._bits).normal
+@functools.cache
+def _ziggurat() -> tuple:
+    """numpy's normal ziggurat as (wi, ki): layer idx's width wi = x_idx / 2^52, read
+    from normal() on the crafted word (1 << 9) | idx, and a lower bound of its
+    acceptance bound 2^52 x_(idx-1) / x_idx (r = x_255 for layer 0, none for layer 1),
+    shrunk by 1e-12 so that rounding leaves it below numpy's."""
+    bits = np.random.PCG64(0)
+    normal, inc = np.random.Generator(bits).normal, bits.state["state"]["inc"]
+    wi = np.empty(256)
+    for idx in range(256):  # the state that steps to state (1 << 9) | idx, its next word
+        bits.state = _pcg64_state((((1 << 9) | idx) - inc) * _PCG_INV % 2**128, inc)
+        wi[idx] = normal()
+    ratio = np.zeros(256)
+    ratio[0], ratio[2:] = wi[255] / wi[0], wi[1:-1] / wi[2:]
+    ki = (ratio * 2.0**52 * (1 - 1e-12)).astype(np.uint64)
+    wi.flags.writeable = ki.flags.writeable = False  # shared by every caller
+    return wi, ki
 
-    def __iter__(self):
-        for state, inc in self._states:
-            self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-            yield self
 
-    def integers(self, low: int, high: int) -> int:
-        low = int(low)  # a numpy integer would wrap in the products below
-        width = int(high) - low
-        if width < 1:
-            raise ValueError("high <= 0" if low == 0 else "low >= high")
-        if width == 1:
-            return low
-        draw, bits = (self._next32, 32) if width <= 2**32 else (self._next64, 64)
-        mask = (1 << bits) - 1
-        m = draw(self._ptr) * width
-        if m & mask < width:
-            threshold = (1 << bits) % width  # reject the low words that bias m >> bits
-            while m & mask < threshold:
-                m = draw(self._ptr) * width
-        return low + (m >> bits)
+class _Words:
+    """The raw PCG64 words of a chunk's seeds, one row per lane, decoded in lockstep:
+    each method makes one Generator call on each lane given, with its bits.  A
+    lane keeps a cursor into its row and PCG64's buffered half word.  numpy
+    decides the rare branches, on the lane's state at its cursor; the lane then
+    reads on, in a fresh row, from the state numpy leaves.  A row holds a whole
+    draw's words when numpy decides nothing, so no row runs out."""
 
-    def random(self) -> float:
-        return self._double(self._ptr)
+    def __init__(self, seeds, width: int):
+        self.bits = np.random.PCG64(0)
+        self.generator = np.random.Generator(self.bits)
+        self.start = _pcg64_states(seeds)  # the (state, inc) of each row's first word
+        self.rows = np.empty((len(seeds), width), dtype=np.uint64)
+        self.cur, self.has32 = np.zeros(len(seeds), dtype=np.int64), np.zeros(len(seeds), bool)
+        self.buf = np.zeros(len(seeds), dtype=np.uint64)
+        for lane, (state, inc) in enumerate(self.start):
+            self.bits.state = _pcg64_state(state, inc)
+            self.rows[lane] = self.bits.random_raw(width)
 
-    def uniform(self, low: float, high: float) -> float:
-        low, high = float(low), float(high)
-        width = high - low
-        if not math.isfinite(width):
+    def _read(self, lanes, span: int) -> np.ndarray:
+        """The next span words of each lane; past its row, its last word again."""
+        cols = self.cur[lanes][:, None] + np.arange(span)
+        return self.rows[lanes[:, None], np.minimum(cols, self.rows.shape[1] - 1)]
+
+    def _numpy(self, lane, call):
+        """call(Generator) on the lane's state at its cursor, then a fresh row."""
+        state, inc = self.start[lane]
+        self.bits.state = _pcg64_state(state, inc, self.has32[lane], self.buf[lane])
+        self.bits.random_raw(int(self.cur[lane]))  # the words read; the buffered half stays
+        value = call(self.generator)
+        after = self.bits.state
+        self.start[lane] = after["state"]["state"], inc
+        self.has32[lane], self.buf[lane] = after["has_uint32"], after["uinteger"]
+        self.rows[lane], self.cur[lane] = self.bits.random_raw(self.rows.shape[1]), 0
+        return value
+
+    def integers(self, lanes, low, width) -> np.ndarray:
+        """integers(low, low + width) on each lane: Lemire's rule on 32-bit draws,
+        where numpy decides a rejection and a width above 2^32."""
+        low, width = np.zeros_like(lanes) + low, np.zeros_like(lanes) + width
+        if (width < 1).any():  # numpy's messages
+            raise ValueError("high <= 0" if low[width < 1][0] == 0 else "low >= high")
+        out = low.copy()
+        small = ((width > 1) & (width <= 2**32)).nonzero()[0]  # width 1 draws nothing
+        L, w = lanes[small], width[small].astype(np.uint64)
+        has, word = self.has32[L], self._read(L, 1)[:, 0]
+        m = np.where(has, self.buf[L], word & 0xFFFFFFFF) * w
+        ok = (m & 0xFFFFFFFF) >= 2**32 % w  # else numpy's rejection loop
+        fresh = ok & ~has
+        self.cur[L[fresh]] += 1
+        self.buf[L[fresh]] = word[fresh] >> 32
+        self.has32[L[ok]] = fresh[ok]
+        out[small[ok]] += (m[ok] >> 32).astype(np.int64)
+        for i in [*small[~ok].tolist(), *(width > 2**32).nonzero()[0].tolist()]:
+            out[i] = self._numpy(lanes[i], lambda g: g.integers(low[i], low[i] + width[i]))
+        return out
+
+    def doubles(self, lanes, count=1) -> np.ndarray:
+        """random() count times on each lane, (word >> 11) * 2^-53, as rows padded
+        to the largest count."""
+        count = np.zeros_like(lanes) + count
+        words = self._read(lanes, count.max(initial=1))
+        self.cur[lanes] += count
+        return (words >> 11) * 2.0**-53
+
+    @np.errstate(over="ignore", invalid="ignore")  # a width that is not finite raises below
+    def uniform(self, lanes, low, high) -> np.ndarray:
+        """uniform(low, high) on each lane, with numpy's checks of high - low."""
+        width = np.subtract(high, low)
+        if not np.isfinite(width).all():
             raise OverflowError("high - low range exceeds valid bounds")
-        if math.copysign(1.0, width) < 0:  # -0.0 too, as numpy's sign-bit test
+        if np.signbit(width).any():
             raise ValueError("high - low < 0")
-        return low + width * self._double(self._ptr)
+        return low + width * self.doubles(lanes)[:, 0]
+
+    def normals(self, lanes, count) -> np.ndarray:
+        """normal(size=count) on each lane, as rows padded to the largest count; a
+        lane's block from its first word off the ziggurat's fast path on is numpy's."""
+        wi, ki = _ziggurat()
+        count = np.zeros_like(lanes) + count
+        words = self._read(lanes, count.max(initial=1))
+        span = np.arange(words.shape[1])
+        idx, rabs = words & 0xFF, (words >> 9) & (2**52 - 1)
+        off = (rabs >= ki[idx]) & (span < count[:, None])
+        run = np.where(off.any(axis=1), off.argmax(axis=1), count)  # the words on the path
+        x = rabs * wi[idx]  # + 0.0 below: loc + scale * x, at 0 and 1
+        out = np.where(span < run[:, None], np.where(words & 0x100, -x, x) + 0.0, 0.0)
+        self.cur[lanes] += run
+        for i in (run < count).nonzero()[0].tolist():
+            out[i, run[i]:count[i]] = self._numpy(lanes[i], lambda g: g.normal(
+                size=count[i] - run[i]))
+        return out
 
 
-class _Draws(NamedTuple):
-    """One instance's rng draws, with the per-instance objects built from them."""
-
-    d: int
-    N: int
-    n: int
-    beta: float
-    scale: float  # eigenvalue magnitude: n/beta times 10^u, u uniform in [-1, log10(scale_max))
-    A: np.ndarray  # (2, d, d): the real and imaginary parts of A
-    pin: int | None  # the eigenvalue put on n/beta, or None
-    chi: CutoffSpec
-    M: np.ndarray
-    points: list  # 2N draws (alpha offset, (2, d) real and imaginary phi, |phi|, color index)
+# the chunk table: a dict of columns, one row per lane, its draws in v1's frozen
+# order, a block of draws as a zero-padded row: d, m, N, n, beta, scale (n/beta *
+# 10^u, u uniform in [-1, log10(scale_max))), A (2 d d: its real, then imaginary
+# parts), pin (the eigenvalue put on n/beta, or -1), kind and params (2) (see
+# CutoffSpec.stacked), r (M is B B^T, B (m r), or at r = 0 the BK matrix of the tree
+# with edges (parent[v - 1], v), v < m, weights weight (m - 1) and t), and the
+# points' offset, phi (2 d), radius and color (2N each)
 
 
-def _draw(rng: _Stream, config: GeneratorConfig) -> _Draws:
-    """Make one instance's rng calls, in the generator's order; the arithmetic
-    that a (d, N) group shares is left to _assemble."""
-    d = int(rng.integers(1, config.d_max + 1))
-    m = int(rng.integers(1, config.m_max + 1))
-    N = int(rng.integers(1, config.N_max + 1))
-    n = int(_pick(rng, config.n_choices))
-    beta = float(_pick(rng, config.beta_choices))
+@np.errstate(all="ignore")  # what overflows is not finite, and raises in _assemble
+def _decode(seeds, config: GeneratorConfig) -> dict:
+    """The chunk table of seeds, decoded in lockstep from their raw words."""
+    d_max, m_max, N_max = config.d_max, config.m_max, config.N_max
+    # the most words a draw reads when numpy decides nothing, a word per 32-bit
+    # integer: the shape, scale, A, pin and cutoff; a BK tree or B; the points
+    words = _Words(seeds, 12 + 2 * d_max**2 + max(2 * m_max - 1, 1 + m_max**2)
+                   + 2 * N_max * (3 + 2 * d_max))
+    every = np.arange(len(seeds))
+    d, m, N = (words.integers(every, 1, k) for k in (d_max, m_max, N_max))
+    n = np.array(config.n_choices, dtype=np.int64)[words.integers(every, 0, len(config.n_choices))]
+    beta = np.array(config.beta_choices, dtype=float)[
+        words.integers(every, 0, len(config.beta_choices))]
+    u = words.uniform(every, -1.0, np.log10(config.scale_max))
+    # n/beta is torus.rate; a scalar power, as an array pow may not give these bits
+    scale = n / beta * np.array([10.0 ** x for x in u.tolist()])
+    A = words.normals(every, 2 * d * d)
+    pin = np.full(len(seeds), -1)
+    pinned = every[words.doubles(every)[:, 0] < 0.05]  # random() is uniform(0, 1)
+    pin[pinned] = words.integers(pinned, 0, d[pinned])
+    kind = words.integers(every, 0, 3)
+    params = np.zeros((len(seeds), 2))
+    L = every[kind == 1]  # indicator: half width, then center
+    half_width = scale[L] * words.uniform(L, 0.1, 2.0)
+    center = words.uniform(L, -scale[L], scale[L])
+    params[L] = np.stack([center - half_width, center + half_width], axis=1)
+    L = every[kind == 2]  # gaussian: center, then width
+    params[L, 0] = words.uniform(L, -scale[L], scale[L])
+    params[L, 1] = scale[L] * words.uniform(L, 0.2, 2.0)
+    bk = words.integers(every, 0, 2) == 1
+    parent = np.zeros((len(seeds), m_max - 1), dtype=np.int64)
+    for v in range(1, m_max):
+        L = every[bk & (m > v)]
+        parent[L, v - 1] = words.integers(L, 0, v)
+    weight = words.doubles(every, np.where(bk, m - 1, 0))  # uniform(0, 1) is its double
+    t, r = np.zeros(len(seeds)), np.zeros(len(seeds), dtype=np.int64)
+    t[bk] = words.uniform(every[bk], 0.2, 1.0)
+    r[~bk] = words.integers(every[~bk], 1, m[~bk])
+    B = words.normals(every, m * r)
+    offset, color = np.zeros((2, len(seeds), 2 * N_max), dtype=np.int64)
+    phi, radius = np.zeros((len(seeds), 2 * N_max, 2 * d_max)), np.zeros((len(seeds), 2 * N_max))
+    for q in range(2 * N_max):
+        L = every[2 * N > q]
+        offset[L, q] = words.integers(L, 0, n[L])
+        phi[L, q, :2 * d[L].max(initial=0)] = words.normals(L, 2 * d[L])
+        radius[L, q] = words.uniform(L, 0.3, 1.5)
+        color[L, q] = words.integers(L, 0, m[L])
+    return dict(d=d, m=m, N=N, n=n, beta=beta, scale=scale, A=A, pin=pin, kind=kind,
+                params=params, parent=parent, weight=weight, t=t, r=r, B=B,
+                offset=offset, phi=phi, radius=radius, color=color)
+
+
+def _draw(rng: np.random.Generator, config: GeneratorConfig) -> dict:
+    """One instance's Generator calls in v1's frozen order, as a chunk table of one lane."""
+    d, m, N = (int(rng.integers(1, k + 1)) for k in (config.d_max, config.m_max, config.N_max))
+    n, beta = int(_pick(rng, config.n_choices)), float(_pick(rng, config.beta_choices))
     # n/beta is torus.rate; a scalar expression, as an array pow may not give these bits
     scale = n / beta * 10.0 ** rng.uniform(-1.0, np.log10(config.scale_max))
-    A = rng.normal(size=(2, d, d))
-    # random() is uniform(): 0 + 1 * the same double, exact on every platform
-    pin = int(rng.integers(0, d)) if rng.random() < 0.05 else None
-
-    kind = _pick(rng, ("one", "indicator", "gaussian"))
-    if kind == "one":
-        chi = CutoffSpec.one()
-    elif kind == "indicator":
-        half_width = scale * rng.uniform(0.1, 2.0)
-        center = rng.uniform(-scale, scale)
-        chi = CutoffSpec.indicator(center - half_width, center + half_width)
-    else:
-        chi = CutoffSpec.gaussian(
-            center=rng.uniform(-scale, scale), width=scale * rng.uniform(0.2, 2.0)
-        )
-
-    if _pick(rng, ("psd", "bk")) == "bk":
-        M = bk_matrix(random_tree(m, rng), t=float(rng.uniform(0.2, 1.0)))
+    A = rng.normal(size=2 * d * d)
+    pin = int(rng.integers(0, d)) if rng.random() < 0.05 else -1
+    kind, params = int(rng.integers(0, 3)), [0.0, 0.0]
+    if kind == 1:
+        half_width, center = scale * rng.uniform(0.1, 2.0), rng.uniform(-scale, scale)
+        params = [center - half_width, center + half_width]
+    elif kind == 2:
+        params = [rng.uniform(-scale, scale), scale * rng.uniform(0.2, 2.0)]
+    bk, parent, weight, t, r, B = bool(rng.integers(0, 2)), [], [], 0.0, 0, []
+    if bk:
+        parent = [int(rng.integers(0, v)) for v in range(1, m)]
+        weight, t = rng.uniform(0.0, 1.0, size=m - 1), float(rng.uniform(0.2, 1.0))
     else:
         r = int(rng.integers(1, m + 1))
-        B = rng.normal(size=(m, r))
-        M = B @ B.T
+        B = rng.normal(size=m * r)
+    offset, phi, radius, color = zip(*[
+        (int(rng.integers(0, n)), rng.normal(size=2 * d), rng.uniform(0.3, 1.5),
+         int(rng.integers(0, m))) for _ in range(2 * N)])
+    row = dict(d=d, m=m, N=N, n=n, beta=beta, scale=scale, A=A, pin=pin, kind=kind,
+               params=params, parent=parent, weight=weight, t=t, r=r, B=B,
+               offset=offset, phi=phi, radius=radius, color=color)
+    return {key: np.array([value]) for key, value in row.items()}
 
-    points = [(int(rng.integers(0, n)), rng.normal(size=(2, d)), rng.uniform(0.3, 1.5),
-               int(rng.integers(0, m))) for _ in range(2 * N)]
-    return _Draws(d, N, n, beta, scale, A, pin, chi, M, points)
 
+@np.errstate(all="ignore")  # what overflows is not finite, and raises below
+def _assemble(table: dict) -> list:
+    """Each (d, N) group of the table's lanes as (members, arrays): its lanes and
+    their InstanceStack arguments (H, phi, index, color, beta, n, kind, params, M).
 
-def _assemble(draws: list) -> list:
-    """Each (d, N) group of draws as (members, arrays): its positions in draws
-    and its members' InstanceStack arguments (H, phi, index, color, beta, n,
-    chi, M).
-
-    The arithmetic and checks that do not depend on the instance run once per
-    group, on its stack, and give each member the bits it gets alone; each
-    pinned instance takes its own eigendecomposition.
-    """
-    groups = {}
-    for k, dr in enumerate(draws):
-        groups.setdefault((dr.d, dr.N), []).append(k)
+    What does not depend on the instance runs once per group, on its stack, and
+    gives each member the bits it gets alone; the pinned members take one stacked
+    eigendecomposition.  A cutoff or an H that is not finite raises its
+    constructor's error, for the first such lane."""
+    kind, p = table["kind"], table["params"]
+    # drawn finite, an indicator's a <= b and a gaussian's width > 0 hold by construction
+    bad = np.flatnonzero((kind > 0) & ~np.isfinite(p).all(axis=1))
+    if bad.size:
+        CutoffSpec.of_row(kind[bad[0]], p[bad[0]])
+    # each lane's M in the top left of a zero stack: B B^T stacked per (m, r), the BK
+    # matrices per m (at r = 0)
+    m, r = table["m"], table["r"]
+    M = np.zeros((len(m), m.max(), m.max()))
+    for mi, ri in set(zip(m.tolist(), r.tolist())):
+        rows = np.flatnonzero((m == mi) & (r == ri))
+        B = table["B"][rows, :mi * ri].reshape(len(rows), mi, ri)
+        parent = table["parent"][rows, :mi - 1]
+        M[rows, :mi, :mi] = B @ B.swapaxes(-1, -2) if ri else bk_matrices(
+            mi, np.stack(np.broadcast_arrays(parent, np.arange(1, mi)), axis=-1),
+            table["weight"][rows, :mi - 1], table["t"][rows])
     assembled = []
-    for (d, N), members in groups.items():
-        group = [draws[k] for k in members]
-        scale = np.array([dr.scale for dr in group]) / max(1.0, np.sqrt(d))
-        Z = np.array([dr.A for dr in group])
+    for d, N in set(zip(table["d"].tolist(), table["N"].tolist())):
+        members = np.flatnonzero((table["d"] == d) & (table["N"] == N))
+        scale = table["scale"][members] / max(1.0, np.sqrt(d))
+        Z = table["A"][members, :2 * d * d].reshape(-1, 2, d, d)
         A = Z[:, 0] + 1j * Z[:, 1]
         H = scale[:, None, None] * (A + A.conj().swapaxes(-1, -2)) / 2
-        pinned = [i for i, dr in enumerate(group) if dr.pin is not None]
-        for i, matrix in zip(pinned, HermitianMatrix(H[pinned]).matrix):
-            # pin one eigenvalue exactly on the singular value n/beta
-            S = eig_hermitian(HermitianMatrix._trusted(matrix))
-            vals = S.values.copy()
-            vals[group[i].pin] = group[i].n / group[i].beta
-            H[i] = (S.vectors * vals) @ S.vectors.conj().T
+        beta, n = table["beta"][members], table["n"][members]
+        pin = table["pin"][members]
+        pinned = np.flatnonzero(pin >= 0)
+        if pinned.size:  # one eigenvalue each put exactly on the singular value n/beta
+            S = eig_hermitian(HermitianMatrix(H[pinned]))
+            S.values[np.arange(len(pinned)), pin[pinned]] = n[pinned] / beta[pinned]
+            H[pinned] = (S.vectors * S.values[:, None]) @ S.vectors.conj().swapaxes(-1, -2)
+        H = HermitianMatrix(H)
 
-        offsets, Z, radius, color = map(np.array, zip(*(zip(*dr.points) for dr in group)))
+        Z = table["phi"][members, :2 * N, :2 * d].reshape(-1, 2 * N, 2, d)
         phi = Z[:, :, 0] + 1j * Z[:, :, 1]  # (B, 2N, d)
         # each |phi|^2 as np.linalg.norm sums it: re . re + im . im, one dot product each
         re, im = phi.real[..., None, :], phi.imag[..., None, :]
         norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
-        phi *= (radius / np.maximum(norms, 1e-30))[..., None]
-
-        beta = np.array([dr.beta for dr in group])
-        n = np.array([dr.n for dr in group])
-        index = DiscreteTorus._stack(beta[:, None], n[:, None]).zero_index + offsets
-        assembled.append((members, (HermitianMatrix(H), phi, index, color, beta, n,
-                                    [dr.chi for dr in group], [dr.M for dr in group])))
+        phi *= (table["radius"][members, :2 * N] / np.maximum(norms, 1e-30))[..., None]
+        index = (DiscreteTorus._stack(beta[:, None], n[:, None]).zero_index
+                 + table["offset"][members, :2 * N])
+        assembled.append((members, (H, phi, index, table["color"][members, :2 * N], beta,
+                                    n, kind[members], p[members], M[members])))
     return assembled
+
+
+def _instances(table: dict) -> list:
+    """The table's instances, each through the checked BoundInstance constructor."""
+    insts = [None] * len(table["d"])
+    for members, (H, phi, index, color, beta, n, kind, params, M) in _assemble(table):
+        for i, k in enumerate(members.tolist()):
+            m = int(table["m"][k])
+            insts[k] = BoundInstance(H=HermitianMatrix._trusted(H.matrix[i]),
+                                     torus=DiscreteTorus(beta=float(beta[i]), n=int(n[i])),
+                                     chi=CutoffSpec.of_row(kind[i], params[i]), M=M[i, :m, :m],
+                                     points=list(zip(index[i], phi[i], color[i])))
+    return insts
 
 
 def random_instances(seeds, config: GeneratorConfig) -> list:
@@ -341,19 +469,13 @@ def random_instances(seeds, config: GeneratorConfig) -> list:
     pinned on n/beta.  Each instance is what its seed alone gives, bit for bit:
     what np.random.default_rng(seed) draws, for each seed in [0, 2^64).
     """
-    draws = [_draw(rng, config) for rng in _Stream(seeds)]
-    insts = [None] * len(draws)
-    for members, (H, phi, index, color, beta, n, chi, M) in _assemble(draws):
-        for i, (k, beta_i, n_i) in enumerate(zip(members, beta.tolist(), n.tolist())):
-            insts[k] = BoundInstance(H=HermitianMatrix._trusted(H.matrix[i]),
-                                     torus=DiscreteTorus(beta=beta_i, n=n_i), chi=chi[i],
-                                     M=M[i], points=list(zip(index[i], phi[i], color[i])))
-    return insts
+    return _instances(_decode(seeds, config))
 
 
 def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
-    """Generate one seeded random instance (see random_instances)."""
-    return random_instances([seed], config)[0]
+    """Generate one seeded random instance (see random_instances), from
+    np.random.default_rng(seed) itself."""
+    return _instances(_draw(np.random.default_rng(seed), config))[0]
 
 
 def within_bound(det: complex | np.ndarray, bound: float | np.ndarray) -> np.bool_ | np.ndarray:
@@ -363,16 +485,16 @@ def within_bound(det: complex | np.ndarray, bound: float | np.ndarray) -> np.boo
 
 
 def _generate(ids: range, seeds: list, config: GeneratorConfig) -> tuple:
-    """The draws of the instances ids, from their seeds, and their (d, N) groups
-    (see _assemble).  A generator error, such as a scale too large for the draws
+    """The chunk table of the instances ids, from their seeds, and its (d, N)
+    groups (see _assemble).  A generator error, such as a scale too large for the draws
     or the matrix, names the first instance that fails alone and its seed."""
     try:
-        draws = [_draw(rng, config) for rng in _Stream(seeds)]
-        return draws, _assemble(draws)
+        table = _decode(seeds, config)
+        return table, _assemble(table)
     except (ValueError, OverflowError):
-        for i, seed_i, rng in zip(ids, seeds, _Stream(seeds)):
+        for i, seed_i in zip(ids, seeds):
             try:
-                _assemble([_draw(rng, config)])
+                _assemble(_draw(np.random.default_rng(seed_i), config))
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"instance {i} (seed {seed_i}): {exc}") from None
         raise
@@ -384,11 +506,11 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
     stage = result.stage_s
     seeds = [instance_seed(seed, i) for i in ids]
     t0 = time.perf_counter()
-    draws, groups = _generate(ids, seeds, config)
+    table, groups = _generate(ids, seeds, config)
     stage["generate"] += time.perf_counter() - t0
-    result.pinned += sum(dr.pin is not None for dr in draws)
+    result.pinned += int(np.count_nonzero(table["pin"] >= 0))
     rows = result.checks[ids.start:ids.stop]
-    dets = np.empty(len(draws), dtype=complex)
+    dets = np.empty(len(seeds), dtype=complex)
     for members, arrays in groups:
         t0 = time.perf_counter()
         stack = InstanceStack(*arrays)
@@ -406,8 +528,9 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
         k = int(bad[0])
         raise FloatingPointError(f"instance {ids[k]} (seed {seeds[k]}): "
                                  f"determinant {complex(dets[k])} is not finite")
-    rows[["instance_id", "seed", "d", "m", "N", "n", "beta"]] = [
-        (i, s, dr.d, len(dr.M), dr.N, dr.n, dr.beta) for i, s, dr in zip(ids, seeds, draws)]
+    rows["instance_id"], rows["seed"] = ids, seeds
+    for name in ("d", "m", "N", "n", "beta"):
+        rows[name] = table[name]
     rows["det_re"], rows["det_im"] = dets.real, dets.imag
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from fermicov.mspace import TreeGraph, bk_matrix, quotient_space, random_tree
+from fermicov.mspace import TreeGraph, bk_matrices, bk_matrix, quotient_space, random_tree
 
 from oracles import fine_grid_bk, reference_bk_matrix
 
@@ -159,3 +159,21 @@ def test_bk_bits_match_the_interval_sum():
         M = bk_matrix(g, 0.7)
         assert M.dtype == np.float64 and M.shape == (m, m)
         assert M.tobytes() == reference_bk_matrix(g, 0.7).tobytes()
+
+
+def test_bk_matrices_give_each_graph_its_own_bits():
+    # one stack of general graphs on 6 vertices, 9 edges each: ties, -0.0, weights at
+    # and above t, and t at 0 and 1; each slot is its graph's interval sum alone
+    rng = np.random.default_rng(12)
+    B, m, E = 400, 6, 9
+    edges = np.array([[rng.choice(m, 2, replace=False) for _ in range(E)] for _ in range(B)])
+    weights = np.where(rng.uniform(size=(B, E)) < 0.5, np.round(rng.uniform(size=(B, E)), 1),
+                       rng.uniform(size=(B, E)))
+    weights[rng.uniform(size=(B, E)) < 0.1] = -0.0
+    t = rng.choice([0.0, 1.0, 0.5, *rng.uniform(size=5)], size=B)
+    stack = bk_matrices(m, edges, weights, t)
+    for M, e, w, tb in zip(stack, edges, weights, t.tolist()):
+        g = TreeGraph(m=m, edges=e, weights=w)
+        assert M.tobytes() == reference_bk_matrix(g, tb).tobytes() == bk_matrix(g, tb).tobytes()
+    with pytest.raises(ValueError, match="t must lie in"):
+        bk_matrices(m, edges[:2], weights[:2], np.array([0.5, np.nan]))

@@ -14,7 +14,8 @@ from fermicov.verify import (
     GeneratorConfig,
     _pcg64_states,
     _pick,
-    _Stream,
+    _Words,
+    _ziggurat,
     bound_check_suite,
     instance_seed,
     random_instance,
@@ -177,7 +178,7 @@ def test_pick_replays_rng_choice():
             assert a.integers(0, 2**62) == b.integers(0, 2**62)  # same draws consumed
 
 
-# the stream's seeds: the edges of one and two entropy words and the largest instance seed
+# the lanes' seeds: the edges of one and two entropy words and the largest instance seed
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
 
 
@@ -185,60 +186,124 @@ def test_stream_seeding_is_pcg64s():
     seeds = EDGE_SEEDS + np.random.default_rng(8).integers(0, 2**63 - 1, 10_000).tolist()
     states = [{"state": state, "inc": inc} for state, inc in _pcg64_states(seeds)]
     assert states == [np.random.PCG64(seed).state["state"] for seed in seeds]
-    for seed, rng in zip(EDGE_SEEDS, _Stream(EDGE_SEEDS)):
-        assert rng._bits.state == np.random.PCG64(seed).state
+    rows = _Words(EDGE_SEEDS, 3).rows
+    assert rows.tolist() == [np.random.PCG64(seed).random_raw(3).tolist() for seed in EDGE_SEEDS]
+
+
+def _state_at_cursor(words, lane) -> dict:
+    """The PCG64 state of a lane at its cursor, buffered half included."""
+    return words._numpy(lane, lambda g: g.bit_generator.state)
 
 
 # integer widths around each of numpy's branches: none drawn, 32-bit draws (a
 # full 2^32 takes the raw word), 64-bit draws; 2^31 + 5 and 3 * 2^61 reject often
-WIDTHS = [1, 2, 3, 7, 2**31 + 5, 2**32, 2**32 + 1, 2**40, 3 * 2**61, 2**63]
+WIDTHS = [1, 2, 3, 7, 2**31 + 5, 2**32, 2**32 + 1, 2**40, 3 * 2**61, 2**63 - 1]
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS + [instance_seed(3, 5)])
 def test_stream_replays_the_generator_call_by_call(seed):
-    # interleaved with the other calls, so that the half of a 64-bit word that a
-    # 32-bit draw leaves buffered carries across calls as in numpy
-    rng, ref = next(iter(_Stream([seed]))), np.random.default_rng(seed)
+    # the seed's lane decodes in lockstep with the edge seeds' lanes, each against
+    # its own Generator; the calls interleave, so that the half of a 64-bit word
+    # that a 32-bit draw leaves buffered carries across calls as in numpy
+    seeds = [seed, *EDGE_SEEDS]
+    words, refs = _Words(seeds, 5000), [np.random.default_rng(s) for s in seeds]
+    every = np.arange(len(seeds))
     for step in range(400):
         width = WIDTHS[step % len(WIDTHS)]
-        low = -(2**62) if width == 2**63 else step - 7
-        a, b = rng.integers(low, low + width), ref.integers(low, low + width)
-        assert type(a) is int and a == b
+        low = -(2**62) if width == 2**63 - 1 else step - 7
+        assert words.integers(every, low, width).tolist() == [
+            ref.integers(low, low + width) for ref in refs]
+        # a lane's own width, and none drawn on a lane of width 1
+        lanes = every[step % 2:]
+        lane_widths = (lanes + step) % 9 + 1
+        assert words.integers(lanes, -3, lane_widths).tolist() == [
+            refs[i].integers(-3, w - 3) for i, w in zip(lanes, lane_widths.tolist())]
         if step % 3 == 0:
-            assert _bits(rng.normal(size=(2, step % 4))) == _bits(ref.normal(size=(2, step % 4)))
+            counts = (every + step) % 6  # a block of each lane's size, 0 among them
+            got = words.normals(every, counts)
+            for i, count in enumerate(counts.tolist()):
+                assert _bits(got[i, :count]) == _bits(refs[i].normal(size=count))
         if step % 5 == 0:
-            assert _bits(rng.random()) == _bits(ref.random())
+            got = words.doubles(every, 3)
+            for i, ref in enumerate(refs):
+                assert _bits(got[i]) == _bits(ref.random(3))
         if step % 2 == 0:
-            low, high = -1.5 * step, 0.1 + step / 7
-            a, b = rng.uniform(low, high), ref.uniform(low, high)
-            assert type(a) is float and _bits(a) == _bits(b)
-            # one call per weight draws what a Generator draws in one sized call
-            size = step % 4
-            assert (_bits([rng.uniform(0.0, 1.0) for _ in range(size)])
-                    == _bits(ref.uniform(0.0, 1.0, size=size)))
-    # numpy integers as bounds take the same draws
-    assert rng.integers(np.int64(-5), np.int64(2**62)) == ref.integers(-5, 2**62)
-    assert rng._bits.state == ref.bit_generator.state
+            low, high = -1.5 * step - every, 0.1 + step / 7 + every
+            got = words.uniform(every, low, high)
+            assert _bits(got) == _bits([ref.uniform(a, b) for ref, a, b in
+                                        zip(refs, low.tolist(), high.tolist())])
+    for i, ref in enumerate(refs):
+        assert _state_at_cursor(words, i) == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("low, high", [(0.0, -0.0), (1.0, 0.5), (-1e308, 1e308),
                                        (0.0, float("nan")), (float("inf"), float("inf"))])
 def test_stream_uniform_raises_as_numpy(low, high):
-    rng, ref = next(iter(_Stream([0]))), np.random.default_rng(0)
+    words, ref = _Words([0, 1], 4), np.random.default_rng(0)
     with pytest.raises((ValueError, OverflowError)) as expected:
         ref.uniform(low, high)
     with pytest.raises(expected.type, match=f"^{expected.value}$"):
-        rng.uniform(low, high)
-    assert rng._bits.state == ref.bit_generator.state  # nothing drawn
+        words.uniform(np.arange(2), np.array([0.0, low]), np.array([1.0, high]))
+    assert words.cur.tolist() == [0, 0]  # nothing drawn
 
 
 @pytest.mark.parametrize("low, high", [(0, 0), (0, -3), (5, 5), (5, 2)])
 def test_stream_integers_below_width_one_raise_as_numpy(low, high):
-    rng, ref = next(iter(_Stream([0]))), np.random.default_rng(0)
+    ref = np.random.default_rng(0)
     with pytest.raises(ValueError) as expected:
         ref.integers(low, high)
     with pytest.raises(ValueError, match=f"^{expected.value}$"):
-        rng.integers(low, high)
+        _Words([0], 4).integers(np.arange(1), low, high - low)
+
+
+def test_ziggurat_tables_are_numpys():
+    # a crafted state whose next word is (rabs << 9) | (sign << 8) | idx: numpy's
+    # normal() takes that one word, and gives +-rabs * wi[idx], on each layer at
+    # rabs = 1 and at the last rabs below the lower bound ki, with both signs
+    wi, ki = _ziggurat()
+    bits = np.random.PCG64(0)
+    normal, inc = np.random.Generator(bits).normal, bits.state["state"]["inc"]
+    assert ki[1] == 0 and (ki[[0, *range(2, 256)]] > 2**50).all()  # layer 1: no fast path
+    for idx in [0, *range(2, 256)]:
+        for rabs in (1, int(ki[idx]) - 1):
+            for sign in (0, 1):
+                state = ((rabs << 9 | sign << 8 | idx) - inc) * verify._PCG_INV % 2**128
+                bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                              "has_uint32": 0, "uinteger": 0}
+                value = normal()
+                assert bits.state["state"]["state"] == (state * verify._PCG_MULT + inc) % 2**128
+                assert _bits(value) == _bits((-1.0 if sign else 1.0) * rabs * wi[idx] + 0.0)
+                words = _Words([0], 1)
+                words.rows[0, 0] = rabs << 9 | sign << 8 | idx
+                assert _bits(words.normals(np.arange(1), 1)[0, 0]) == _bits(value)
+
+
+@pytest.mark.parametrize("count, config, branch", [
+    # about half of the offset draws fail Lemire's first test
+    (300, GeneratorConfig(n_choices=(2147483654,)), "integers"),
+    (300, GeneratorConfig(n_choices=(2, 4611686018427387902)), "integers"),  # 64-bit draws
+    (120, GeneratorConfig(d_max=8, m_max=4, N_max=20, n_choices=(64,)), "normal"),
+    (300, GeneratorConfig(m_max=9), "normal"),  # BK trees with up to 8 edges
+], ids=["lemire-rejections", "64-bit", "normal-repairs", "bk-8-edges"])
+def test_random_instances_match_the_reference_on_each_rare_branch(
+        monkeypatch, count, config, branch):
+    decided = []  # the draws that numpy decided, by kind
+    numpy_call = _Words._numpy
+
+    def counted(words, lane, call):
+        value = numpy_call(words, lane, call)
+        decided.append("integers" if isinstance(value, np.integer) else "normal")
+        return value
+
+    monkeypatch.setattr(_Words, "_numpy", counted)
+    seeds = [instance_seed(23, i) for i in range(count)]
+    insts = random_instances(seeds, config)
+    monkeypatch.undo()
+    assert decided.count(branch) >= 20
+    for seed, inst in zip(seeds, insts):
+        _assert_same_instance(inst, reference_instance(seed, config)[0])
+    if config.m_max == 9:
+        assert any(inst.m == 9 and np.all(np.diag(inst.M) == inst.M.max()) for inst in insts)
 
 
 def test_zero_cutoff_gives_zero_det():
