@@ -45,7 +45,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # witness on one mode with N colors, whose memory grows as N^2; bound-check also at
 # m <= 9, whose BK trees draw up to 8 edges and weights, and with four beta choices;
 # and at n = 2147483654, where about half of the offset draws fail the first test of
-# numpy's Lemire rule and numpy's own rejection loop decides them
+# numpy's Lemire rule and numpy's own rejection loop decides them; modular-verify
+# also with no Hoelder check, where min_slack is 0.0, and with 1200 chains, whose
+# check names run to 16 characters and more; sharpness also at N = 500, 1000, 2000,
+# where the closed-form check fails on rounding over N factors (exit 1)
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -70,6 +73,9 @@ ACCEPTANCE = (
     ("sharpness --N-list 1,256", 0),
     ("bound-check --count 500 --seed 9 --m-max 9 --beta-choices 0.3,0.7,1.1,5", 0),
     ("bound-check --count 300 --seed 11 --n-choices 2147483654", 0),
+    ("modular-verify --states 2 --chains 0 --pairs 0", 0),
+    ("modular-verify --states 1 --chains 1200 --pairs 0 --modes 2", 0),
+    ("sharpness --N-list 500,1000,2000", 1),
 )
 
 

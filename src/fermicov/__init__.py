@@ -32,19 +32,22 @@ from fermicov.car_fock import (
     expect_monomial,
     quasifree_modes,
     wick_determinant,
+    wick_suite,
 )
 from fermicov.modular import (
     determinant_representation,
     modular_power,
+    modular_suite,
     schatten_norm,
     tube_chain,
 )
 from fermicov.verify import (
+    SHARPNESS,
     BoundSuiteResult,
-    SharpnessReport,
     bound_check_suite,
     sharpness_sweep,
     universal_bound_estimate,
+    witness_pass,
 )
 
 __version__ = "0.1.0"

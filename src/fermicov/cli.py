@@ -21,36 +21,27 @@ import os
 import sys
 import tempfile
 import time
-from itertools import islice, permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from fermicov.car_fock import (
-    FOCK_CAP,
-    FockSpace,
-    expect_monomial,
-    monomial_block,
-    quasifree_modes,
-    wick_determinant,
-)
+from fermicov.car_fock import FOCK_CAP, wick_suite
 from fermicov.covariance import KernelEval, decay_parameter, kernel_g
-from fermicov.modular import modular_power, schatten_norm, tube_chain
+from fermicov.modular import modular_suite
 from fermicov.mspace import TreeGraph, bk_matrix, random_tree
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
 from fermicov.torus import N_CAP, DiscreteTorus
 from fermicov.verify import (
+    SHARPNESS_CSV,
+    UNIVERSAL_CSV,
     GeneratorConfig,
     bound_check_suite,
     sharpness_sweep,
     universal_bound_estimate,
+    witness_pass,
 )
 
 SCHEMA_LINE = "# fermicov-schema v1"
-
-# modular-verify flows X on a principal block of at most this many occupation
-# patterns; Delta^z acts entry by entry, so the block's flow is the flow's block
-FLOW_BLOCK = 64
 
 
 class ConfigError(Exception):
@@ -60,9 +51,7 @@ class ConfigError(Exception):
 class Outcome(NamedTuple):
     """What one suite found; `main` writes it as CSV, JSON summary and exit code."""
 
-    header: list
-    rows: list
-    count: int
+    records: np.ndarray  # the CSV, a row per record; the count unless extra sets one
     failures: list
     min_slack: float
     message: str
@@ -70,17 +59,11 @@ class Outcome(NamedTuple):
 
 
 def fmt(x) -> str:
-    """Round-trip-safe text for one CSV cell."""
-    if type(x) is float:  # the common cells first; a bool is not of type int
+    """Round-trip-safe text for one CSV cell, a Python scalar of `.tolist()`."""
+    if type(x) is float:
         return f"{x:.17g}"
-    if type(x) is int:
-        return str(x)
-    if isinstance(x, (bool, np.bool_)):
+    if type(x) is bool:
         return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
     return str(x)
 
 
@@ -97,9 +80,9 @@ def atomic_write(path: str, text: str):
         raise
 
 
-def write_csv(path: str, header: list, rows: list):
-    lines = [SCHEMA_LINE, ",".join(header)]
-    lines += [",".join(map(fmt, row)) for row in rows]
+def write_csv(path: str, records: np.ndarray):
+    lines = [SCHEMA_LINE, ",".join(records.dtype.names)]
+    lines += [",".join(map(fmt, row)) for row in records.tolist()]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -177,7 +160,8 @@ def cmd_kernel(args) -> Outcome:
     torus = DiscreteTorus(beta=args.beta, n=args.n)
     lam = torus.rate if args.lam == "singular" else args.lam
     ker = kernel_g(lam, torus, eta=args.eta)
-    rows = [(i, torus.alpha(i), g) for i, g in zip(torus.indices.tolist(), ker.values.tolist())]
+    table = np.rec.fromarrays([torus.indices, torus.alpha(torus.indices), ker.values],
+                              names="index,alpha,g")
     singular, _, sign = rate_terms(lam, torus)
     if args.eta is not None and singular:
         # on the singular band a finite eta tabulates the kernel of the eigenvalue
@@ -188,7 +172,7 @@ def cmd_kernel(args) -> Outcome:
     tol = 1e-9 * torus.rate
     ok = residual <= tol
     return Outcome(
-        ["index", "alpha", "g"], rows, torus.size, [] if ok else [0], tol - residual,
+        table, [] if ok else [0], tol - residual,
         f"kernel lam={lam:g} residual={residual:.3e} ({'ok' if ok else 'FAIL'})",
         {"lam": lam, "residual": residual},
     )
@@ -205,7 +189,7 @@ def cmd_bound_check(args) -> Outcome:
     failures = checks["seed"][~checks["pass"]].tolist()
     min_slack = float(checks["slack"].min())
     return Outcome(
-        list(checks.dtype.names), checks.tolist(), args.count, failures, min_slack,
+        checks, failures, min_slack,
         f"bound-check: {args.count} instances, {len(failures)} failures, "
         f"min slack {min_slack:.3e}",
         result.summary(),
@@ -213,89 +197,22 @@ def cmd_bound_check(args) -> Outcome:
 
 
 def cmd_wick_verify(args) -> Outcome:
-    rng = np.random.default_rng(args.seed)
-    D, draws = args.modes, args.draws
-    fock = FockSpace(D)
-    rows = []
-    for N in range(1, args.N_max + 1):
-        block = max(1, monomial_block(fock, 2 * N) // draws)  # permutations per stack
-        orders, start = permutations(range(2 * N)), len(rows)
-        while chunk := list(islice(orders, block)):
-            perms = np.repeat(chunk, draws, axis=0)
-            # one draw after another from one stream: A (real, imaginary), then 2N vectors
-            z = rng.normal(size=(len(perms), 2 * D * D + 4 * N * D))
-            A = z[:, :D * D].reshape(-1, D, D) + 1j * z[:, D * D:2 * D * D].reshape(-1, D, D)
-            v = z[:, 2 * D * D:].reshape(-1, 2 * N, 2, D)
-            vecs = v[:, :, 0] + 1j * v[:, :, 1]
-            V, logp, symbol = quasifree_modes(A, beta=1.0)
-            in_modes = (V.conj().mT[:, None] @ vecs[..., None])[..., 0]
-            direct = expect_monomial(fock, logp, in_modes, perms, N).tolist()
-            det = wick_determinant(symbol, vecs, perms).tolist()
-            errors = [abs(d - w) / max(abs(d), 1e-12) for d, w in zip(direct, det)]
-            # criterion 03's rule: relative where the value is not tiny, absolute where
-            # it is, since a monomial such as a+ a+ vanishes exactly
-            passed = [abs(d - w) <= (1e-10 * abs(d) if abs(d) > 1e-6 else 1e-12)
-                      for d, w in zip(direct, det)]
-            for i in range(len(chunk)):
-                mine = slice(i * draws, (i + 1) * draws)
-                rows.append((N, len(rows) - start, max(0.0, *errors[mine]), all(passed[mine])))
-    failures = [args.seed for *_, ok in rows if not ok]
-    return Outcome(
-        ["N", "perm_id", "max_rel_err", "pass"], rows, len(rows), failures, 0.0,
-        f"wick-verify: {len(rows)} permutations checked, {len(failures)} failures",
-    )
+    perms = wick_suite(args.modes, args.N_max, args.draws, args.seed)
+    failures = perms[["N", "perm_id"]][~perms["pass"]].tolist()
+    return Outcome(perms, failures, 0.0, f"wick-verify: {len(perms)} permutations checked, "
+                   f"{len(failures)} failures")
 
 
 def cmd_modular_verify(args) -> Outcome:
     if args.states == 0 and args.pairs == 0:
         raise ConfigError("modular-verify needs --states or --pairs above 0 to check anything")
-    rng = np.random.default_rng(args.seed)
-    rows, min_slack = [], np.inf
-    for s in range(args.states):
-        modes = int(rng.integers(2, args.modes + 1))
-        A = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
-        beta = float(rng.uniform(0.5, 2.0))
-        V, logp, _ = quasifree_modes(A, beta)
-        fock = FockSpace(modes)
-        block = (np.arange(fock.dim) if fock.dim <= FLOW_BLOCK
-                 else np.sort(rng.choice(fock.dim, FLOW_BLOCK, replace=False)))
-        eta = np.diag(np.exp(logp[block] / 2))
-        fixed = modular_power(logp[block], rng.uniform(-1, 1), eta)
-        fixed_err = float(np.max(np.abs(fixed - eta)))
-        X = rng.normal(size=(block.size,) * 2) + 1j * rng.normal(size=(block.size,) * 2)
-        flowed = modular_power(logp[block], 1j * rng.uniform(-3, 3), X)
-        iso_err = abs(float(np.linalg.norm(flowed)) - float(np.linalg.norm(X)))
-        rows.append((s, "fixed_point", fixed_err, fixed_err <= 1e-12))
-        rows.append((s, "isometry", iso_err, iso_err <= 1e-10))
-        for c in range(args.chains):
-            Nc = int(rng.integers(1, 5))
-            raw = rng.uniform(0, 1, size=Nc)
-            re = raw / raw.sum() * rng.uniform(0, 0.5) * beta
-            zs = re + 1j * rng.normal(size=Nc)
-            chain, prod = [], 1.0
-            for z in zs:
-                psi = rng.normal(size=modes) + 1j * rng.normal(size=modes)
-                chain.append((z, (V.conj().T @ psi, rng.uniform() < 0.5)))
-                prod *= np.linalg.norm(psi)
-            slack = prod - tube_chain(fock, logp, beta, chain).norm()
-            min_slack = min(min_slack, slack)
-            rows.append((s, f"holder_chain_{c}", slack, slack >= -1e-10))
-    for _ in range(args.pairs):
-        dim = int(rng.integers(2, 9))
-        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        B = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        r = float(rng.uniform(1, 4))
-        u = float(rng.uniform(0.05, 0.95))
-        s1, s2 = r / u, r / (1.0 - u)
-        slack = schatten_norm(A, s1) * schatten_norm(B, s2) - schatten_norm(A @ B, r)
-        min_slack = min(min_slack, slack)
-        rows.append((-1, "holder_schatten", slack, slack >= -1e-10))
-    failures = [args.seed] if any(not row[3] for row in rows) else []
-    return Outcome(
-        ["state", "check", "value", "pass"], rows, len(rows), failures,
-        float(min_slack) if np.isfinite(min_slack) else 0.0,
-        f"modular-verify: {len(rows)} checks, {len(failures)} failures",
-    )
+    checks = modular_suite(args.states, args.chains, args.pairs, args.modes, args.seed)
+    failures = checks[["state", "check"]][~checks["pass"]].tolist()
+    # the least slack of the Hoelder checks; fmin skips a nan, whose check fails anyway
+    holder = np.char.startswith(checks["check"].astype(str), "holder_")
+    min_slack = float(np.fmin.reduce(checks["value"][holder], initial=np.inf))
+    return Outcome(checks, failures, min_slack if np.isfinite(min_slack) else 0.0,
+                   f"modular-verify: {len(checks)} checks, {len(failures)} failures")
 
 
 def cmd_bk_matrix(args) -> Outcome:
@@ -309,50 +226,39 @@ def cmd_bk_matrix(args) -> Outcome:
     M = bk_matrix(graph, args.t)
     min_eig = float(np.linalg.eigvalsh(M).min())
     return Outcome(
-        ["row"] + [f"col{j}" for j in range(args.m)],
-        [(k,) + tuple(M[k]) for k in range(args.m)],
-        1, [] if min_eig >= -1e-10 else [args.seed], min_eig,
+        np.rec.fromarrays([np.arange(args.m), *M.T],
+                          names=["row"] + [f"col{j}" for j in range(args.m)]),
+        [] if min_eig >= -1e-10 else [args.seed], min_eig,
         f"bk-matrix: m={args.m} t={args.t:g} min eigenvalue {min_eig:.3e}",
+        {"count": 1},  # one check, positive semidefiniteness, over the m rows
     )
 
 
 def cmd_sharpness(args) -> Outcome:
-    reports = sharpness_sweep(args.epsilon, args.beta, args.N_list)
-    rows = [
-        (r.epsilon, r.beta, r.lam, r.n, r.N, abs(r.det), r.closed_form,
-         r.lower_bound, r.kernel_at_zero)
-        for r in reports
-    ]
-    failures = [r.N for r in reports if not r.passed]
+    witnesses = sharpness_sweep(args.epsilon, args.beta, args.N_list)
+    failures = witnesses["N"][~witness_pass(witnesses)].tolist()
     return Outcome(
-        ["epsilon", "beta", "lam", "n", "N", "det_abs", "closed_form",
-         "lower_bound", "kernel_at_zero"],
-        rows, len(reports), failures, 0.0,
-        f"sharpness eps={args.epsilon:g}: lam={reports[0].lam:.6g} n={reports[0].n}, "
-        f"{len(failures)} failures",
+        witnesses[SHARPNESS_CSV], failures, 0.0,
+        f"sharpness eps={args.epsilon:g}: lam={witnesses['lam'][0]:.6g} "
+        f"n={witnesses['n'][0]}, {len(failures)} failures",
     )
 
 
 def cmd_universal(args) -> Outcome:
     result = bound_check_suite(args.count, GeneratorConfig(), seed=args.seed)
-    sharp = []
-    for eps in args.epsilon_list:
-        sharp += sharpness_sweep(eps, args.beta)
+    sharp = np.concatenate([sharpness_sweep(eps, args.beta) for eps in args.epsilon_list])
     lower = universal_bound_estimate(sharp)
-    rows = [
-        (r.epsilon, r.N, r.n, r.lam, abs(r.det), r.det_abs ** (1.0 / (2 * r.N)))
-        for r in sharp
-    ]
     violations = result.checks["seed"][~result.checks["pass"]].tolist()
     # a witness is named by its epsilon and N, as sharpness names it by N
-    witnesses = [f"witness epsilon={r.epsilon:g} N={r.N}" for r in sharp if not r.passed]
+    witnesses = [f"witness epsilon={eps:g} N={N}"
+                 for eps, N in sharp[["epsilon", "N"]][~witness_pass(sharp)].tolist()]
     return Outcome(
-        ["epsilon", "N", "n", "lam", "det_abs", "per_factor_estimate"], rows,
-        args.count, violations + witnesses, 0.0,
+        sharp[UNIVERSAL_CSV], violations + witnesses, 0.0,
         f"universal bracket: [{lower:.6f}, 1.0] "
         f"({len(violations)} bound violations in {args.count} instances, "
         f"{len(witnesses)} witness failures)",
         {
+            "count": args.count,  # the bound checks, not the witness rows
             "bracket_lower": lower,
             "bracket_upper": 1.0,
             "violations": len(violations),
@@ -374,8 +280,9 @@ def cmd_decay(args) -> Outcome:
         raise ConfigError(f"--chi {args.chi}: {exc}") from None
     value = decay_parameter(S, chi, torus)
     return Outcome(
-        ["beta", "n", "d", "decay_snapshot"], [(args.beta, args.n, len(diag), value)],
-        1, [], 0.0, f"decay snapshot (n={args.n}, no limit taken): {value:.12g}",
+        np.rec.fromrecords([(args.beta, args.n, len(diag), value)],
+                           names="beta,n,d,decay_snapshot"),
+        [], 0.0, f"decay snapshot (n={args.n}, no limit taken): {value:.12g}",
     )
 
 
@@ -504,10 +411,10 @@ def main(argv: list | None = None) -> int:
         args = build_parser().parse_args(unknown + _with_config(known.config, known.rest))
         t0 = time.perf_counter()
         out = args.func(args)
-        write_csv(args.out, out.header, out.rows)
+        write_csv(args.out, out.records)
         summary = {
             "suite": args.subcommand,
-            "count": out.count,
+            "count": len(out.records),
             "failures": out.failures,
             "min_slack": out.min_slack,
             **out.extra,

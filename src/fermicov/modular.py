@@ -33,7 +33,8 @@ import warnings
 
 import numpy as np
 
-from fermicov.car_fock import FockChain, FockSpace, permutation_sign, quasifree_log_weights
+from fermicov.car_fock import (FockChain, FockSpace, permutation_sign, quasifree_log_weights,
+                               quasifree_modes)
 from fermicov.covariance import BoundInstance
 from fermicov.mspace import quotient_space
 from fermicov.spectral import rate_terms
@@ -44,9 +45,17 @@ __all__ = [
     "schatten_norm",
     "time_order",
     "determinant_representation",
+    "MODULAR_CHECK",
+    "modular_suite",
 ]
 
 OVERFLOW_LOG = 690.0  # log(1e300)
+# modular_suite flows X on a principal block of at most this many occupation
+# patterns; Delta^z acts entry by entry, so the block's flow is the flow's block
+FLOW_BLOCK = 64
+# the modular-verify CSV's columns; an object check, as a fixed width cuts long names
+MODULAR_CHECK = np.dtype([("state", np.int64), ("check", object), ("value", float),
+                          ("pass", bool)])
 
 
 def modular_power(logp: np.ndarray, z: complex, X: np.ndarray) -> np.ndarray:
@@ -214,3 +223,52 @@ def determinant_representation(inst: BoundInstance, eta: float) -> complex:
     target = min(len(left), len(right))  # the masks both half chains reach
     return _rep_sign(tuple(placement), N) * tube_chain(fock, logp, beta, left, target).vdot(
         tube_chain(fock, logp, beta, right, target))
+
+
+def modular_suite(states: int, chains: int, pairs: int, modes: int, seed: int) -> np.ndarray:
+    """One MODULAR_CHECK record per seeded check: for each random quasi-free state
+    of 2..modes modes, Delta^z eta = eta to 1e-12 (fixed_point) and Delta^(it)
+    keeping the HS norm to 1e-10 (isometry), on a block of FLOW_BLOCK patterns at
+    most, then the slack of each Hoelder tube chain (holder_chain_<c>); then the
+    slack of each Schatten Hoelder pair (holder_schatten, state -1).  A slack
+    passes at >= -1e-10."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for s in range(states):
+        D = int(rng.integers(2, modes + 1))
+        A = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        beta = float(rng.uniform(0.5, 2.0))
+        V, logp, _ = quasifree_modes(A, beta)
+        fock = FockSpace(D)
+        block = (np.arange(fock.dim) if fock.dim <= FLOW_BLOCK
+                 else np.sort(rng.choice(fock.dim, FLOW_BLOCK, replace=False)))
+        eta = np.diag(np.exp(logp[block] / 2))
+        fixed = modular_power(logp[block], rng.uniform(-1, 1), eta)
+        fixed_err = float(np.max(np.abs(fixed - eta)))
+        X = rng.normal(size=(block.size,) * 2) + 1j * rng.normal(size=(block.size,) * 2)
+        flowed = modular_power(logp[block], 1j * rng.uniform(-3, 3), X)
+        iso_err = abs(float(np.linalg.norm(flowed)) - float(np.linalg.norm(X)))
+        rows.append((s, "fixed_point", fixed_err, fixed_err <= 1e-12))
+        rows.append((s, "isometry", iso_err, iso_err <= 1e-10))
+        for c in range(chains):
+            Nc = int(rng.integers(1, 5))
+            raw = rng.uniform(0, 1, size=Nc)
+            re = raw / raw.sum() * rng.uniform(0, 0.5) * beta
+            zs = re + 1j * rng.normal(size=Nc)
+            chain, prod = [], 1.0
+            for z in zs:
+                psi = rng.normal(size=D) + 1j * rng.normal(size=D)
+                chain.append((z, (V.conj().T @ psi, rng.uniform() < 0.5)))
+                prod *= np.linalg.norm(psi)
+            slack = prod - tube_chain(fock, logp, beta, chain).norm()
+            rows.append((s, f"holder_chain_{c}", slack, slack >= -1e-10))
+    for _ in range(pairs):
+        dim = int(rng.integers(2, 9))
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        B = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        r = float(rng.uniform(1, 4))
+        u = float(rng.uniform(0.05, 0.95))
+        s1, s2 = r / u, r / (1.0 - u)
+        slack = schatten_norm(A, s1) * schatten_norm(B, s2) - schatten_norm(A @ B, r)
+        rows.append((-1, "holder_schatten", slack, slack >= -1e-10))
+    return np.array(rows, dtype=MODULAR_CHECK)

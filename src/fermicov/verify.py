@@ -30,13 +30,14 @@ __all__ = [
     "GeneratorConfig",
     "CHECK",
     "BoundSuiteResult",
-    "SharpnessReport",
+    "SHARPNESS",
     "random_instance",
     "random_instances",
     "instance_seed",
     "within_bound",
     "bound_check_suite",
     "sharpness_sweep",
+    "witness_pass",
     "universal_bound_estimate",
 ]
 
@@ -51,6 +52,14 @@ CHECK = np.dtype([("instance_id", np.int64), ("seed", np.int64), ("d", np.int64)
                   ("m", np.int64), ("N", np.int64), ("n", np.int64), ("beta", float),
                   ("det_re", float), ("det_im", float), ("det_abs", float), ("bound", float),
                   ("slack", float), ("pass", bool)])
+# one sharpness witness: the sharpness CSV's columns, then its det, bound and |det|^(1/2N);
+# SHARPNESS_CSV and UNIVERSAL_CSV name the fields of the sharpness and universal CSVs
+SHARPNESS = np.dtype([("epsilon", float), ("beta", float), ("lam", float), ("n", np.int64),
+                      ("N", np.int64), ("det_abs", float), ("closed_form", float),
+                      ("lower_bound", float), ("kernel_at_zero", float), ("det", complex),
+                      ("bound", float), ("per_factor_estimate", float)])
+SHARPNESS_CSV = list(SHARPNESS.names[:9])
+UNIVERSAL_CSV = ["epsilon", "N", "n", "lam", "det_abs", "per_factor_estimate"]
 
 
 @dataclass
@@ -98,34 +107,6 @@ class BoundSuiteResult:
     def summary(self) -> dict:
         """Every field but the checks: JSON summary keys, which the CSV never carries."""
         return {key: value for key, value in vars(self).items() if key != "checks"}
-
-
-@dataclass
-class SharpnessReport:
-    """One sharpness witness: |det| >= (1 - eps)^(2N) at the found (lam, n)."""
-
-    epsilon: float
-    beta: float
-    lam: float
-    n: int
-    N: int
-    det: complex
-    closed_form: float
-    lower_bound: float
-    bound: float
-    kernel_at_zero: float
-
-    @property
-    def det_abs(self) -> float:
-        return abs(self.det)
-
-    @property
-    def passed(self) -> bool:
-        """The witness's verdict: det agrees with its closed form and |det| reaches
-        (1 - eps)^(2N), each to a relative 1e-12, and the bound holds (within_bound)."""
-        return bool(abs(self.det - self.closed_form) <= 1e-12 * abs(self.closed_form)
-                    and self.det_abs >= self.lower_bound * (1.0 - 1e-12)
-                    and within_bound(self.det, self.bound))
 
 
 def instance_seed(root_seed: int, instance_id: int) -> int:
@@ -575,10 +556,10 @@ def sharpness_sweep(
     epsilon: float,
     beta: float,
     N_list: tuple = (1, 2, 4, 8),
-) -> list:
-    """Find (lam < 0, n) with g_lam(0) >= 1 - epsilon, then report one witness per
-    N, H = [[lam]] on one mode with N orthonormal colors (M = I_N): its
-    covariance_det next to the closed form, judged by SharpnessReport.passed.
+) -> np.ndarray:
+    """Find (lam < 0, n) with g_lam(0) >= 1 - epsilon, then return one SHARPNESS
+    witness per N, H = [[lam]] on one mode with N orthonormal colors (M = I_N): its
+    covariance_det next to the closed form, judged by witness_pass.
 
     The kernel value g_lam(0) = 1/(x (1 + x^-n)) with x = 1 - beta lam / n is
     unimodal in x > 1 with maximum at x = (n-1)^(1/n); n is doubled from 4 up
@@ -611,32 +592,39 @@ def sharpness_sweep(
             lo = mid
     lam = -hi
 
-    reports = []
-    for N in N_list:
+    witnesses = np.empty(len(N_list), dtype=SHARPNESS)
+    for i, N in enumerate(N_list):
         points = [(torus.zero_index, [1.0], k) for k in range(N)] * 2
         inst = BoundInstance(H=HermitianMatrix(np.array([[lam]])), torus=torus,
                              chi=CutoffSpec.one(), M=np.eye(N), points=points)
         det = covariance_det(inst)
         x = 1.0 - lam / torus.rate
         closed = x ** (-N) * (1.0 + abs(x) ** (-n)) ** (-N)
-        reports.append(SharpnessReport(
-            epsilon=epsilon, beta=beta, lam=lam, n=n, N=N, det=det, closed_form=closed,
-            lower_bound=(1.0 - epsilon) ** (2 * N), bound=instance_bound(inst),
-            kernel_at_zero=_kernel_at_zero(lam, torus),
-        ))
-    return reports
+        # Python scalar powers: an array pow may not give these bits
+        witnesses[i] = (epsilon, beta, lam, n, N, abs(det), closed, (1.0 - epsilon) ** (2 * N),
+                        _kernel_at_zero(lam, torus), det, instance_bound(inst),
+                        abs(det) ** (1.0 / (2 * N)))
+    return witnesses
 
 
-def universal_bound_estimate(sharpness_reports: list) -> float:
+def witness_pass(witnesses: np.ndarray) -> np.ndarray:
+    """Each SHARPNESS witness's verdict: det agrees with its closed form and |det| reaches
+    (1 - eps)^(2N), each to a relative 1e-12, and within_bound; |z| as abs() takes it."""
+    off = witnesses["det"] - witnesses["closed_form"]
+    return ((np.hypot(off.real, off.imag) <= 1e-12 * np.abs(witnesses["closed_form"]))
+            & (witnesses["det_abs"] >= witnesses["lower_bound"] * (1.0 - 1e-12))
+            & within_bound(witnesses["det"], witnesses["bound"]))
+
+
+def universal_bound_estimate(witnesses: np.ndarray) -> float:
     """The lower edge of the bracket [lower, 1] for the best universal per-factor constant.
 
-    The maximum over sharpness witnesses of |det|^(1/2N) normalized by the
+    The maximum over SHARPNESS witnesses of |det|^(1/2N) normalized by the
     per-factor bound; the upper edge 1 is backed by the bound suite.  As the
     family's bound is 1.0, lower is at least 1 - epsilon - 1e-12 unless a witness
-    at the smallest epsilon fails, and its report says so.
+    at the smallest epsilon fails, and witness_pass says so.
     """
-    if not sharpness_reports:
+    if not len(witnesses):
         raise ValueError("the sharpness suite must be nonempty")
-    return max(0.0, *(rep.det_abs ** (1.0 / (2 * rep.N))
-                      / (rep.bound ** (1.0 / (2 * rep.N)) if rep.bound > 0 else 1.0)
-                      for rep in sharpness_reports))
+    return max(0.0, *(per / (bound ** (1.0 / (2 * N)) if bound > 0 else 1.0) for per, bound, N
+                      in witnesses[["per_factor_estimate", "bound", "N"]].tolist()))

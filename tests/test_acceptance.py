@@ -255,10 +255,9 @@ def test_criterion_07_sharpness_and_universal_bracket():
                     assert abs(det - closed) <= 1e-12 * abs(closed)
     # sweeps bracket the universal constant
     for eps in (0.1, 0.01):
-        reports = sharpness_sweep(eps, beta=1.0, N_list=(1, 2, 4, 8))
-        for rep in reports:
-            assert rep.det_abs >= (1.0 - eps) ** (2 * rep.N) - 1e-12
-            lower = rep.det_abs ** (1.0 / (2 * rep.N))
+        for w in sharpness_sweep(eps, beta=1.0, N_list=(1, 2, 4, 8)):
+            assert w["det_abs"] >= (1.0 - eps) ** (2 * w["N"]) - 1e-12
+            lower = w["det_abs"] ** (1.0 / (2 * w["N"]))
             assert lower >= 1.0 - eps - 1e-6
             assert lower <= 1.0 + 1e-12
     budget.check()

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermicov import car_fock, verify
+from fermicov import car_fock, modular, verify
 from fermicov.cli import fmt, main
 from fermicov.mspace import bk_matrix, random_tree
 from fermicov.spectral import rate_terms
@@ -404,14 +404,12 @@ def test_modular_verify_keeps_bytes_on_either_field_strategy(tmp_path, monkeypat
     assert csvs[0] == csvs[1] == csvs[2]
 
 
-def test_wick_verify_rows_replay_one_draw_at_a_time(tmp_path):
+def test_wick_verify_rows_replay_one_draw_at_a_time():
     # the stacked draws are the stream of one draw after another: A (real, then
     # imaginary), then each of the 2N vectors (real, then imaginary)
     from fermicov.car_fock import FockSpace, expect_monomial, quasifree_modes, wick_determinant
 
-    assert run(tmp_path, "wick-verify", "--N-max", "1", "--modes", "3", "--draws", "2",
-               "--seed", "5", "--out", "w.csv") == 0
-    rows = [line.split(",") for line in (tmp_path / "w.csv").read_text().splitlines()[2:]]
+    rows = car_fock.wick_suite(modes=3, N_max=1, draws=2, seed=5).tolist()
     rng = np.random.default_rng(5)
     for perm_id, perm in enumerate([(0, 1), (1, 0)]):
         worst = 0.0
@@ -423,7 +421,29 @@ def test_wick_verify_rows_replay_one_draw_at_a_time(tmp_path):
             direct = complex(expect_monomial(FockSpace(3), logp, in_modes, perm, 1))
             det = complex(wick_determinant(symbol, vecs, perm))
             worst = max(worst, abs(direct - det) / max(abs(direct), 1e-12))
-        assert rows[perm_id][:3] == ["1", str(perm_id), f"{worst:.17g}"]
+        assert [fmt(cell) for cell in rows[perm_id][:3]] == ["1", str(perm_id), f"{worst:.17g}"]
+
+
+def test_wick_verify_lists_each_failing_permutation(tmp_path, monkeypatch, capsys):
+    # a Wick determinant off by a relative 1e-6 fails every draw of every permutation
+    det = car_fock.wick_determinant
+    monkeypatch.setattr(car_fock, "wick_determinant",
+                        lambda symbol, vecs, perm: det(symbol, vecs, perm) * (1 + 1e-6))
+    assert run(tmp_path, "wick-verify", "--N-max", "2", "--modes", "3", "--out", "w.csv") == 1
+    failures = json.loads((tmp_path / "w.json").read_text())["failures"]
+    assert failures == [[1, 0], [1, 1]] + [[2, k] for k in range(24)]
+    assert "26 failures" in capsys.readouterr().out
+
+
+def test_modular_verify_lists_each_failing_check(tmp_path, monkeypatch, capsys):
+    # a "norm" 1/s gives every Schatten pair (r >= 1, s1 = r/u, s2 = r/(1-u)) the slack
+    # u(1-u)/r^2 - 1/r < 0: the 5 holder_schatten checks fail, and no other check
+    monkeypatch.setattr(modular, "schatten_norm", lambda X, s: 1.0 / s)
+    assert run(tmp_path, "modular-verify", "--states", "1", "--chains", "2", "--pairs", "5",
+               "--out", "m.csv") == 1
+    summary = json.loads((tmp_path / "m.json").read_text())
+    assert summary["failures"] == [[-1, "holder_schatten"]] * 5
+    assert "5 failures" in capsys.readouterr().out
 
 
 def test_universal_lists_violating_seeds(tmp_path, monkeypatch):
@@ -580,9 +600,12 @@ def test_sharpness_where_lam_minus_the_rate_overflows(tmp_path, capsys):
 
 
 def test_fmt_cells():
-    cells = [True, False, np.True_, np.False_, 0, -7, 2**70, np.int64(-3), np.uint8(200),
-             0.1, -0.0, 1e-310, float("inf"), float("nan"), np.float64(2 / 3),
-             np.float32(0.1), "x"]
+    # numpy cells reach fmt as a record's .tolist() gives them
+    record = np.array([(True, False, -3, 200, 2 / 3, 0.1)], dtype=[
+        ("t", bool), ("f", bool), ("i", np.int64), ("u", np.uint8), ("d", np.float64),
+        ("s", np.float32)]).tolist()[0]
+    cells = [True, False, *record[:2], 0, -7, 2**70, *record[2:4],
+             0.1, -0.0, 1e-310, float("inf"), float("nan"), *record[4:], "x"]
     assert [fmt(cell) for cell in cells] == [
         "1", "0", "1", "0", "0", "-7", str(2**70), "-3", "200",
         "0.10000000000000001", "-0", "9.9999999999999694e-311", "inf", "nan",

@@ -20,9 +20,10 @@ from fermicov.verify import (
     instance_seed,
     random_instance,
     random_instances,
-    SharpnessReport,
+    SHARPNESS,
     sharpness_sweep,
     universal_bound_estimate,
+    witness_pass,
     within_bound,
 )
 from oracles import reference_instance
@@ -341,56 +342,67 @@ def test_sharpness_closed_form_at_lambda_zero():
 def test_sharpness_sweep_epsilon_01():
     at_one = sharpness_sweep(0.1, beta=1.0, N_list=(1, 2, 4, 8))
     for beta in (1.0, 2.0**-20, 8.0, 1e-6):
-        reports = sharpness_sweep(0.1, beta=beta, N_list=(1, 2, 4, 8))
-        for rep, ref in zip(reports, at_one, strict=True):
-            assert rep.det_abs >= (1.0 - 0.1) ** (2 * rep.N) - 1e-12
-            assert_allclose(rep.det_abs, rep.closed_form, rtol=1e-12)
-            assert rep.kernel_at_zero >= 0.9
-            assert rep.lam < 0.0
-            assert rep.passed and rep.beta == beta
+        witnesses = sharpness_sweep(0.1, beta=beta, N_list=(1, 2, 4, 8))
+        assert witness_pass(witnesses).all()
+        for w, ref in zip(witnesses, at_one, strict=True):
+            assert w["det_abs"] >= (1.0 - 0.1) ** (2 * w["N"]) - 1e-12
+            assert_allclose(w["det_abs"], w["closed_form"], rtol=1e-12)
+            assert w["kernel_at_zero"] >= 0.9
+            assert w["lam"] < 0.0
+            assert w["beta"] == beta
             if beta == 1e-6:
-                assert rep.n == 64  # at lam = -2.8e6: only the cap on n stops the search
+                assert w["n"] == 64  # at lam = -2.8e6: only the cap on n stops the search
             else:
                 # the family depends on beta lam / n alone: a power of two scales lam exactly
-                assert rep.lam == ref.lam / beta
-                same = dataclasses.replace(rep, beta=1.0, lam=ref.lam)
-                assert repr(same) == repr(ref)  # repr round-trips each float's bits
+                assert w["lam"] == ref["lam"] / beta
+                same = w.copy()
+                same["beta"], same["lam"] = 1.0, ref["lam"]
+                assert same.tobytes() == ref.tobytes()  # every field's bits
 
 
 def test_sharpness_sweep_peak_memory_at_N_128():
     # one mode with N colors: the witness's arrays grow as N^2
     tracemalloc.start()
     try:
-        reports = sharpness_sweep(0.1, beta=1.0, N_list=(128,))
+        witnesses = sharpness_sweep(0.1, beta=1.0, N_list=(128,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert reports[0].passed
+    assert witness_pass(witnesses).all()
     assert peak < 16 * 2**20
 
 
-def _witness(**fields) -> SharpnessReport:
-    """A witness at N = 8 and epsilon = 0.99, where (1 - eps)^(2N) is 1e-32."""
-    return SharpnessReport(**{
-        "epsilon": 0.99, "beta": 1.0, "lam": -1.0, "n": 8, "N": 8, "det": 1e-32 + 0j,
-        "closed_form": 1e-32, "lower_bound": 1e-32, "bound": 1.0, "kernel_at_zero": 0.01,
-        **fields})
+def _witness(**fields) -> np.ndarray:
+    """A one-record witness at N = 8 and epsilon = 0.99, where (1 - eps)^(2N) is 1e-32."""
+    fields = {"epsilon": 0.99, "beta": 1.0, "lam": -1.0, "n": 8, "N": 8, "det": 1e-32 + 0j,
+              "closed_form": 1e-32, "lower_bound": 1e-32, "bound": 1.0,
+              "kernel_at_zero": 0.01, **fields}
+    return _with(np.zeros(1, dtype=SHARPNESS), **fields)
+
+
+def _with(witness: np.ndarray, **fields) -> np.ndarray:
+    """A copy of a one-record witness with fields changed, det_abs following det."""
+    out = witness.copy()
+    for name, value in fields.items():
+        out[name] = value
+    out["det_abs"] = np.hypot(out["det"].real, out["det"].imag)  # abs() bit for bit
+    return out
 
 
 def test_sharpness_witness_below_its_lower_bound_fails():
     # an absolute slack of 1e-12 would pass any |det| once (1 - eps)^(2N) < 1e-12
-    assert _witness().passed
-    assert _witness(det=1e-32 * (1 - 1e-13) + 0j).passed  # within the relative 1e-12
-    assert not _witness(lower_bound=1e-16, det=5e-17 + 0j, closed_form=5e-17).passed
+    assert witness_pass(_witness()).all()
+    assert witness_pass(_witness(det=1e-32 * (1 - 1e-13) + 0j)).all()  # within the relative 1e-12
+    assert not witness_pass(_witness(lower_bound=1e-16, det=5e-17 + 0j, closed_form=5e-17)).any()
 
 
 def test_sharpness_witness_off_its_closed_form_fails():
-    rep = sharpness_sweep(0.1, beta=1.0, N_list=(2,))[0]
-    assert rep.passed
-    assert dataclasses.replace(rep, det=rep.det * (1 + 1e-13)).passed
-    assert not dataclasses.replace(rep, det=rep.det * (1 + 1e-9)).passed
+    w = sharpness_sweep(0.1, beta=1.0, N_list=(2,))
+    assert witness_pass(w).all()
+    assert witness_pass(_with(w, det=w["det"] * (1 + 1e-13))).all()
+    assert not witness_pass(_with(w, det=w["det"] * (1 + 1e-9))).any()
     # above its bound
-    assert not dataclasses.replace(rep, bound=rep.det_abs / (1 + 1e-9)).passed
+    assert not witness_pass(_with(w, bound=w["det_abs"] / (1 + 1e-9))).any()
 
 
 @pytest.mark.parametrize("seed", [4, 20, 33])
