@@ -27,7 +27,7 @@ import numpy as np
 
 from fermicov.car_fock import FOCK_CAP, wick_suite
 from fermicov.covariance import KernelEval, decay_parameter, kernel_g
-from fermicov.modular import modular_suite
+from fermicov.modular import holder_slack, modular_suite
 from fermicov.mspace import TreeGraph, bk_matrix, random_tree
 from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
 from fermicov.torus import N_CAP, DiscreteTorus
@@ -179,21 +179,15 @@ def cmd_kernel(args) -> Outcome:
 
 
 def cmd_bound_check(args) -> Outcome:
-    config = GeneratorConfig(
-        d_max=args.d_max, m_max=args.m_max, N_max=args.N_max,
-        n_choices=args.n_choices, beta_choices=args.beta_choices,
-        scale_max=args.scale_max,
-    )
+    config = GeneratorConfig(d_max=args.d_max, m_max=args.m_max, N_max=args.N_max,
+                             n_choices=args.n_choices, beta_choices=args.beta_choices,
+                             scale_max=args.scale_max)
     result = bound_check_suite(args.count, config, seed=args.seed)
     checks = result.checks
     failures = checks["seed"][~checks["pass"]].tolist()
     min_slack = float(checks["slack"].min())
-    return Outcome(
-        checks, failures, min_slack,
-        f"bound-check: {args.count} instances, {len(failures)} failures, "
-        f"min slack {min_slack:.3e}",
-        result.summary(),
-    )
+    return Outcome(checks, failures, min_slack, f"bound-check: {args.count} instances, "
+                   f"{len(failures)} failures, min slack {min_slack:.3e}", result.summary())
 
 
 def cmd_wick_verify(args) -> Outcome:
@@ -208,10 +202,7 @@ def cmd_modular_verify(args) -> Outcome:
         raise ConfigError("modular-verify needs --states or --pairs above 0 to check anything")
     checks = modular_suite(args.states, args.chains, args.pairs, args.modes, args.seed)
     failures = checks[["state", "check"]][~checks["pass"]].tolist()
-    # the least slack of the Hoelder checks; fmin skips a nan, whose check fails anyway
-    holder = np.char.startswith(checks["check"].astype(str), "holder_")
-    min_slack = float(np.fmin.reduce(checks["value"][holder], initial=np.inf))
-    return Outcome(checks, failures, min_slack if np.isfinite(min_slack) else 0.0,
+    return Outcome(checks, failures, holder_slack(checks),
                    f"modular-verify: {len(checks)} checks, {len(failures)} failures")
 
 

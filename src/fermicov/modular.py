@@ -47,6 +47,7 @@ __all__ = [
     "determinant_representation",
     "MODULAR_CHECK",
     "modular_suite",
+    "holder_slack",
 ]
 
 OVERFLOW_LOG = 690.0  # log(1e300)
@@ -272,3 +273,10 @@ def modular_suite(states: int, chains: int, pairs: int, modes: int, seed: int) -
         slack = schatten_norm(A, s1) * schatten_norm(B, s2) - schatten_norm(A @ B, r)
         rows.append((-1, "holder_schatten", slack, slack >= -1e-10))
     return np.array(rows, dtype=MODULAR_CHECK)
+
+
+def holder_slack(checks: np.ndarray) -> float:
+    """The least value of the Hoelder (holder_*) checks, 0.0 without one; fmin skips a nan."""
+    holder = np.char.startswith(checks["check"].astype(str), "holder_")
+    least = float(np.fmin.reduce(checks["value"][holder], initial=np.inf))
+    return least if np.isfinite(least) else 0.0

@@ -609,11 +609,11 @@ def sharpness_sweep(
 
 def witness_pass(witnesses: np.ndarray) -> np.ndarray:
     """Each SHARPNESS witness's verdict: det agrees with its closed form and |det| reaches
-    (1 - eps)^(2N), each to a relative 1e-12, and within_bound; |z| as abs() takes it."""
-    off = witnesses["det"] - witnesses["closed_form"]
+    (1 - eps)^(2N), each to a relative 1e-12, and within_bound; each |z| from det, as abs()."""
+    det, off = witnesses["det"], witnesses["det"] - witnesses["closed_form"]
     return ((np.hypot(off.real, off.imag) <= 1e-12 * np.abs(witnesses["closed_form"]))
-            & (witnesses["det_abs"] >= witnesses["lower_bound"] * (1.0 - 1e-12))
-            & within_bound(witnesses["det"], witnesses["bound"]))
+            & (np.hypot(det.real, det.imag) >= witnesses["lower_bound"] * (1.0 - 1e-12))
+            & within_bound(det, witnesses["bound"]))
 
 
 def universal_bound_estimate(witnesses: np.ndarray) -> float:

@@ -410,6 +410,7 @@ def test_wick_verify_rows_replay_one_draw_at_a_time():
     from fermicov.car_fock import FockSpace, expect_monomial, quasifree_modes, wick_determinant
 
     rows = car_fock.wick_suite(modes=3, N_max=1, draws=2, seed=5).tolist()
+    assert len(rows) == 2 and all(row[3] for row in rows)  # both permutations pass
     rng = np.random.default_rng(5)
     for perm_id, perm in enumerate([(0, 1), (1, 0)]):
         worst = 0.0

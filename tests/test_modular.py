@@ -14,8 +14,10 @@ from fermicov.car_fock import (
 )
 from fermicov.covariance import BoundInstance, covariance_det
 from fermicov.modular import (
+    MODULAR_CHECK,
     _rep_sign,
     determinant_representation,
+    holder_slack,
     modular_power,
     schatten_norm,
     time_order,
@@ -513,3 +515,12 @@ def test_representation_rejects_bad_eta(rng):
     for eta in (-1.0, np.nan):
         with pytest.raises(ValueError, match="eta"):
             determinant_representation(inst, eta=eta)
+
+
+def test_holder_slack_is_the_least_hoelder_value():
+    checks = np.array([(0, "fixed_point", 1e-15, True), (0, "isometry", -5.0, True),
+                       (0, "holder_chain_0", 0.25, True), (0, "holder_chain_1", np.nan, False),
+                       (-1, "holder_schatten", 0.5, True)], dtype=MODULAR_CHECK)
+    assert holder_slack(checks) == 0.25  # isometry is no Hoelder check; nan is skipped
+    assert holder_slack(checks[:2]) == 0.0  # no Hoelder check
+    assert holder_slack(checks[3:4]) == 0.0  # only a nan

@@ -381,11 +381,10 @@ def _witness(**fields) -> np.ndarray:
 
 
 def _with(witness: np.ndarray, **fields) -> np.ndarray:
-    """A copy of a one-record witness with fields changed, det_abs following det."""
+    """A copy of a one-record witness with fields changed."""
     out = witness.copy()
     for name, value in fields.items():
         out[name] = value
-    out["det_abs"] = np.hypot(out["det"].real, out["det"].imag)  # abs() bit for bit
     return out
 
 
@@ -403,6 +402,9 @@ def test_sharpness_witness_off_its_closed_form_fails():
     assert not witness_pass(_with(w, det=w["det"] * (1 + 1e-9))).any()
     # above its bound
     assert not witness_pass(_with(w, bound=w["det_abs"] / (1 + 1e-9))).any()
+    # det_abs is a CSV column only: the verdict takes every |z| from det
+    assert witness_pass(_with(w, det_abs=0.0)).all()
+    assert not witness_pass(_with(w, det=0j)).any()
 
 
 @pytest.mark.parametrize("seed", [4, 20, 33])
