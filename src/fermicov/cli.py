@@ -179,9 +179,11 @@ def cmd_kernel(args) -> Outcome:
 
 
 def cmd_bound_check(args) -> Outcome:
-    config = GeneratorConfig(d_max=args.d_max, m_max=args.m_max, N_max=args.N_max,
-                             n_choices=args.n_choices, beta_choices=args.beta_choices,
-                             scale_max=args.scale_max)
+    config = GeneratorConfig(
+        d_max=args.d_max, m_max=args.m_max, N_max=args.N_max,
+        n_choices=args.n_choices, beta_choices=args.beta_choices,
+        scale_max=args.scale_max,
+    )
     result = bound_check_suite(args.count, config, seed=args.seed)
     checks = result.checks
     failures = checks["seed"][~checks["pass"]].tolist()
