@@ -58,13 +58,11 @@ class Outcome(NamedTuple):
     extra: dict = {}  # further summary keys
 
 
-def fmt(x) -> str:
-    """Round-trip-safe text for one CSV cell, a Python scalar of `.tolist()`."""
-    if type(x) is float:
-        return f"{x:.17g}"
-    if type(x) is bool:
-        return "1" if x else "0"
-    return str(x)
+def row_format(dtype: np.dtype) -> str:
+    """One CSV row's %-format, for a `.tolist()` tuple of dtype's records: floats at
+    17 significant digits (round-trip safe), ints and bools as integers, else str()."""
+    kinds = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d"}
+    return ",".join(kinds.get(dtype[name].kind, "%s") for name in dtype.names)
 
 
 def atomic_write(path: str, text: str):
@@ -81,8 +79,8 @@ def atomic_write(path: str, text: str):
 
 
 def write_csv(path: str, records: np.ndarray):
-    lines = [SCHEMA_LINE, ",".join(records.dtype.names)]
-    lines += [",".join(map(fmt, row)) for row in records.tolist()]
+    line = row_format(records.dtype)
+    lines = [SCHEMA_LINE, ",".join(records.dtype.names), *(line % row for row in records.tolist())]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -172,7 +170,7 @@ def cmd_kernel(args) -> Outcome:
     tol = 1e-9 * torus.rate
     ok = residual <= tol
     return Outcome(
-        table, [] if ok else [0], tol - residual,
+        table, [] if ok else [lam], tol - residual,
         f"kernel lam={lam:g} residual={residual:.3e} ({'ok' if ok else 'FAIL'})",
         {"lam": lam, "residual": residual},
     )

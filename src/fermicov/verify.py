@@ -43,9 +43,11 @@ __all__ = [
 
 SLACK_TOL = 1e-10  # a check passes when bound - |det| >= -SLACK_TOL * max(1, bound)
 SHARPNESS_N_CAP = 8192  # sharpness_sweep doubles n from 4 up to this grid order
-# the bound suite generates this many instances, then checks them as stacks;
-# a fixed chunk keeps its memory flat in the count
-CHUNK = 256
+# the bound suite generates this many instances, then checks them as stacks; each chunk
+# pays a fixed cost, and a fixed chunk keeps memory flat in the count.  Traced peak of a
+# chunk: 2.2 MiB at the default ranges, 22.7 MiB at d, m, N, n up to 8, 4, 32, 64, and
+# 79.7 MiB at d, m, N, n up to 8, 4, 128, 64 (5.7 and 21.3 MiB at CHUNK = 256)
+CHUNK = 1024
 STAGES = ("generate", "eig", "det", "bound")  # the bound suite's timed stages
 # one bound check: the bound-check CSV's columns, in CSV order
 CHECK = np.dtype([("instance_id", np.int64), ("seed", np.int64), ("d", np.int64),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fermicov import car_fock, modular, verify
-from fermicov.cli import fmt, main
+from fermicov.cli import main, row_format
 from fermicov.mspace import bk_matrix, random_tree
 from fermicov.spectral import rate_terms
 from fermicov.verify import GeneratorConfig, bound_check_suite, random_instance
@@ -287,6 +287,16 @@ def test_missing_output_directory_exits_2(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_kernel_failure_names_lam(tmp_path, monkeypatch):
+    # a table that fails (d + lam) g = -2 delta_ap lists lam, the check's one parameter
+    from fermicov.covariance import KernelEval
+
+    monkeypatch.setattr(KernelEval, "residual", lambda self: 1.0)
+    assert run(tmp_path, "kernel", "--lam", "0.37", "--out", "k.csv") == 1
+    summary = json.loads((tmp_path / "k.json").read_text())
+    assert summary["failures"] == [0.37] and summary["residual"] == 1.0
+
+
 def test_write_failure_exits_1(tmp_path, monkeypatch, capsys):
     from fermicov import cli
 
@@ -409,7 +419,8 @@ def test_wick_verify_rows_replay_one_draw_at_a_time():
     # imaginary), then each of the 2N vectors (real, then imaginary)
     from fermicov.car_fock import FockSpace, expect_monomial, quasifree_modes, wick_determinant
 
-    rows = car_fock.wick_suite(modes=3, N_max=1, draws=2, seed=5).tolist()
+    perms = car_fock.wick_suite(modes=3, N_max=1, draws=2, seed=5)
+    rows = perms.tolist()
     assert len(rows) == 2 and all(row[3] for row in rows)  # both permutations pass
     rng = np.random.default_rng(5)
     for perm_id, perm in enumerate([(0, 1), (1, 0)]):
@@ -422,7 +433,8 @@ def test_wick_verify_rows_replay_one_draw_at_a_time():
             direct = complex(expect_monomial(FockSpace(3), logp, in_modes, perm, 1))
             det = complex(wick_determinant(symbol, vecs, perm))
             worst = max(worst, abs(direct - det) / max(abs(direct), 1e-12))
-        assert [fmt(cell) for cell in rows[perm_id][:3]] == ["1", str(perm_id), f"{worst:.17g}"]
+        cells = (row_format(perms.dtype) % rows[perm_id]).split(",")
+        assert cells[:3] == ["1", str(perm_id), f"{worst:.17g}"]
 
 
 def test_wick_verify_lists_each_failing_permutation(tmp_path, monkeypatch, capsys):
@@ -601,16 +613,18 @@ def test_sharpness_where_lam_minus_the_rate_overflows(tmp_path, capsys):
 
 
 def test_fmt_cells():
-    # numpy cells reach fmt as a record's .tolist() gives them
-    record = np.array([(True, False, -3, 200, 2 / 3, 0.1)], dtype=[
-        ("t", bool), ("f", bool), ("i", np.int64), ("u", np.uint8), ("d", np.float64),
-        ("s", np.float32)]).tolist()[0]
-    cells = [True, False, *record[:2], 0, -7, 2**70, *record[2:4],
-             0.1, -0.0, 1e-310, float("inf"), float("nan"), *record[4:], "x"]
-    assert [fmt(cell) for cell in cells] == [
-        "1", "0", "1", "0", "0", "-7", str(2**70), "-3", "200",
+    # one row's cells as write_csv formats a record's .tolist() tuple: bools and ints
+    # as integers, floats at 17 significant digits, other fields (object, complex) by str()
+    record = np.array([(True, False, 0, -7, 2**70, -3, 200, 0.1, -0.0, 1e-310, np.inf, np.nan,
+                        2 / 3, 0.1, "x", 1 - 2j)], dtype=[
+        ("t", bool), ("f", bool), ("zero", np.int64), ("neg", np.int64), ("big", object),
+        ("i", np.int64), ("u", np.uint8), ("tenth", float), ("negzero", float),
+        ("subnormal", float), ("inf", float), ("nan", float), ("d", np.float64),
+        ("s", np.float32), ("x", object), ("c", complex)])
+    assert (row_format(record.dtype) % record.tolist()[0]).split(",") == [
+        "1", "0", "0", "-7", str(2**70), "-3", "200",
         "0.10000000000000001", "-0", "9.9999999999999694e-311", "inf", "nan",
-        "0.66666666666666663", "0.10000000149011612", "x"]
+        "0.66666666666666663", "0.10000000149011612", "x", "(1-2j)"]
 
 
 def test_kernel_float17_roundtrip(tmp_path):

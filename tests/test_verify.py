@@ -53,6 +53,33 @@ def test_bound_suite_retains_one_record_per_check():
     assert retained < 1.6 * 2**20
 
 
+def test_bound_suite_memory_is_flat_in_the_count():
+    # a fixed chunk: four chunks peak above one only by their further CHECK records
+    bound_check_suite(CHUNK + 1, GeneratorConfig(), seed=1)  # first-call caches
+    peaks = []
+    for count in (CHUNK, 4 * CHUNK):
+        tracemalloc.start()
+        try:
+            bound_check_suite(count, GeneratorConfig(), seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 3 * 2**20
+    assert peaks[1] < peaks[0] + 3 * CHUNK * verify.CHECK.itemsize + 2**17
+
+
+def test_chunk_size_changes_no_bit(monkeypatch):
+    def run(chunk):
+        monkeypatch.setattr(verify, "CHUNK", chunk)
+        result = bound_check_suite(300, GeneratorConfig(), seed=13)
+        summary = result.summary()
+        del summary["stage_s"]
+        return result.checks.tobytes(), summary
+
+    default = run(CHUNK)
+    assert run(7) == run(64) == default
+
+
 def test_bound_suite_deterministic():
     a = bound_check_suite(25, GeneratorConfig(), seed=3).checks
     b = bound_check_suite(25, GeneratorConfig(), seed=3).checks
