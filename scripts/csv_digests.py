@@ -49,7 +49,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # also with no Hoelder check, where min_slack is 0.0, and with 1200 chains, whose
 # check names run to 16 characters and more; sharpness also at N = 500, 1000, 2000,
 # where the closed-form check fails on rounding over N factors (exit 1); bound-check
-# also at 1025 checks, whose last chunk holds one lane, so its one (d, N) stack has B = 1
+# also at 1025 checks, whose last chunk holds one lane, so its one (d, N) stack has B = 1;
+# and at scale_max 1e308, whose chunk fails to generate, so the replay decodes one lane
+# at a time and names instance 454 (exit 1)
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -78,6 +80,7 @@ ACCEPTANCE = (
     ("modular-verify --states 1 --chains 1200 --pairs 0 --modes 2", 0),
     ("sharpness --N-list 500,1000,2000", 1),
     ("bound-check --count 1025 --seed 8", 0),
+    ("bound-check --count 2000 --scale-max 1e308 --seed 2", 1),
 )
 
 

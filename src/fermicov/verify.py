@@ -116,11 +116,6 @@ def instance_seed(root_seed: int, instance_id: int) -> int:
     return (int(root_seed) * 1_000_003 + int(instance_id)) % (2**63 - 1)
 
 
-def _pick(rng, options):
-    """One uniform element; the same draw and value as rng.choice(options)."""
-    return options[int(rng.integers(0, len(options)))]
-
-
 def _hash_constants(h: int, mult: int, count: int) -> np.ndarray:
     """The count + 1 values of SeedSequence's hash constant over count calls, as
     a uint32 column: call k xors with row k and multiplies by row k + 1."""
@@ -347,36 +342,6 @@ def _decode(seeds, config: GeneratorConfig) -> dict:
                 offset=offset, phi=phi, radius=radius, color=color)
 
 
-def _draw(rng: np.random.Generator, config: GeneratorConfig) -> dict:
-    """One instance's Generator calls in v1's frozen order, as a chunk table of one lane."""
-    d, m, N = (int(rng.integers(1, k + 1)) for k in (config.d_max, config.m_max, config.N_max))
-    n, beta = int(_pick(rng, config.n_choices)), float(_pick(rng, config.beta_choices))
-    # n/beta is torus.rate; a scalar expression, as an array pow may not give these bits
-    scale = n / beta * 10.0 ** rng.uniform(-1.0, np.log10(config.scale_max))
-    A = rng.normal(size=2 * d * d)
-    pin = int(rng.integers(0, d)) if rng.random() < 0.05 else -1
-    kind, params = int(rng.integers(0, 3)), [0.0, 0.0]
-    if kind == 1:
-        half_width, center = scale * rng.uniform(0.1, 2.0), rng.uniform(-scale, scale)
-        params = [center - half_width, center + half_width]
-    elif kind == 2:
-        params = [rng.uniform(-scale, scale), scale * rng.uniform(0.2, 2.0)]
-    bk, parent, weight, t, r, B = bool(rng.integers(0, 2)), [], [], 0.0, 0, []
-    if bk:
-        parent = [int(rng.integers(0, v)) for v in range(1, m)]
-        weight, t = rng.uniform(0.0, 1.0, size=m - 1), float(rng.uniform(0.2, 1.0))
-    else:
-        r = int(rng.integers(1, m + 1))
-        B = rng.normal(size=m * r)
-    offset, phi, radius, color = zip(*[
-        (int(rng.integers(0, n)), rng.normal(size=2 * d), rng.uniform(0.3, 1.5),
-         int(rng.integers(0, m))) for _ in range(2 * N)])
-    row = dict(d=d, m=m, N=N, n=n, beta=beta, scale=scale, A=A, pin=pin, kind=kind,
-               params=params, parent=parent, weight=weight, t=t, r=r, B=B,
-               offset=offset, phi=phi, radius=radius, color=color)
-    return {key: np.array([value]) for key, value in row.items()}
-
-
 @np.errstate(all="ignore")  # what overflows is not finite, and raises below
 def _assemble(table: dict) -> list:
     """Each (d, N) group of the table's lanes as (members, arrays): its lanes and
@@ -450,15 +415,16 @@ def random_instances(seeds, config: GeneratorConfig) -> list:
     The cutoff kind (one, indicator, gaussian) and the matrix kind (PSD or
     BK) are drawn uniformly, and one instance in twenty gets an eigenvalue
     pinned on n/beta.  Each instance is what its seed alone gives, bit for bit:
-    what np.random.default_rng(seed) draws, for each seed in [0, 2^64).
+    what numpy's Generator(PCG64(seed)) draws, for each seed in [0, 2^64).
     """
     return _instances(_decode(seeds, config))
 
 
 def random_instance(seed: int, config: GeneratorConfig) -> BoundInstance:
-    """Generate one seeded random instance (see random_instances), from
-    np.random.default_rng(seed) itself."""
-    return _instances(_draw(np.random.default_rng(seed), config))[0]
+    """Generate one seeded random instance: random_instances([seed], config)[0].  A
+    lane decoded alone costs about 35 times its share of a chunk of 1024 lanes, so a
+    caller with many seeds passes them to random_instances at once."""
+    return random_instances([seed], config)[0]
 
 
 def within_bound(det: complex | np.ndarray, bound: float | np.ndarray) -> np.bool_ | np.ndarray:
@@ -477,7 +443,7 @@ def _generate(ids: range, seeds: list, config: GeneratorConfig) -> tuple:
     except (ValueError, OverflowError):
         for i, seed_i in zip(ids, seeds):
             try:
-                _assemble(_draw(np.random.default_rng(seed_i), config))
+                _assemble(_decode([seed_i], config))
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"instance {i} (seed {seed_i}): {exc}") from None
         raise

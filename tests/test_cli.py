@@ -12,7 +12,8 @@ from fermicov import car_fock, modular, verify
 from fermicov.cli import main, row_format
 from fermicov.mspace import bk_matrix, random_tree
 from fermicov.spectral import rate_terms
-from fermicov.verify import GeneratorConfig, bound_check_suite, random_instance
+from fermicov.verify import (GeneratorConfig, bound_check_suite, random_instance,
+                             random_instances)
 from oracles import reference_instance
 
 
@@ -82,8 +83,7 @@ def test_summary_counts_match_the_csv(tmp_path):
         det_abs = np.array([float(r["det_abs"]) for r in rows])
         bound = np.array([float(r["bound"]) for r in rows])
         hits = 0
-        for r in rows:
-            inst = random_instance(int(r["seed"]), GeneratorConfig())
+        for inst in random_instances([int(r["seed"]) for r in rows], GeneratorConfig()):
             hits += int(np.sum(rate_terms(inst.stack.values[0], inst.torus)[0]))
         assert summary["zero_bound"] == np.count_nonzero(bound == 0.0) > 0
         assert summary["zero_det"] == np.count_nonzero((det_abs == 0.0) & (bound > 0.0)) > 0

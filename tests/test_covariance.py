@@ -1,6 +1,5 @@
 import dataclasses
 import importlib
-import itertools
 import os
 import pkgutil
 import subprocess
@@ -32,6 +31,7 @@ from fermicov.verify import (
     bound_check_suite,
     instance_seed,
     random_instance,
+    random_instances,
 )
 
 from oracles import (
@@ -245,24 +245,20 @@ def _per_vector_bound(inst, S) -> float:
 
 def test_one_pass_det_and_bound_equal_per_entry_loop():
     zero = CutoffSpec.indicator(1e300, 1e300)  # 0 on every generated spectrum
-    cases = [(random_instance(instance_seed(13, i), GeneratorConfig()), None)
-             for i in range(500)]
-    pinned = []  # the first 60 default instances with an eigenvalue on n/beta
-    for i in itertools.count():
-        inst = random_instance(instance_seed(14, i), GeneratorConfig())
-        if rate_terms(eig_hermitian(inst.H).values, inst.torus)[0].any():
-            pinned.append(inst)
-            if len(pinned) == 60:
-                break
+
+    def batch(root, count, config=GeneratorConfig()):
+        return random_instances([instance_seed(root, i) for i in range(count)], config)
+
+    cases = [(inst, None) for inst in batch(13, 500)]
+    pinned = [inst for inst in batch(14, 1500)  # the first 60 with an eigenvalue on n/beta
+              if rate_terms(eig_hermitian(inst.H).values, inst.torus)[0].any()][:60]
+    assert len(pinned) == 60
     cases += [(inst, eta) for inst in pinned for eta in (None, 2.5)]
-    for i in range(40):
-        inst = random_instance(instance_seed(15, i), GeneratorConfig())
-        cases.append((dataclasses.replace(inst, chi=zero), None))
+    cases += [(dataclasses.replace(inst, chi=zero), None) for inst in batch(15, 40)]
     # wider ranges, with many entries per time difference, and a fine grid
     wide = GeneratorConfig(d_max=6, m_max=5, N_max=6, n_choices=(2, 4, 8, 16))
-    cases += [(random_instance(instance_seed(16, i), wide), None) for i in range(400)]
-    fine = GeneratorConfig(n_choices=(10**7,))
-    cases += [(random_instance(instance_seed(17, i), fine), None) for i in range(100)]
+    cases += [(inst, None) for inst in batch(16, 400, wide)]
+    cases += [(inst, None) for inst in batch(17, 100, GeneratorConfig(n_choices=(10**7,)))]
     hits = zeros = 0
     for inst, eta in cases:
         S = eig_hermitian(inst.H)
@@ -430,8 +426,8 @@ def test_bound_suite_builds_no_instance(monkeypatch):
 
 def test_stack_weights_match_each_cutoff_bitwise():
     # a stack evaluates chi once per cutoff kind; each member keeps the bits of its own call
-    insts = [random_instance(instance_seed(7, i), GeneratorConfig(scale_max=1e6))
-             for i in range(300)]
+    insts = random_instances([instance_seed(7, i) for i in range(300)],
+                             GeneratorConfig(scale_max=1e6))
     groups = {}
     for inst in insts:
         groups.setdefault((inst.H.dim, inst.pair_count), []).append(inst)

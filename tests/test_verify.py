@@ -13,7 +13,6 @@ from fermicov.verify import (
     CHUNK,
     GeneratorConfig,
     _pcg64_states,
-    _pick,
     _Words,
     _ziggurat,
     bound_check_suite,
@@ -93,9 +92,9 @@ def test_stacked_suite_matches_each_instance_alone():
     count = CHUNK + 44  # one full chunk and a partial one
     checks = bound_check_suite(count, GeneratorConfig(), seed=13).checks
     assert checks["instance_id"].tolist() == list(range(count))
-    for r in checks.tolist():
+    insts = random_instances(checks["seed"].tolist(), GeneratorConfig())
+    for r, inst in zip(checks.tolist(), insts):
         row = dict(zip(checks.dtype.names, r))
-        inst = random_instance(row["seed"], GeneratorConfig())
         det = covariance_det(inst)
         assert _bits([row["det_re"], row["det_im"]]) == _bits([det.real, det.imag])
         assert _bits(row["bound"]) == _bits(instance_bound(inst))
@@ -116,8 +115,8 @@ def _stacks(insts: list) -> list:
 
 def test_instance_stack_matches_each_instance_alone_on_pinned_and_zero_cutoff():
     config = GeneratorConfig()
-    seeds = (instance_seed(3, i) for i in range(1500))
-    pinned = [inst for inst in map(lambda s: random_instance(s, config), seeds)
+    seeds = [instance_seed(3, i) for i in range(1500)]
+    pinned = [inst for inst in random_instances(seeds, config)
               if rate_terms(inst.stack.values[0], inst.torus)[0].any()]
     stacks = _stacks(pinned)
     assert len(stacks) == 9 and all(len(group) >= 2 for group, _ in stacks)
@@ -137,8 +136,7 @@ def test_instance_stack_matches_each_instance_alone_on_pinned_and_zero_cutoff():
 def test_generated_instances_pass_full_validator():
     config = GeneratorConfig()
     pinned = 0
-    for i in range(2000):
-        inst = random_instance(instance_seed(21, i), config)
+    for inst in random_instances([instance_seed(21, i) for i in range(2000)], config):
         checked = BoundInstance(H=inst.H, torus=inst.torus, chi=inst.chi,
                                 M=inst.M.copy(), points=list(inst.points))
         assert np.array_equal(checked.M, inst.M)
@@ -179,6 +177,7 @@ def test_random_instances_match_the_reference_generator(count, config):
 
 
 def test_random_instance_is_its_entry_in_a_chunk():
+    # a decode of one lane gives the bits of that lane in a chunk of CHUNK lanes
     config = GeneratorConfig()
     seeds = [instance_seed(29, i) for i in range(CHUNK)]
     for seed, inst in zip(seeds, random_instances(seeds, config)):
@@ -196,14 +195,6 @@ def test_random_instance_is_its_entry_in_a_chunk():
 def test_generator_config_rejects_each_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
         GeneratorConfig(**{field: value})
-
-
-def test_pick_replays_rng_choice():
-    for seed in range(200):
-        for options in ((2, 4, 8), (0.5, 1.0, 2.0), ("one", "indicator", "gaussian")):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _pick(a, options) == b.choice(options)
-            assert a.integers(0, 2**62) == b.integers(0, 2**62)  # same draws consumed
 
 
 # the lanes' seeds: the edges of one and two entropy words and the largest instance seed
