@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from fermicov.spectral import eig_hermitian
-from fermicov.torus import DiscreteTorus
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # this checkout's package and oracles
+from fermicov.spectral import eig_hermitian  # noqa: E402
+from fermicov.torus import DiscreteTorus  # noqa: E402
 from oracles import covariance_matrix_reduced, fit_growth_exponent  # noqa: E402
 
 if __name__ == "__main__":

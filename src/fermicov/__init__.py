@@ -22,7 +22,6 @@ from fermicov.covariance import (
     KernelEval,
     covariance_det,
     covariance_matrix,
-    decay_parameter,
     kernel_g,
 )
 from fermicov.mspace import TreeGraph, bk_matrix, quotient_space

@@ -1,7 +1,7 @@
 """Config-driven experiment runner.
 
 Subcommands: kernel, wick-verify, modular-verify, bound-check, bk-matrix,
-sharpness, universal, decay.  Each writes a CSV (schema header
+sharpness, universal.  Each writes a CSV (schema header
 `# fermicov-schema v1`, floats at 17 significant digits, so identical seeds
 give byte-identical files) and a JSON summary, both through atomic temp-file
 renames.  Exit codes: 0 all checks pass, 1 some verification failed, 2 usage
@@ -26,10 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from fermicov.car_fock import FOCK_CAP, wick_suite
-from fermicov.covariance import KernelEval, decay_parameter, kernel_g
+from fermicov.covariance import KernelEval, kernel_g
 from fermicov.modular import holder_slack, modular_suite
 from fermicov.mspace import TreeGraph, bk_matrix, random_tree
-from fermicov.spectral import CutoffSpec, HermitianMatrix, eig_hermitian, rate_terms
+from fermicov.spectral import rate_terms
 from fermicov.torus import N_CAP, DiscreteTorus
 from fermicov.verify import (
     SHARPNESS_CSV,
@@ -259,24 +259,6 @@ def cmd_universal(args) -> Outcome:
     )
 
 
-def cmd_decay(args) -> Outcome:
-    diag = np.array(args.H_diag)
-    torus = DiscreteTorus(beta=args.beta, n=args.n)
-    S = eig_hermitian(HermitianMatrix(np.diag(diag)))
-    params = {"indicator": {"a": args.chi_a, "b": args.chi_b},
-              "gaussian": {"center": args.chi_center, "width": args.chi_width}}
-    try:
-        chi = CutoffSpec(args.chi, **params.get(args.chi, {}))
-    except ValueError as exc:
-        raise ConfigError(f"--chi {args.chi}: {exc}") from None
-    value = decay_parameter(S, chi, torus)
-    return Outcome(
-        np.rec.fromrecords([(args.beta, args.n, len(diag), value)],
-                           names="beta,n,d,decay_snapshot"),
-        [], 0.0, f"decay snapshot (n={args.n}, no limit taken): {value:.12g}",
-    )
-
-
 # ------------------------------------------------------------------- parsing
 
 
@@ -357,18 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=POSITIVE, default=1.0)
     _add_common(s, "universal.csv", seeded=True)
     s.set_defaults(func=cmd_universal)
-
-    s = subs.add_parser("decay", help="finite-n covariance summability snapshot")
-    s.add_argument("--beta", type=POSITIVE, default=1.0)
-    s.add_argument("--n", type=EVEN_N, default=16)
-    s.add_argument("--H-diag", dest="H_diag", type=_list_of(FINITE), default="0.0")
-    s.add_argument("--chi", default="one", choices=("one", "indicator", "gaussian"))
-    s.add_argument("--chi-a", type=FINITE, default=-1.0)
-    s.add_argument("--chi-b", type=FINITE, default=1.0)
-    s.add_argument("--chi-center", type=FINITE, default=0.0)
-    s.add_argument("--chi-width", type=POSITIVE, default=1.0)
-    _add_common(s, "decay.csv", seeded=False)
-    s.set_defaults(func=cmd_decay)
 
     return parser
 

@@ -22,7 +22,6 @@ import numpy as np
 from fermicov.spectral import (
     CutoffSpec,
     HermitianMatrix,
-    SpectralData,
     eig_hermitian,
     rate_terms,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "covariance_matrix",
     "covariance_det",
     "instance_bound",
-    "decay_parameter",
 ]
 
 
@@ -238,21 +236,3 @@ def covariance_det(inst: BoundInstance, eta: float | None = None) -> complex:
 def instance_bound(inst: BoundInstance) -> float:
     """The claimed bound prod_q ||sqrt(chi(H)) phi_q|| * M[j_q, j_q]^(1/2)."""
     return float(inst.stack.bounds()[0])
-
-
-def decay_parameter(S: SpectralData, chi: CutoffSpec, torus: DiscreteTorus) -> float:
-    """Finite-n snapshot of the covariance summability parameter.
-
-    max over i of (beta/n) sum_tau sum_q |<e_q, (C chi e_i^)(tau)>| with both
-    i and q running over the standard basis.  No limit over n is attempted;
-    callers report the n used.
-    """
-    C = S.vectors.conj().T  # column i = eigenbasis coefficients of e_i
-    weights = chi(S.values)
-    G = kernel_values_at(S.values, torus, torus.indices)  # shape (2n, d)
-    best = 0.0
-    for i in range(S.dim):
-        # entries[tau, q] = sum_j g_j(tau) chi_j conj(C[j,q]) C[j,i]
-        entries = (G * weights) @ (np.conj(C) * C[:, i][:, None])
-        best = max(best, float(torus.step * np.sum(np.abs(entries))))
-    return best

@@ -70,10 +70,6 @@ class SpectralData:
     values: np.ndarray
     vectors: np.ndarray = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
 
 def eig_hermitian(H: HermitianMatrix | np.ndarray) -> SpectralData:
     """Eigendecompose a Hermitian matrix, or a stack (..., d, d) of them, deterministically.

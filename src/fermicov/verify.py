@@ -464,7 +464,8 @@ def _check_chunk(ids: range, seed: int, config: GeneratorConfig, result: BoundSu
         t0 = time.perf_counter()
         stack = InstanceStack(*arrays)
         t1 = time.perf_counter()
-        dets[members] = np.linalg.det(stack.matrices())
+        with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite det raises below
+            dets[members] = np.linalg.det(stack.matrices())
         t2 = time.perf_counter()
         rows["bound"][members] = stack.bounds()
         stage["eig"] += t1 - t0

@@ -176,26 +176,20 @@ def test_non_finite_parameters_exit_2(tmp_path):
     assert run(tmp_path, "modular-verify", "--states", "0", "--pairs", "0",
                "--out", "m.csv") == 2
     # non-finite, empty or non-numeric values, and domains checked by the library
-    assert run(tmp_path, "decay", "--H-diag", "1,nan", "--out", "d.csv") == 2
-    assert run(tmp_path, "decay", "--H-diag", "1,inf", "--out", "d.csv") == 2
-    assert run(tmp_path, "decay", "--H-diag", ",,", "--out", "d.csv") == 2
+    assert run(tmp_path, "universal", "--epsilon-list", "0.1,nan", "--out", "u.csv") == 2
+    assert run(tmp_path, "bound-check", "--beta-choices", "1,nan", "--out", "b.csv") == 2
+    assert run(tmp_path, "bound-check", "--n-choices", ",,", "--out", "b.csv") == 2
     assert run(tmp_path, "kernel", "--lam", "nan", "--out", "k.csv") == 2
     assert run(tmp_path, "kernel", "--lam", "abc", "--out", "k.csv") == 2
     assert run(tmp_path, "bound-check", "--scale-max", "0", "--out", "b.csv") == 2
     assert run(tmp_path, "bound-check", "--scale-max", "-1", "--out", "b.csv") == 2
-    assert run(tmp_path, "decay", "--chi", "gaussian", "--chi-width", "0",
-               "--out", "d.csv") == 2
-    assert run(tmp_path, "decay", "--chi", "indicator", "--chi-a", "1", "--chi-b", "-1",
-               "--out", "d.csv") == 2
     assert run(tmp_path, "bk-matrix", "--m", "2", "--edges", "0-5:0.5", "--out", "bk.csv") == 2
     assert run(tmp_path, "bk-matrix", "--m", "3", "--edges", "0-1:nan", "--out", "bk.csv") == 2
     # argparse reads a separate value that starts with "-" but is not a plain
     # decimal as a flag; the "=" form passes it as a value
     assert run(tmp_path, "kernel", "--lam", "-4e1", "--out", "k.csv") == 2
-    assert run(tmp_path, "decay", "--H-diag", "-1.2,5", "--out", "d.csv") == 2
     assert not list(tmp_path.glob("*.csv"))
     assert run(tmp_path, "kernel", "--lam=-4e1", "--out", "k.csv") == 0
-    assert run(tmp_path, "decay", "--H-diag=-1.2,5", "--out", "d.csv") == 0
 
 
 def test_scalar_domains_exit_2(tmp_path, capsys):
@@ -203,7 +197,7 @@ def test_scalar_domains_exit_2(tmp_path, capsys):
     cases = [
         ("kernel", "--n", "3"),
         ("kernel", "--n", "2" + "0" * 400),  # beyond the float range
-        ("decay", "--n", "0"),
+        ("kernel", "--n", "0"),
         ("kernel", "--beta", "-1"),
         ("sharpness", "--epsilon", "0"),
         ("sharpness", "--beta", "-1"),
@@ -270,10 +264,11 @@ def test_bad_list_flags_exit_2(tmp_path, capsys):
 def test_removed_options_exit_2(tmp_path):
     assert run(tmp_path, "bound-check", "--jobs", "2", "--out", "b.csv") == 2
     assert run(tmp_path, "covariance-det", "--out", "c.csv") == 2
+    assert run(tmp_path, "decay", "--out", "d.csv") == 2
     # suites that draw no random numbers take no seed
-    for sub in ("kernel", "sharpness", "decay"):
+    for sub in ("kernel", "sharpness"):
         assert run(tmp_path, sub, "--seed", "1", "--out", "x.csv") == 2
-    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_output_directory_exits_2(tmp_path, capsys):
@@ -491,11 +486,11 @@ def test_memory_error_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def test_non_finite_determinant_exits_1(tmp_path, capsys):
-    # instance 100 (seed 2000106) has subnormal kernel entries, and
-    # np.linalg.det returns nan for its matrix with a RuntimeWarning
-    with pytest.warns(RuntimeWarning):
-        code = run(tmp_path, "bound-check", "--count", "101", "--n-choices", "64",
-                   "--scale-max", "1e30", "--seed", "2", "--out", "b.csv")
+    # instance 100 (seed 2000106) has subnormal kernel entries, and np.linalg.det
+    # returns nan for its matrix; RuntimeWarnings are errors here, so the CLI's own
+    # error must come without numpy's
+    code = run(tmp_path, "bound-check", "--count", "101", "--n-choices", "64",
+               "--scale-max", "1e30", "--seed", "2", "--out", "b.csv")
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: instance 100 (seed 2000106)") and "not finite" in err
@@ -522,14 +517,6 @@ def test_generator_errors_name_the_instance(tmp_path, capsys, root, instance, me
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_decay_snapshot(tmp_path):
-    code = run(tmp_path, "decay", "--beta", "1.0", "--n", "8", "--H-diag", "0.0",
-               "--out", "dec.csv")
-    assert code == 0
-    row = (tmp_path / "dec.csv").read_text().splitlines()[2].split(",")
-    assert float(row[3]) == pytest.approx(1.0, rel=1e-12)
-
-
 def test_scale_max_below_the_generator_floor_exits_2(tmp_path, capsys):
     # random_instance draws scales from 10^-1 up to --scale-max, in units of n/beta
     assert run(tmp_path, "bound-check", "--count", "20", "--scale-max", "0.05",
@@ -540,16 +527,7 @@ def test_scale_max_below_the_generator_floor_exits_2(tmp_path, capsys):
                "--out", "b.csv") == 0
 
 
-def test_decay_takes_entries_near_the_float_maximum(tmp_path):
-    # RuntimeWarnings are errors under the test configuration, so an overflow
-    # while symmetrizing H would exit 1
-    for diag in ("1e308", "1e308,-1e308"):
-        assert run(tmp_path, "decay", "--H-diag", diag, "--out", "dec.csv") == 0
-        row = (tmp_path / "dec.csv").read_text().splitlines()[2].split(",")
-        assert np.isfinite(float(row[3]))
-
-
-@pytest.mark.parametrize("command", ["kernel", "decay", "sharpness", "universal"])
+@pytest.mark.parametrize("command", ["kernel", "sharpness", "universal"])
 def test_beta_whose_rate_overflows_exits_1(tmp_path, capsys, command):
     # n/beta is inf at beta = 1e-310; RuntimeWarnings are errors here, so an
     # overflow on the way would not exit 1
@@ -568,10 +546,10 @@ def test_beta_choice_whose_rate_overflows_exits_1(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("command", ["kernel", "decay"])
+@pytest.mark.parametrize("command", ["kernel"])
 def test_grid_order_near_the_cap_exits_1(tmp_path, capsys, command):
-    # np.arange(2n) is empty at this n, which once gave decay a snapshot of 0 and
-    # kernel an IndexError; the torus's storage indices fail loudly instead
+    # np.arange(2n) is empty at this n, which once gave kernel an IndexError; the
+    # torus's storage indices fail loudly instead
     assert run(tmp_path, command, "--n", "4611686018427387902", "--out", "x.csv") == 1
     assert capsys.readouterr().err.startswith("error: array is too big")
     assert not list(tmp_path.glob("*.csv"))

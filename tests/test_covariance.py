@@ -17,7 +17,6 @@ from fermicov.covariance import (
     _entries,
     covariance_det,
     covariance_matrix,
-    decay_parameter,
     instance_bound,
     kernel_g,
     kernel_values_at,
@@ -483,10 +482,10 @@ def test_gram_demo_resolvent_comparison():
 
 
 def test_gram_divergence_script_runs(tmp_path):
-    # the script reaches tests/oracles.py through sys.path, from any directory
+    # the script reaches its checkout's src/ and tests/oracles.py through sys.path,
+    # from any directory and without PYTHONPATH
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(root / "scripts" / "run_gram_divergence.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -495,25 +494,6 @@ def test_gram_divergence_script_runs(tmp_path):
     rows = [ln.split() for ln in lines[2:]]
     assert [row[0] for row in rows[:5]] == ["4", "8", "16", "32", "64"]
     assert all(len(row) == 4 for row in rows[:5]) and rows[5][0] == "fitted"
-
-
-def test_decay_parameter_free_value():
-    # d=1, H=0, chi=1: (beta/n) * sum_tau |g_0(tau)| = (beta/n) * 2n/2 = beta
-    for beta, n in [(1.0, 8), (2.0, 4)]:
-        torus = DiscreteTorus(beta=beta, n=n)
-        S = eig_hermitian(np.zeros((1, 1)))
-        val = decay_parameter(S, CutoffSpec.one(), torus)
-        assert_allclose(val, beta, rtol=1e-13)
-
-
-def test_decay_parameter_zero_cutoff_and_stability():
-    torus = DiscreteTorus(beta=1.0, n=8)
-    S = eig_hermitian(np.diag([0.3, -1.2]))
-    zero = CutoffSpec.indicator(1e300, 1e300)
-    assert decay_parameter(S, zero, torus) == 0.0
-    v1 = decay_parameter(S, CutoffSpec.one(), torus)
-    v2 = decay_parameter(S, CutoffSpec.one(), DiscreteTorus(beta=1.0, n=16))
-    assert abs(v2 - v1) <= 0.1 * v1
 
 
 def test_instance_bound_positive(rng):

@@ -42,6 +42,17 @@ def test_hermitian_non_finite_fails_without_warning():
             HermitianMatrix(np.diag([1.0, np.inf]))
 
 
+def test_hermitian_entries_near_the_float_maximum_stay_finite():
+    # symmetrized halves first: (m + m*) / 2 would overflow to inf, and the
+    # configured error::RuntimeWarning turns its warning into a failure
+    for diag in ([1e308], [1e308, -1e308]):
+        H = HermitianMatrix(np.diag(diag))
+        assert np.array_equal(H.matrix, np.diag(diag))
+        S = eig_hermitian(H)
+        assert np.isfinite(S.values).all() and np.isfinite(S.vectors).all()
+        assert np.array_equal(S.values, np.sort(diag))
+
+
 def test_eig_diagonal():
     S = eig_hermitian(np.diag([1.0, 2.0]))
     assert_allclose(S.values, [1.0, 2.0])
@@ -69,7 +80,7 @@ def test_eig_reconstruction(rng):
         sym = HermitianMatrix(H).matrix
         rebuilt = (S.vectors * S.values) @ S.vectors.conj().T
         assert np.max(np.abs(rebuilt - sym)) <= 1e-10 * np.max(np.abs(sym))
-        assert np.max(np.abs(S.vectors.conj().T @ S.vectors - np.eye(S.dim))) <= 1e-12
+        assert np.max(np.abs(S.vectors.conj().T @ S.vectors - np.eye(len(S.values)))) <= 1e-12
 
 
 def test_eig_deterministic_phase(rng):
