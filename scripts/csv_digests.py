@@ -53,7 +53,9 @@ README = ROOT / "README.md"
 # where the closed-form check fails on rounding over N factors (exit 1); bound-check
 # also at 1025 checks, whose last chunk holds one lane, so its one (d, N) stack has B = 1;
 # and at scale_max 1e308, whose chunk fails to generate, so the replay decodes one lane
-# at a time and names instance 454 (exit 1)
+# at a time and names instance 454 (exit 1); and at d = m = N = 1, where every draw
+# reads its row's whole width, so the ziggurat's wedge tests decided in lockstep read
+# into the row's spare words, and a lane that has spent them defers to numpy
 ACCEPTANCE = (
     ("bound-check", 0),
     ("bound-check --count 3000 --seed 7", 0),
@@ -82,6 +84,7 @@ ACCEPTANCE = (
     ("sharpness --N-list 500,1000,2000", 1),
     ("bound-check --count 1025 --seed 8", 0),
     ("bound-check --count 2000 --scale-max 1e308 --seed 2", 1),
+    ("bound-check --count 3000 --seed 12 --d-max 1 --m-max 1 --N-max 1", 0),
 )
 
 

@@ -58,11 +58,14 @@ FOCK_CAP = 14  # the largest mode count of any Fock space; no 2^D x 2^D array is
 # Below this many gathered entries a field is one gather per layer of (row,
 # mode) pairs; above it, a loop over modes moves half rows through views.  The
 # loop costs interpreter time per mode, the gather touches a whole row for
-# every pair: for one operator on a 2-core Xeon VM (one BLAS thread) the gather
-# took 0.25-0.9 of the loop's time up to 16384 entries, 1.1-3.8 times it from
-# 19712 on, and the two met between about 6000 and 20000 entries, by D.  Both
+# every pair.  On a 2-core Xeon VM (one BLAS thread), on modular_rep's single
+# fields, the gather took 43 against the loop's 80 us at 4608 entries (D = 9)
+# and 80 against 112 us at 10240 (D = 10), tied at 16384 (D = 8, 116 against
+# 112 us), and took 1.3-4.9 times the loop's time at 41472 and 102400; a
+# wick-verify --N-max 2 --modes 7 pass, whose stacked fields have 4097-12288
+# entries, took 19.3 ms against 21.3 ms with those fields on the loop.  Both
 # sum in one order, so the threshold picks only the speed, never the bits.
-SMALL_FIELD = 4096
+SMALL_FIELD = 12288
 
 # A block of monomials for one stacked `expect_monomial` call gathers at most
 # this many entries in one field (`monomial_block`; a block holds at least one

@@ -141,11 +141,10 @@ def _hash(v: np.ndarray, constants: np.ndarray) -> np.ndarray:
     return v ^ v >> 16
 
 
-def _pcg64_states(seeds) -> list:
-    """The (state, inc) pair that np.random.PCG64(seed) starts from, for each
-    seed in [0, 2^64): SeedSequence's pool hash and generate_state(4, uint64),
-    vectorized over seeds in wrapping uint32 arithmetic, then PCG64's two-step
-    set_seed in Python integers."""
+def _seed_words(seeds) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, uint64) for each seed in [0, 2^64), one
+    row per seed: the pool hash and the output hash, vectorized over seeds in
+    wrapping uint32 arithmetic."""
     seeds = np.array(seeds, dtype=np.uint64)
     # a seed below 2^64 is at most two entropy words; the pool's other two hash 0
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
@@ -156,35 +155,54 @@ def _pcg64_states(seeds) -> list:
         mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], _POOL_HASH[4 + 3 * src:8 + 3 * src])
         pool[dst] = mixed ^ mixed >> 16
     words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUTPUT_HASH).T  # (seeds, 8)
-    states = []
-    for hi, lo, inc_hi, inc_lo in words.astype("<u4", order="C").view("<u8").tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & (2**128 - 1)
-        states.append(((((hi << 64 | lo) + inc) * _PCG_MULT + inc) & (2**128 - 1), inc))
-    return states
+    return words.astype("<u4", order="C").view("<u8")
 
 
-def _pcg64_state(state: int, inc: int, has_uint32=0, uinteger=0) -> dict:
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+@functools.cache
+def _seeded() -> type:
+    """PCG64's seed from a lane's SeedSequence words: PCG64(_seeded()(row)) starts
+    where PCG64(seed) starts, with no hash of its own.  Made on first use, so that
+    importing fermicov does not import numpy.random."""
+
+    class Seeded(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for its 4 uint64 words, and only for them
+
+    return Seeded
+
+
+def _pcg64_state(state: dict, has_uint32=0, uinteger=0) -> dict:
+    return {"bit_generator": "PCG64", "state": state,
             "has_uint32": int(has_uint32), "uinteger": int(uinteger)}
 
 
 @functools.cache
 def _ziggurat() -> tuple:
-    """numpy's normal ziggurat as (wi, ki): layer idx's width wi = x_idx / 2^52, read
-    from normal() on the crafted word (1 << 9) | idx, and a lower bound of its
-    acceptance bound 2^52 x_(idx-1) / x_idx (r = x_255 for layer 0, none for layer 1),
-    shrunk by 1e-12 so that rounding leaves it below numpy's."""
+    """numpy's normal ziggurat as (wi, ki, kh, fi): layer idx's width wi = x_idx / 2^52,
+    read from normal() on the crafted word (1 << 9) | idx; a lower bound ki and an
+    upper bound kh of its acceptance bound 2^52 x_(idx-1) / x_idx (r = x_255 for layer
+    0, none for layer 1), shrunk and grown by 1e-12 so that rounding leaves numpy's
+    between them; and the density at each layer's edge, fi = exp(-x_idx^2 / 2), with
+    fi[0] = 1 for the top of layer 1."""
     bits = np.random.PCG64(0)
     normal, inc = np.random.Generator(bits).normal, bits.state["state"]["inc"]
     wi = np.empty(256)
     for idx in range(256):  # the state that steps to state (1 << 9) | idx, its next word
-        bits.state = _pcg64_state((((1 << 9) | idx) - inc) * _PCG_INV % 2**128, inc)
+        bits.state = _pcg64_state({"state": (((1 << 9) | idx) - inc) * _PCG_INV % 2**128,
+                                   "inc": inc})
         wi[idx] = normal()
     ratio = np.zeros(256)
     ratio[0], ratio[2:] = wi[255] / wi[0], wi[1:-1] / wi[2:]
     ki = (ratio * 2.0**52 * (1 - 1e-12)).astype(np.uint64)
-    wi.flags.writeable = ki.flags.writeable = False  # shared by every caller
-    return wi, ki
+    kh = (ratio * 2.0**52 * (1 + 1e-12)).astype(np.uint64) + 1
+    fi = np.exp(-0.5 * (wi * 2.0**52) ** 2)
+    fi[0] = 1.0
+    for table in (wi, ki, kh, fi):
+        table.flags.writeable = False  # shared by every caller
+    return wi, ki, kh, fi
 
 
 class _Words:
@@ -193,18 +211,27 @@ class _Words:
     lane keeps a cursor into its row and PCG64's buffered half word.  numpy
     decides the rare branches, on the lane's state at its cursor; the lane then
     reads on, in a fresh row, from the state numpy leaves.  A row holds a whole
-    draw's words when numpy decides nothing, so no row runs out."""
+    draw's words when numpy decides nothing, and SPARE more for the wedge tests
+    decided here, each of which spends one or two (spent, since the row began);
+    so no row runs out."""
+
+    # from 8 on, the default 2000-check suite at root seed 0 leaves numpy 47 calls (763
+    # with no spare word); wider draws spend more: the first 300 lanes at root seed 0
+    # with d, m, N, n up to 8, 4, 32, 64 leave it 246 calls at 8, 191 at 16, 182 at 32
+    SPARE = 16
 
     def __init__(self, seeds, width: int):
         self.bits = np.random.PCG64(0)
         self.generator = np.random.Generator(self.bits)
-        self.start = _pcg64_states(seeds)  # the (state, inc) of each row's first word
-        self.rows = np.empty((len(seeds), width), dtype=np.uint64)
+        self.seeded = _seed_words(seeds)  # each lane's PCG64 seed words
+        self.start = {}  # a lane's PCG64 state at its row's first word, once numpy set it
+        self.rows = np.empty((len(seeds), width + self.SPARE), dtype=np.uint64)
         self.cur, self.has32 = np.zeros(len(seeds), dtype=np.int64), np.zeros(len(seeds), bool)
         self.buf = np.zeros(len(seeds), dtype=np.uint64)
-        for lane, (state, inc) in enumerate(self.start):
-            self.bits.state = _pcg64_state(state, inc)
-            self.rows[lane] = self.bits.random_raw(width)
+        self.spent = np.zeros(len(seeds), dtype=np.int64)
+        seeded = _seeded()
+        for lane, words in enumerate(self.seeded):
+            self.rows[lane] = np.random.PCG64(seeded(words)).random_raw(self.rows.shape[1])
 
     def _read(self, lanes, span: int) -> np.ndarray:
         """The next span words of each lane; past its row, its last word again."""
@@ -213,14 +240,15 @@ class _Words:
 
     def _numpy(self, lane, call):
         """call(Generator) on the lane's state at its cursor, then a fresh row."""
-        state, inc = self.start[lane]
-        self.bits.state = _pcg64_state(state, inc, self.has32[lane], self.buf[lane])
+        start = self.start.get(lane) or np.random.PCG64(_seeded()(self.seeded[lane])).state["state"]
+        self.bits.state = _pcg64_state(start, self.has32[lane], self.buf[lane])
         self.bits.random_raw(int(self.cur[lane]))  # the words read; the buffered half stays
         value = call(self.generator)
         after = self.bits.state
-        self.start[lane] = after["state"]["state"], inc
+        self.start[lane] = after["state"]
         self.has32[lane], self.buf[lane] = after["has_uint32"], after["uinteger"]
-        self.rows[lane], self.cur[lane] = self.bits.random_raw(self.rows.shape[1]), 0
+        self.rows[lane] = self.bits.random_raw(self.rows.shape[1])
+        self.cur[lane] = self.spent[lane] = 0
         return value
 
     def integers(self, lanes, low, width) -> np.ndarray:
@@ -262,19 +290,55 @@ class _Words:
             raise ValueError("high - low < 0")
         return low + width * self.doubles(lanes)[:, 0]
 
-    def normals(self, lanes, count) -> np.ndarray:
-        """normal(size=count) on each lane, as rows padded to the largest count; a
-        lane's block from its first word off the ziggurat's fast path on is numpy's."""
-        wi, ki = _ziggurat()
-        count = np.zeros_like(lanes) + count
+    def _fast_path(self, lanes, count) -> tuple:
+        """The ziggurat's fast path on each lane's next count words: their normals up
+        to its first word off the path, as rows padded with 0, and how many."""
+        wi, ki = _ziggurat()[:2]
         words = self._read(lanes, count.max(initial=1))
         span = np.arange(words.shape[1])
         idx, rabs = words & 0xFF, (words >> 9) & (2**52 - 1)
         off = (rabs >= ki[idx]) & (span < count[:, None])
-        run = np.where(off.any(axis=1), off.argmax(axis=1), count)  # the words on the path
+        run = np.where(off.any(axis=1), off.argmax(axis=1), count)
         x = rabs * wi[idx]  # + 0.0 below: loc + scale * x, at 0 and 1
-        out = np.where(span < run[:, None], np.where(words & 0x100, -x, x) + 0.0, 0.0)
         self.cur[lanes] += run
+        return np.where(span < run[:, None], np.where(words & 0x100, -x, x) + 0.0, 0.0), run
+
+    def normals(self, lanes, count) -> np.ndarray:
+        """normal(size=count) on each lane, as rows padded to the largest count.
+
+        A lane's first word off the fast path is decided here where numpy's verdict
+        is certain: a layer above 0, rabs >= kh, and a wedge test whose sides differ
+        by more than 1e-9 relative, which the next word's double decides as numpy's
+        does: accepted, the value is x; rejected, the same value is drawn again.
+        Those lanes then take the fast path once more.  numpy decides the rest of a
+        block from any other word off the path, or where the test would spend more
+        words than the row has spare."""
+        wi, ki, kh, fi = _ziggurat()
+        count = np.zeros_like(lanes) + count
+        out, run = self._fast_path(lanes, count)
+        stop = (run < count).nonzero()[0]
+        if stop.size:
+            L = lanes[stop]
+            word, u = self._read(L, 2).T
+            idx, rabs = (word & 0xFF).astype(np.int64), (word >> 9) & (2**52 - 1)
+            x = rabs * wi[idx]
+            x = np.where(word & 0x100, -x, x) + 0.0
+            # fi[idx - 1] is fi[-1] at layer 0, whose tail numpy decides
+            lhs = (fi[idx - 1] - fi[idx]) * ((u >> 11) * 2.0**-53) + fi[idx]
+            rhs = np.exp(-0.5 * x * x)
+            accept = lhs < rhs
+            sure = ((idx > 0) & (rabs >= kh[idx]) & (np.abs(lhs - rhs) > 1e-9 * rhs)
+                    & (self.spent[L] + 2 - accept <= self.SPARE))
+            here, accept = stop[sure], accept[sure]
+            out[here[accept], run[here[accept]]] = x[sure][accept]
+            self.cur[L[sure]] += 2
+            self.spent[L[sure]] += 2 - accept
+            run[here] += accept
+            more = here[run[here] < count[here]]
+            values, extra = self._fast_path(lanes[more], count[more] - run[more])
+            r, c = (np.arange(values.shape[1]) < extra[:, None]).nonzero()
+            out[more[r], run[more[r]] + c] = values[r, c]
+            run[more] += extra
         for i in (run < count).nonzero()[0].tolist():
             out[i, run[i]:count[i]] = self._numpy(lanes[i], lambda g: g.normal(
                 size=count[i] - run[i]))

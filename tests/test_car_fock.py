@@ -138,11 +138,13 @@ def test_shell_families(rng):
             assert (0 in masks) == (t % 2 == 0)  # row 0, the trace, only on even chains
 
 
-@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0, 10**9])
+@pytest.mark.parametrize("small_field", [4096, 0, 10**9])
 def test_fock_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
     # chains of up to 8 fields on a diagonal, with real and complex D^w between the fields,
     # against the dense row maps: entries, trace, norm and inner products across lengths;
-    # the three thresholds run the default choice, the per-mode loop and the gather
+    # 4096 splits the fields between the gather and the per-mode loop (at D = 6 some
+    # have more entries), 0 and 10^9 send each to the loop and to the gather, as the
+    # default does
     monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
     for D in range(1, 7):
         fock = FockSpace(D)
@@ -173,7 +175,7 @@ def test_fock_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
                 assert abs(chains[j].vdot(chains[i]) - np.conj(expected)) <= 1e-13 * bound
 
 
-@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0, 10**9])
+@pytest.mark.parametrize("small_field", [4096, 0, 10**9])  # as in the test above
 def test_pruned_chain_matches_apply_field_oracle(rng, monkeypatch, small_field):
     # chains that keep only the rows a read-out target can still reach after the fields
     # left (reach target + left), against the dense row maps on every kept row; target 0
@@ -419,7 +421,8 @@ def test_wick_exhaustive_small(N, rng):
     assert np.all(np.abs(direct - det) <= 1e-10 * np.maximum(np.abs(direct), 1e-2))
 
 
-@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0])  # gather, per-mode loop
+# gather (these fields have at most 448 entries, as at the default), per-mode loop
+@pytest.mark.parametrize("small_field", [4096, 0])
 @pytest.mark.parametrize("modes", [3, 4])
 def test_stacked_wick_matches_stacks_of_one_bitwise(modes, small_field, rng, monkeypatch):
     monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)

@@ -384,14 +384,14 @@ def test_wick_and_modular_verify(tmp_path):
                "--out", "w1.csv") == 0
 
 
-@pytest.mark.parametrize("small_field", [car_fock.SMALL_FIELD, 0, 10**9])
+@pytest.mark.parametrize("small_field", [4096, 0, 10**9])
 @pytest.mark.parametrize("argv", [("--N-max", "3", "--modes", "4"),
                                   ("--N-max", "2", "--modes", "7", "--draws", "2")])
 def test_wick_verify_block_budget_keeps_bytes(tmp_path, monkeypatch, argv, small_field):
     # one permutation per block, the default blocks, and every permutation of an N
     # in one block give the CSV of the default settings, whether the fields take the
-    # default strategy, the per-mode loop (SMALL_FIELD 0) or the gather (10^9); at
-    # D = 7 the stacked fields take the per-mode loop by default
+    # per-mode loop (SMALL_FIELD 0), the gather (10^9, as every field here does by
+    # default) or both: at 4096, D = 7's stacked fields of more entries take the loop
     assert run(tmp_path, "wick-verify", *argv, "--seed", "3", "--out", "default.csv") == 0
     monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
     for budget in (1, car_fock.BLOCK_ENTRIES, 10**9):
@@ -402,11 +402,12 @@ def test_wick_verify_block_budget_keeps_bytes(tmp_path, monkeypatch, argv, small
 
 def test_modular_verify_keeps_bytes_on_either_field_strategy(tmp_path, monkeypatch):
     csvs = []
-    for small_field in (car_fock.SMALL_FIELD, 0, 10**9):  # default, per-mode loop, gather
+    # default, per-mode loop, gather, and both: at 4096, fields of more entries take the loop
+    for small_field in (car_fock.SMALL_FIELD, 0, 10**9, 4096):
         monkeypatch.setattr(car_fock, "SMALL_FIELD", small_field)
         assert run(tmp_path, "modular-verify", "--seed", "2", "--modes", "6", "--out", "m.csv") == 0
         csvs.append((tmp_path / "m.csv").read_bytes())
-    assert csvs[0] == csvs[1] == csvs[2]
+    assert csvs[0] == csvs[1] == csvs[2] == csvs[3]
 
 
 def test_wick_verify_rows_replay_one_draw_at_a_time():

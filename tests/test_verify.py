@@ -12,7 +12,6 @@ from fermicov import verify
 from fermicov.verify import (
     CHUNK,
     GeneratorConfig,
-    _pcg64_states,
     _Words,
     _assemble,
     _decode,
@@ -205,10 +204,10 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
 
 def test_stream_seeding_is_pcg64s():
     seeds = EDGE_SEEDS + np.random.default_rng(8).integers(0, 2**63 - 1, 10_000).tolist()
-    states = [{"state": state, "inc": inc} for state, inc in _pcg64_states(seeds)]
-    assert states == [np.random.PCG64(seed).state["state"] for seed in seeds]
-    rows = _Words(EDGE_SEEDS, 3).rows
-    assert rows.tolist() == [np.random.PCG64(seed).random_raw(3).tolist() for seed in EDGE_SEEDS]
+    rows = _Words(seeds, 3).rows
+    assert rows.shape == (len(seeds), 3 + _Words.SPARE)
+    assert rows.tolist() == [np.random.PCG64(seed).random_raw(rows.shape[1]).tolist()
+                             for seed in seeds]
 
 
 def _state_at_cursor(words, lane) -> dict:
@@ -277,26 +276,132 @@ def test_stream_integers_below_width_one_raise_as_numpy(low, high):
         _Words([0], 4).integers(np.arange(1), low, high - low)
 
 
+def _pcg64(state: dict) -> np.random.PCG64:
+    bits = np.random.PCG64(0)
+    bits.state = verify._pcg64_state(state)
+    return bits
+
+
 def test_ziggurat_tables_are_numpys():
     # a crafted state whose next word is (rabs << 9) | (sign << 8) | idx: numpy's
     # normal() takes that one word, and gives +-rabs * wi[idx], on each layer at
-    # rabs = 1 and at the last rabs below the lower bound ki, with both signs
-    wi, ki = _ziggurat()
-    bits = np.random.PCG64(0)
-    normal, inc = np.random.Generator(bits).normal, bits.state["state"]["inc"]
+    # rabs = 1 and at the last rabs below the lower bound ki, with both signs; at
+    # the upper bound kh it reads on, on every layer
+    wi, ki, kh, fi = _ziggurat()
+    inc = np.random.PCG64(0).state["state"]["inc"]
     assert ki[1] == 0 and (ki[[0, *range(2, 256)]] > 2**50).all()  # layer 1: no fast path
-    for idx in [0, *range(2, 256)]:
-        for rabs in (1, int(ki[idx]) - 1):
+    assert kh[1] == 1 and (kh - ki <= 2**14).all() and (kh > ki).all()
+    assert fi[0] == 1.0 and (np.diff(fi) < 0).all()  # the density falls layer by layer
+    for idx in range(256):
+        for rabs in ((1, int(ki[idx]) - 1) if idx != 1 else ()):
             for sign in (0, 1):
                 state = ((rabs << 9 | sign << 8 | idx) - inc) * verify._PCG_INV % 2**128
-                bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                              "has_uint32": 0, "uinteger": 0}
-                value = normal()
+                bits = _pcg64({"state": state, "inc": inc})
+                value = np.random.Generator(bits).normal()
                 assert bits.state["state"]["state"] == (state * verify._PCG_MULT + inc) % 2**128
                 assert _bits(value) == _bits((-1.0 if sign else 1.0) * rabs * wi[idx] + 0.0)
                 words = _Words([0], 1)
                 words.rows[0, 0] = rabs << 9 | sign << 8 | idx
                 assert _bits(words.normals(np.arange(1), 1)[0, 0]) == _bits(value)
+        state = ((int(kh[idx]) << 9 | idx) - inc) * verify._PCG_INV % 2**128
+        bits = _pcg64({"state": state, "inc": inc})
+        np.random.Generator(bits).normal()
+        assert bits.state["state"]["state"] != (state * verify._PCG_MULT + inc) % 2**128
+
+
+def _crafted(first: int, u: float, third_fast: bool = True) -> dict:
+    """A PCG64 state whose next words are first, then a word whose double is u, then
+    one on the ziggurat's fast path (off it, if not third_fast): after each of the
+    first two steps the state is the word itself, which PCG64 outputs unchanged, and
+    the increment joins them; the bits that u's double drops pick the third word."""
+    _, ki, _, _ = _ziggurat()
+    top = int(u * 2.0**53) << 11
+    for low in range(1 - first % 2, 2**11, 2):  # the increment must be odd
+        second = top | low
+        inc = (second - first * verify._PCG_MULT) % 2**128
+        state = {"state": (first - inc) * verify._PCG_INV % 2**128, "inc": inc}
+        third = int(_pcg64(state).random_raw(3)[2])
+        if ((third >> 9 & 2**52 - 1) < ki[third & 0xFF]) == third_fast:
+            return state
+    raise AssertionError("no such third word")
+
+
+def _lane_at(state: dict, width: int) -> _Words:
+    """A one-lane _Words that reads on from the PCG64 state, as after numpy's refresh."""
+    words = _Words([0], width)
+    words.start[0] = state
+    words.rows[0] = _pcg64(state).random_raw(words.rows.shape[1])
+    return words
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch) -> list:
+    """The value of each Generator call that numpy decides, in order."""
+    calls, numpy_call = [], _Words._numpy
+
+    def counted(words, lane, call):
+        calls.append(numpy_call(words, lane, call))
+        return calls[-1]
+
+    monkeypatch.setattr(_Words, "_numpy", counted)
+    return calls
+
+
+def _wedge(idx: int, side: float, sign: int = 0) -> tuple:
+    """A word off the fast path in the middle of layer idx's wedge, and the double
+    that puts the wedge test's left side at (1 + side) times its right side."""
+    wi, _, kh, fi = _ziggurat()
+    rabs = (int(kh[idx]) + 2**52) // 2
+    x = rabs * wi[idx]
+    rhs = np.exp(-0.5 * x * x)
+    u = (rhs * (1 + side) - fi[idx]) / (fi[idx - 1] - fi[idx])
+    assert 0.0 <= u < 1.0
+    return rabs << 9 | sign << 8 | idx, u
+
+
+def _numpy_normals(state: dict, count: int) -> tuple:
+    bits = _pcg64(state)
+    return np.random.Generator(bits).normal(size=count), bits.state
+
+
+@pytest.mark.parametrize("side", [-2e-9, 2e-9], ids=["accept", "reject"])
+def test_wedge_decided_in_lockstep_is_numpys(numpy_calls, side):
+    # on every layer with a wedge, a test just outside the 1e-9 margin on each side:
+    # the value and the words read are numpy's, and numpy decides nothing
+    for idx in range(1, 256):
+        numpy_calls.clear()  # _state_at_cursor's, below
+        word, u = _wedge(idx, side, sign=idx % 2)
+        state = _crafted(word, u)
+        words = _lane_at(state, 1)
+        got = words.normals(np.arange(1), 1)[0, 0]
+        assert not numpy_calls, idx
+        assert words.spent[0] == (1 if side < 0 else 2)
+        value, after = _numpy_normals(state, 1)
+        assert _bits(got) == _bits(value[0])
+        assert _state_at_cursor(words, 0) == after
+
+
+@pytest.mark.parametrize("case", ["layer 0", "rabs in [ki, kh)", "inside the margin",
+                                  "second word off the path", "no spare word"])
+def test_wedge_numpy_decides(numpy_calls, case):
+    _, ki, kh, _ = _ziggurat()
+    word, u = _wedge(7, -2e-9 if case == "second word off the path" else 2e-9)
+    count = 2
+    if case == "layer 0":
+        word = int(kh[0]) << 9
+    elif case == "rabs in [ki, kh)":
+        word = int(ki[7]) << 9 | 7
+    elif case == "inside the margin":
+        word, u = _wedge(7, 5e-10)
+    state = _crafted(word, u, third_fast=case != "second word off the path")
+    words = _lane_at(state, count)
+    if case == "no spare word":  # the rejection spends two words, one more than is left
+        words.spent[0] = _Words.SPARE - 1
+    got = words.normals(np.arange(1), count)[0]
+    assert len(numpy_calls) == 1
+    value, after = _numpy_normals(state, count)
+    assert _bits(got) == _bits(value)
+    assert _state_at_cursor(words, 0) == after
 
 
 @pytest.mark.parametrize("count, config, branch", [
@@ -307,20 +412,24 @@ def test_ziggurat_tables_are_numpys():
     (300, GeneratorConfig(m_max=9), "normal"),  # BK trees with up to 8 edges
 ], ids=["lemire-rejections", "64-bit", "normal-repairs", "bk-8-edges"])
 def test_random_instances_match_the_reference_on_each_rare_branch(
-        monkeypatch, count, config, branch):
-    decided = []  # the draws that numpy decided, by kind
-    numpy_call = _Words._numpy
+        monkeypatch, numpy_calls, count, config, branch):
+    # the rare integers are numpy's to decide; a rare normal is decided in lockstep
+    # or by numpy, and either way its lane reads other than one word per value
+    rare_normals, normals = [], _Words.normals
 
-    def counted(words, lane, call):
-        value = numpy_call(words, lane, call)
-        decided.append("integers" if isinstance(value, np.integer) else "normal")
-        return value
+    def counted(words, lanes, count):
+        fast = words.cur[lanes] + count
+        out = normals(words, lanes, count)
+        rare_normals.append(int(np.count_nonzero(words.cur[lanes] != fast)))
+        return out
 
-    monkeypatch.setattr(_Words, "_numpy", counted)
+    monkeypatch.setattr(_Words, "normals", counted)
     seeds = [instance_seed(23, i) for i in range(count)]
     insts = random_instances(seeds, config)
     monkeypatch.undo()
-    assert decided.count(branch) >= 20
+    decided = {"integers": sum(isinstance(value, np.integer) for value in numpy_calls),
+               "normal": sum(rare_normals)}
+    assert decided[branch] >= 20
     for seed, inst in zip(seeds, insts):
         _assert_same_instance(inst, reference_instance(seed, config)[0])
     if config.m_max == 9:
@@ -443,6 +552,13 @@ def test_within_bound_on_arrays_is_the_scalar_rule(monkeypatch, seed):
     assert not all(expected)
 
 
+def test_default_suite_leaves_numpy_few_calls(numpy_calls):
+    # a deterministic work count: the Generator calls that numpy decides on the
+    # default 2000-check suite at root seed 0
+    bound_check_suite(2000, GeneratorConfig(), seed=0)
+    assert len(numpy_calls) == 47
+
+
 def _mutant_bounds(stack: InstanceStack) -> dict:
     """Near-miss bounds over a stack's arrays, named by how each departs from the paper's."""
     N = stack.index.shape[1] // 2
@@ -459,8 +575,9 @@ def _mutant_bounds(stack: InstanceStack) -> dict:
 
 def test_default_suite_kills_near_miss_bounds():
     # the default 2000-check suite at root seed 0, rebuilt chunk by chunk, judged
-    # against bounds a little too strong; a change that lowers a kill count has
-    # weakened the suite
+    # against bounds a little too strong, and its dets with chi dropped from the
+    # covariance against the paper's bound; a change that lowers a kill count has
+    # weakened the suite, and one that draws an instance differently moves them
     count, config = 2000, GeneratorConfig()
     checks = bound_check_suite(count, config, seed=0).checks
     kills = {}
@@ -474,6 +591,11 @@ def test_default_suite_kills_near_miss_bounds():
             assert _bits(stack.bounds()) == _bits(rows["bound"])
             for name, bound in _mutant_bounds(stack).items():
                 kills[name] = kills.get(name, 0) + int(np.sum(~within_bound(det, bound)))
+            # the det side: chi dropped from C only, judged against the paper's bound
+            H, phi, index, color, beta, n, kind, params, M = arrays
+            no_chi = InstanceStack(H, phi, index, color, beta, n, np.zeros_like(kind), params, M)
+            kills["C without chi"] = kills.get("C without chi", 0) + int(
+                np.sum(~within_bound(np.linalg.det(no_chi.matrices()), stack.bounds())))
     assert kills == {
         "paper": 0,
         "bound c^2N, c=0.999999": 3,
@@ -481,6 +603,7 @@ def test_default_suite_kills_near_miss_bounds():
         "bound c^2N, c=0.5": 297,
         "||chi phi_q||": 37,
         "M_qq": 133,
+        "C without chi": 175,
     }
 
 
