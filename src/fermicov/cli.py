@@ -1,4 +1,4 @@
-"""Config-driven experiment runner.
+"""Experiment runner.
 
 Subcommands: kernel, wick-verify, modular-verify, bound-check, bk-matrix,
 sharpness, universal.  Each writes a CSV (schema header
@@ -6,15 +6,11 @@ sharpness, universal.  Each writes a CSV (schema header
 give byte-identical files) and a JSON summary, both through atomic temp-file
 renames.  Exit codes: 0 all checks pass, 1 some verification failed, 2 usage
 or config error.  Each flag's argparse type checks its value's domain.
-
-Defaults can come from an INI config file (one section per subcommand, keys
-named as the flags with case kept); command-line flags win over the file.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
@@ -269,17 +265,10 @@ def _add_common(sub, out_default: str, seeded: bool):
         sub.add_argument("--seed", type=SEED, default=0)
 
 
-def _config_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fermicov", add_help=False)
-    parser.add_argument("--config", default=None, help="INI config file; flags win")
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermicov",
         description="covariance determinant bound verification experiments",
-        parents=[_config_parser()],
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -343,33 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_config(path: str | None, argv: list) -> list:
-    """argv (subcommand first) with the file's section for it put in as flags
-    right after the subcommand, so the flags that follow win."""
-    if path is None:
-        return argv
-    ini = configparser.ConfigParser(interpolation=None)  # values are literal: a % is a %
-    ini.optionxform = str  # keep key case: N_max must become --N-max
-    try:
-        if not ini.read(path):  # missing, a directory, or unreadable
-            raise ConfigError(f"--config: cannot read file {path}")
-    except configparser.Error as exc:
-        raise ConfigError(f"--config: malformed file {path}: {exc}")
-    if not argv or not ini.has_section(argv[0]):
-        return argv
-    injected = [tok for key, value in ini.items(argv[0])
-                for tok in ("--" + key.replace("_", "-"), value)]
-    return argv[:1] + injected + argv[1:]
-
-
 def main(argv: list | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # --config before the subcommand, as the full parser reads it
-    pre = _config_parser()
-    pre.add_argument("rest", nargs=argparse.REMAINDER)
     try:
-        known, unknown = pre.parse_known_args(argv)
-        args = build_parser().parse_args(unknown + _with_config(known.config, known.rest))
+        args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
         out = args.func(args)
         write_csv(args.out, out.records)

@@ -64,7 +64,7 @@ SHARPNESS_CSV = list(SHARPNESS.names[:9])
 UNIVERSAL_CSV = ["epsilon", "N", "n", "lam", "det_abs", "per_factor_estimate"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     """Ranges for random determinant-bound instances."""
 

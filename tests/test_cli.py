@@ -1,15 +1,18 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
+import shlex
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fermicov import car_fock, modular, verify
-from fermicov.cli import main, row_format
+from fermicov.cli import build_parser, main, row_format
 from fermicov.mspace import bk_matrix, random_tree
 from fermicov.spectral import rate_terms
 from fermicov.verify import (GeneratorConfig, bound_check_suite, random_instance,
@@ -101,62 +104,6 @@ def test_summary_counts_match_the_csv(tmp_path):
         assert tightest["ratio"] == float(np.max(ratios))
         # seed 33's tightest ratio is 1.0000000000000002, one rounding above 1
         assert 0.0 < tightest["ratio"] <= 1.0 + 1e-15 and best["pass"] == "1"
-
-
-def test_config_file_defaults_and_flag_override(tmp_path):
-    (tmp_path / "exp.ini").write_text("[bound-check]\ncount = 12\nseed = 4\n")
-    code = run(tmp_path, "--config", "exp.ini", "bound-check", "--out", "c.csv")
-    assert code == 0
-    rows = (tmp_path / "c.csv").read_text().splitlines()[2:]
-    assert len(rows) == 12
-    code = run(tmp_path, "--config", "exp.ini", "bound-check", "--count", "5",
-               "--out", "d.csv")
-    assert code == 0
-    assert len((tmp_path / "d.csv").read_text().splitlines()[2:]) == 5
-    # keys keep their case: N_max is the --N-max flag
-    (tmp_path / "caps.ini").write_text("[bound-check]\ncount = 8\nN_max = 1\n")
-    code = run(tmp_path, "--config", "caps.ini", "bound-check", "--out", "e.csv")
-    assert code == 0
-    rows = [ln.split(",") for ln in (tmp_path / "e.csv").read_text().splitlines()[2:]]
-    assert len(rows) == 8 and all(row[4] == "1" for row in rows)  # column N
-    # an abbreviation of --config applies the file too
-    assert run(tmp_path, "--conf", "exp.ini", "bound-check", "--out", "f.csv") == 0
-    assert len((tmp_path / "f.csv").read_text().splitlines()[2:]) == 12
-    # a file with no section for the subcommand leaves its defaults and flags as they are
-    (tmp_path / "other.ini").write_text("[kernel]\nn = 4\n")
-    assert run(tmp_path, "--config", "other.ini", "bound-check", "--count", "3",
-               "--out", "g.csv") == 0
-    assert len((tmp_path / "g.csv").read_text().splitlines()[2:]) == 3
-
-
-def test_config_errors_exit_2(tmp_path, capsys):
-    assert run(tmp_path, "--config", "missing.ini", "bound-check") == 2
-    capsys.readouterr()
-    (tmp_path / "headless.ini").write_text("count = 3\n")  # no section header
-    assert run(tmp_path, "--config", "headless.ini", "bound-check") == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: --config: malformed file headless.ini")
-    (tmp_path / "bad.ini").write_text("[bound-check]\nnot_a_flag = 3\n")
-    assert run(tmp_path, "--config", "bad.ini", "bound-check") == 2
-    assert run(tmp_path, "no-such-subcommand") == 2
-    # INI values pass through the flags' own types
-    (tmp_path / "neg.ini").write_text("[bound-check]\ncount = 2\nseed = -1\n")
-    assert run(tmp_path, "--config", "neg.ini", "bound-check") == 2
-    # --config goes before the subcommand
-    (tmp_path / "ok.ini").write_text("[bound-check]\ncount = 2\n")
-    assert run(tmp_path, "bound-check", "--config", "ok.ini") == 2
-    # a value is literal: %(x)s reaches --count's type as it stands
-    (tmp_path / "ref.ini").write_text("[bound-check]\ncount = %(x)s\n")
-    capsys.readouterr()
-    assert run(tmp_path, "--config", "ref.ini", "bound-check") == 2
-    assert "must be an integer >= 1: '%(x)s'" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
-
-
-def test_config_percent_is_literal(tmp_path):
-    (tmp_path / "pct.ini").write_text("[bound-check]\ncount = 2\nout = a%b.csv\n")
-    assert run(tmp_path, "--config", "pct.ini", "bound-check") == 0
-    assert (tmp_path / "a%b.csv").is_file() and (tmp_path / "a%b.json").is_file()
 
 
 def test_non_finite_parameters_exit_2(tmp_path):
@@ -265,10 +212,31 @@ def test_removed_options_exit_2(tmp_path):
     assert run(tmp_path, "bound-check", "--jobs", "2", "--out", "b.csv") == 2
     assert run(tmp_path, "covariance-det", "--out", "c.csv") == 2
     assert run(tmp_path, "decay", "--out", "d.csv") == 2
+    assert run(tmp_path, "no-such-subcommand") == 2
+    # a readable INI file with a section for the subcommand is an unknown option too
+    (tmp_path / "exp.ini").write_text("[bound-check]\ncount = 2\n")
+    assert run(tmp_path, "--config", "exp.ini", "bound-check", "--out", "b.csv") == 2
+    (tmp_path / "exp.ini").unlink()
     # suites that draw no random numbers take no seed
     for sub in ("kernel", "sharpness"):
         assert run(tmp_path, sub, "--seed", "1", "--out", "x.csv") == 2
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_examples_parse(tmp_path, monkeypatch):
+    # the README examples that scripts/csv_digests.py runs, read by its own parser
+    path = Path(__file__).resolve().parent.parent / "scripts" / "csv_digests.py"
+    spec = importlib.util.spec_from_file_location("csv_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    commands = digests.readme_commands(digests.README.read_text())
+    assert commands
+    monkeypatch.chdir(tmp_path)  # each --out names a file here, as in the script's run
+    for args in commands:
+        try:
+            build_parser().parse_args(args)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: fermicov {shlex.join(args)}")
 
 
 def test_missing_output_directory_exits_2(tmp_path, capsys):

@@ -198,6 +198,15 @@ def test_generator_config_rejects_each_bad_field(field, value):
         GeneratorConfig(**{field: value})
 
 
+def test_generator_config_is_frozen():
+    # a field set after the checks would reach the generator unchecked
+    config = GeneratorConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.n_choices = (3,)
+    with pytest.raises(ValueError, match="n_choices"):
+        dataclasses.replace(config, n_choices=(3,))
+
+
 # the lanes' seeds: the edges of one and two entropy words and the largest instance seed
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
 
